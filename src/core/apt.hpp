@@ -30,6 +30,7 @@
 
 #include <optional>
 
+#include "policies/ready_index.hpp"
 #include "sim/policy.hpp"
 
 namespace apt::core {
@@ -71,12 +72,23 @@ class Apt : public sim::Policy {
   const AptOptions& options() const noexcept { return options_; }
 
  private:
+  /// Algorithm 1 for one ready kernel; true when it was assigned.
+  bool decide(sim::SchedulerContext& ctx, dag::NodeId node);
+  /// Whether decide() could ever pick `proc` for `node` (the index filter).
+  bool admits(const sim::SchedulerContext& ctx, dag::NodeId node,
+              sim::ProcId proc);
+  /// m_q, computed on first use in a run.
+  double quantile_mult(const sim::SchedulerContext& ctx);
+
   AptOptions options_;
 
   /// Cached m_q = noise_quantile_multiplier(run spec, rank_quantile);
   /// the spec is fixed per run, so the bisection runs once. Reset by
   /// prepare(), filled lazily from the first on_event's context.
-  mutable std::optional<double> quantile_mult_;
+  std::optional<double> quantile_mult_;
+
+  /// Ready kernels filed under the processors admits() accepts.
+  policies::ReadyIndex index_;
 };
 
 }  // namespace apt::core

@@ -29,7 +29,10 @@ enum class Counter : std::size_t {
   kPolicyPasses,      ///< policy.on_event invocations
   kPolicyDecisions,   ///< assign() + enqueue() commitments
   kReadyMarked,       ///< kernels entering the ready set
-  kReadyCompactions,  ///< tombstone compactions of the ready set
+  /// Ready-set compactions. The engines remove ready kernels in place and
+  /// never compact, so this always reads 0; kept because perfbench reports
+  /// it by name (stream.ready_compactions).
+  kReadyCompactions,
   kEventsProcessed,   ///< popped event-queue entries (all kinds)
   kHedgeChecks,       ///< hedge-check events processed
   kTransfersStarted,  ///< fabric messages created

@@ -8,6 +8,7 @@
 // which makes the APT-vs-MET comparison exact.
 #pragma once
 
+#include "policies/ready_index.hpp"
 #include "sim/policy.hpp"
 
 namespace apt::policies {
@@ -16,7 +17,13 @@ class Met final : public sim::Policy {
  public:
   std::string name() const override { return "MET"; }
   bool is_dynamic() const override { return true; }
+  void prepare(const dag::Dag& dag, const sim::System& system,
+               const sim::CostModel& cost_model) override;
   void on_event(sim::SchedulerContext& ctx) override;
+
+ private:
+  /// Ready kernels filed under their optimal processors.
+  ReadyIndex index_;
 };
 
 }  // namespace apt::policies

@@ -11,6 +11,7 @@
 #include "obs/profile.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/precomputed_cost_model.hpp"
+#include "sim/ready_set.hpp"
 #include "util/contracts.hpp"
 #include "util/rolling_quantile.hpp"
 
@@ -49,12 +50,12 @@ struct Completion {
 /// Engine internals: owns all mutable per-run state and implements the
 /// SchedulerContext interface shown to the policy.
 ///
-/// Hot-path bookkeeping is index based: the ready set keeps a per-node
-/// position so removal is O(1) (tombstone now, compact lazily on the next
-/// read), the idle-processor list is cached and rebuilt only after the
-/// processor states actually changed, and queued kernels carry their
-/// execution time so busy_until()/queued_work_ms() never re-query the cost
-/// model.
+/// Hot-path bookkeeping is index based: the ready set removes a committed
+/// kernel in place, found by binary search on its ready sequence number
+/// (sim::ReadySet), the idle-processor list is cached and rebuilt only
+/// after the processor states actually changed, and queued kernels carry
+/// their execution time so busy_until()/queued_work_ms() never re-query the
+/// cost model.
 class Engine::Context final : public SchedulerContext {
  public:
   Context(const dag::Dag& dag, const System& system, const CostModel& cost,
@@ -71,8 +72,8 @@ class Engine::Context final : public SchedulerContext {
         sink_(options.sink),
         profile_(options.profile),
         node_state_(dag.node_count()),
-        proc_state_(system.proc_count()),
-        ready_pos_(dag.node_count(), kNoPos) {
+        proc_state_(system.proc_count()) {
+    ready_.resize(dag.node_count());
     idle_cache_.reserve(system.proc_count());
     if (contended_) {
       tm_.emplace(topology_);
@@ -118,8 +119,7 @@ class Engine::Context final : public SchedulerContext {
   const CostModel& cost_model() const override { return cost_; }
 
   const std::vector<dag::NodeId>& ready() const override {
-    if (ready_tombstones_ > 0) compact_ready();
-    return ready_;
+    return ready_.nodes();
   }
 
   bool is_idle(ProcId proc) const override {
@@ -376,7 +376,6 @@ class Engine::Context final : public SchedulerContext {
     NodeState& ns = node_state_[node];
     ns.ready = true;
     ns.record.ready_time = now_;
-    ready_pos_[node] = ready_.size();
     ready_.push_back(node);
   }
 
@@ -386,25 +385,7 @@ class Engine::Context final : public SchedulerContext {
       throw std::logic_error("Engine: node " + std::to_string(node) +
                              " is not in the ready set");
     ns.assigned = true;
-    // O(1): tombstone the slot; ready() compacts before the next read, so
-    // FIFO order of the survivors is preserved.
-    ready_[ready_pos_[node]] = dag::kInvalidNode;
-    ready_pos_[node] = kNoPos;
-    ++ready_tombstones_;
-  }
-
-  /// Removes tombstones in one pass, keeping arrival order.
-  void compact_ready() const {
-    if (profile_) profile_->add(obs::Counter::kReadyCompactions);
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < ready_.size(); ++i) {
-      const dag::NodeId node = ready_[i];
-      if (node == dag::kInvalidNode) continue;
-      ready_pos_[node] = out;
-      ready_[out++] = node;
-    }
-    ready_.resize(out);
-    ready_tombstones_ = 0;
+    ready_.erase(node);
   }
 
   // --- observability (src/obs) ---------------------------------------------
@@ -902,12 +883,8 @@ class Engine::Context final : public SchedulerContext {
   std::vector<NodeState> node_state_;
   std::vector<ProcState> proc_state_;
 
-  /// Ready kernels in arrival order; assigned kernels leave as tombstones
-  /// (kInvalidNode) that compact_ready() removes before the next read.
-  /// Mutable: compaction is deferred into the const accessor ready().
-  mutable std::vector<dag::NodeId> ready_;
-  mutable std::vector<std::size_t> ready_pos_;  ///< node -> slot in ready_
-  mutable std::size_t ready_tombstones_ = 0;
+  /// Ready kernels in arrival order; committed kernels leave in place.
+  ReadySet ready_;
 
   /// Cached available set, rebuilt on demand after processor-state changes.
   mutable std::vector<ProcId> idle_cache_;

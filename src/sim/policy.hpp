@@ -45,6 +45,13 @@ class SchedulerContext {
   virtual const CostModel& cost_model() const = 0;
 
   /// Ready, not-yet-assigned kernels in arrival (FIFO) order: the set I.
+  ///
+  /// Contract, which the FIFO policies' incremental index relies on
+  /// (policies::ReadyIndex): between two reads, a kernel leaves the set
+  /// only through this context's assign() or enqueue(), and kernels that
+  /// became ready are appended at the back. Removal keeps the survivors'
+  /// order. So a policy that counts its own commits knows that everything
+  /// past the survivors it has already seen is new.
   virtual const std::vector<dag::NodeId>& ready() const = 0;
 
   /// True when the processor is neither executing nor holding queued work:

@@ -14,6 +14,7 @@
 #include "obs/profile.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/precomputed_cost_model.hpp"
+#include "sim/ready_set.hpp"
 #include "sim/validate.hpp"
 #include "util/contracts.hpp"
 #include "util/rolling_quantile.hpp"
@@ -173,8 +174,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   }
 
   const std::vector<dag::NodeId>& ready() const override {
-    if (ready_tombstones_ > 0) compact_ready();
-    return ready_;
+    return ready_.nodes();
   }
 
   bool is_idle(sim::ProcId proc) const override {
@@ -529,7 +529,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     }
     const dag::NodeId base = static_cast<dag::NodeId>(node_state_.size());
     node_state_.resize(node_state_.size() + n);
-    ready_pos_.resize(node_state_.size(), kNoPos);
+    ready_.resize(node_state_.size());
     exec_row_.resize(node_state_.size(), nullptr);
     min_exec_slab_.resize(node_state_.size(), 0.0);
     min_proc_slab_.resize(node_state_.size(), 0);
@@ -555,17 +555,15 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     }
   }
 
-  // --- ready-set bookkeeping (sim::Engine's tombstone scheme) ---------------
+  // --- ready-set bookkeeping (sim::Engine's in-place sim::ReadySet) --------
 
   void mark_ready(dag::NodeId slot) {
     if (profile_) profile_->add(obs::Counter::kReadyMarked);
     NodeState& ns = node_state_[slot];
     ns.ready = true;
     ns.record.ready_time = now_;
-    ready_pos_[slot] = ready_.size();
     ready_.push_back(slot);
-    ++ready_count_;
-    observation_.queue_depth.observe(now_, ready_count_);
+    observation_.queue_depth.observe(now_, ready_.size());
   }
 
   void take_from_ready(dag::NodeId slot) {
@@ -574,24 +572,8 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       throw std::logic_error("StreamEngine: slot " + std::to_string(slot) +
                              " is not in the ready set");
     ns.assigned = true;
-    ready_[ready_pos_[slot]] = dag::kInvalidNode;
-    ready_pos_[slot] = kNoPos;
-    ++ready_tombstones_;
-    --ready_count_;
-    observation_.queue_depth.observe(now_, ready_count_);
-  }
-
-  void compact_ready() const {
-    if (profile_) profile_->add(obs::Counter::kReadyCompactions);
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < ready_.size(); ++i) {
-      const dag::NodeId slot = ready_[i];
-      if (slot == dag::kInvalidNode) continue;
-      ready_pos_[slot] = out;
-      ready_[out++] = slot;
-    }
-    ready_.resize(out);
-    ready_tombstones_ = 0;
+    ready_.erase(slot);
+    observation_.queue_depth.observe(now_, ready_.size());
   }
 
   // --- observability (src/obs) ----------------------------------------------
@@ -1334,10 +1316,8 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       shape_pool_;
   std::size_t shape_pool_size_ = 0;
 
-  mutable std::vector<dag::NodeId> ready_;
-  mutable std::vector<std::size_t> ready_pos_;
-  mutable std::size_t ready_tombstones_ = 0;
-  std::size_t ready_count_ = 0;
+  /// Ready slots in arrival order; committed slots leave in place.
+  sim::ReadySet ready_;
 
   mutable std::vector<sim::ProcId> idle_cache_;
   mutable bool idle_dirty_ = true;

@@ -9,8 +9,8 @@
 // judged by flow time, slowdown, throughput, utilization, and backlog
 // (sim::StreamMetrics).
 //
-// Mechanics: the engine reuses sim::Engine's hot-path design — O(1)
-// tombstoned ready-set bookkeeping, a cached idle-processor list, queued
+// Mechanics: the engine reuses sim::Engine's hot-path design — in-place
+// ready-set removal (sim::ReadySet), a cached idle-processor list, queued
 // kernels carrying their execution time — but generalizes every per-node
 // array to global *slots* spanning the live instances, laid out as
 // structure-of-arrays slabs (exec-time rows, min-exec tables) the

@@ -1,7 +1,9 @@
 // Shared fixtures and builders for the test suite.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "dag/graph.hpp"
@@ -43,6 +45,33 @@ inline sim::SimResult run_and_validate(sim::Policy& policy,
             sim::critical_path_lower_bound_ms(dag, system, cost));
   return result;
 }
+
+/// AG-style policy that enqueues the whole ready set on every pass, taking
+/// kernels from the back, the front, and the middle in turn, and audits
+/// SchedulerContext::ready() after every commit: it must hold exactly the
+/// survivors, in their FIFO order, never a committed kernel.
+class DrainingReadyAuditor final : public sim::Policy {
+ public:
+  std::string name() const override { return "draining-ready-auditor"; }
+  bool is_dynamic() const override { return true; }
+
+  void on_event(sim::SchedulerContext& ctx) override {
+    std::vector<dag::NodeId> expected = ctx.ready();
+    while (!expected.empty()) {
+      const std::size_t n = expected.size();
+      const std::size_t turn = commits % 3;
+      const std::size_t at = turn == 0 ? n - 1 : turn == 1 ? 0 : n / 2;
+      const dag::NodeId node = expected[at];
+      expected.erase(expected.begin() + static_cast<std::ptrdiff_t>(at));
+      ctx.enqueue(node, node % ctx.system().proc_count());
+      ++commits;
+      if (ctx.ready() != expected) ++violations;
+    }
+  }
+
+  std::size_t commits = 0;
+  std::size_t violations = 0;  ///< commits after which ready() was wrong
+};
 
 /// The classic HEFT example (Topcuoglu et al. 2002, Figure 2): 10 tasks on
 /// 3 processors, published makespan 80. Node ids here are 0-based (paper's

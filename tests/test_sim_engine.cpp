@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/policy_factory.hpp"
+#include "dag/generator.hpp"
 #include "test_helpers.hpp"
 
 namespace apt::sim {
@@ -124,10 +125,10 @@ TEST(Engine, ReadySetSurvivesOutOfOrderAssignment) {
       if (pass_ == 0) {
         const std::vector<dag::NodeId> snapshot = ctx.ready();
         EXPECT_EQ(snapshot, (std::vector<dag::NodeId>{0, 1, 2, 3, 4, 5}));
-        ctx.assign(5, 0);  // tombstone at the back
+        ctx.assign(5, 0);  // hole at the back
         EXPECT_EQ(ctx.ready(), (std::vector<dag::NodeId>{0, 1, 2, 3, 4}));
-        ctx.assign(0, 1);  // tombstone at the front
-        ctx.assign(2, 2);  // tombstone in the middle
+        ctx.assign(0, 1);  // hole at the front
+        ctx.assign(2, 2);  // hole in the middle
         EXPECT_EQ(ctx.ready(), (std::vector<dag::NodeId>{1, 3, 4}));
         ++pass_;
         return;
@@ -148,6 +149,21 @@ TEST(Engine, ReadySetSurvivesOutOfOrderAssignment) {
   Engine engine(d, sys, cost);
   const auto result = engine.run(policy);
   EXPECT_DOUBLE_EQ(result.makespan, 4.0);  // 6 kernels, 3 procs, 2 ms each
+}
+
+TEST(Engine, AgStyleDrainKeepsTheReadySetFifo) {
+  // Every pass commits the whole ready set, punching holes at the back,
+  // front, and middle in turn; after each commit ready() must hold exactly
+  // the survivors in FIFO order.
+  const System sys = test::paper_system();
+  const LutCostModel cost(lut::paper_lookup_table(), sys);
+  for (const dag::DfgType type : {dag::DfgType::Type1, dag::DfgType::Type2}) {
+    const dag::Dag graph = dag::paper_graph(type, 4);
+    test::DrainingReadyAuditor policy;
+    test::run_and_validate(policy, graph, sys, cost);
+    EXPECT_EQ(policy.commits, graph.node_count());
+    EXPECT_EQ(policy.violations, 0u);
+  }
 }
 
 TEST(Engine, SingleKernelRunsAtTimeZero) {

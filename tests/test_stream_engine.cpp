@@ -386,6 +386,98 @@ TEST(StreamEngine, WarmupTruncationExcludesEarlyApps) {
   EXPECT_EQ(full.apps_measured, 4u);
 }
 
+// --- Ready-set bookkeeping ----------------------------------------------------
+
+TEST(StreamEngine, ReadySetSurvivesOutOfOrderAssignment) {
+  // sim::Engine's hole-punching test on global slots: holes at the back,
+  // front, and middle of the first instance's ready set. A second instance
+  // arrives after the first retired, reuses its slot range, and is punched
+  // in a different order. The FIFO view the policy sees next must be
+  // exactly the un-assigned survivors in arrival order.
+  class HolePuncher : public sim::Policy {
+   public:
+    std::string name() const override { return "hole-puncher"; }
+    bool is_dynamic() const override { return true; }
+    void on_event(sim::SchedulerContext& ctx) override {
+      const std::vector<dag::NodeId> all = {0, 1, 2, 3, 4, 5};
+      if (punched == 0 && ctx.now() == 0.0) {
+        EXPECT_EQ(ctx.ready(), all);
+        ctx.assign(5, 0);  // hole at the back
+        EXPECT_EQ(ctx.ready(), (std::vector<dag::NodeId>{0, 1, 2, 3, 4}));
+        ctx.assign(0, 1);  // hole at the front
+        ctx.assign(2, 2);  // hole in the middle
+        EXPECT_EQ(ctx.ready(), (std::vector<dag::NodeId>{1, 3, 4}));
+        ++punched;
+        return;
+      }
+      if (punched == 1 && ctx.now() == 100.0) {
+        EXPECT_EQ(ctx.ready(), all);  // the retired slots, reused
+        ctx.assign(3, 0);  // middle first
+        ctx.assign(0, 1);  // then the front
+        ctx.assign(5, 2);  // then the back
+        EXPECT_EQ(ctx.ready(), (std::vector<dag::NodeId>{1, 2, 4}));
+        ++punched;
+        return;
+      }
+      // Other passes: drain whatever is left FIFO onto idle processors.
+      while (!ctx.ready().empty() && !ctx.idle_processors().empty()) {
+        const dag::NodeId n = ctx.ready().front();
+        ctx.assign(n, ctx.idle_processors().front());
+      }
+    }
+    int punched = 0;
+  };
+  const sim::System system = test::generic_system(3);
+  const sim::MatrixCostModel cost(std::vector<std::vector<sim::TimeMs>>(
+      6, std::vector<sim::TimeMs>(3, 2.0)));
+  stream::StreamOptions opts;
+  opts.arrivals = stream::ArrivalSpec::trace({0.0, 100.0});
+  opts.record_schedules = true;
+  stream::StreamEngine engine(
+      system, cost,
+      [](std::size_t) {
+        dag::Dag d;
+        for (int i = 0; i < 6; ++i) d.add_node("k", 1);
+        return d;
+      },
+      opts);
+  HolePuncher policy;
+  const stream::StreamOutcome outcome = engine.run(policy);
+  EXPECT_EQ(policy.punched, 2);
+  ASSERT_EQ(outcome.schedules.size(), 2u);
+  // 6 kernels, 3 procs, 2 ms each: two waves per instance.
+  EXPECT_DOUBLE_EQ(outcome.schedules[0].result.makespan, 4.0);
+  EXPECT_DOUBLE_EQ(outcome.schedules[1].result.makespan, 104.0);
+}
+
+TEST(StreamEngine, AgStyleDrainKeepsTheReadySetFifo) {
+  // Overlapping instances: every pass commits the whole ready set, holes
+  // everywhere, and ready() must track the survivors exactly.
+  const sim::System system = test::paper_system();
+  const sim::LutCostModel cost(lut::paper_lookup_table(), system);
+  stream::StreamOptions opts;
+  opts.arrivals = stream::ArrivalSpec::poisson(0.01, 5);
+  opts.max_apps = 12;
+  opts.record_schedules = true;
+  stream::StreamEngine engine(
+      system, cost,
+      [](std::size_t k) {
+        return dag::paper_graph(
+            k % 2 == 0 ? dag::DfgType::Type1 : dag::DfgType::Type2, k % 10);
+      },
+      opts);
+  test::DrainingReadyAuditor policy;
+  const stream::StreamOutcome outcome = engine.run(policy);
+  EXPECT_EQ(outcome.metrics.apps_completed, 12u);
+  EXPECT_EQ(policy.commits, outcome.metrics.kernels_completed);
+  EXPECT_EQ(policy.violations, 0u);
+  std::vector<sim::StreamAppView> views;
+  for (const auto& app : outcome.schedules)
+    views.push_back({&app.dag, app.arrival_ms, &app.result});
+  for (const auto& v : sim::validate_stream_schedule(system, views))
+    ADD_FAILURE() << v.message;
+}
+
 // --- LevelTrace ---------------------------------------------------------------
 
 TEST(LevelTrace, TimeWeightedAverageAndMax) {
