@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
   // burst (admission cap, no horizon/warmup) keeps the row bounded — at
   // these rates a 200 s horizon would admit thousands of applications —
   // while still pushing the hot path deep into saturation: the incremental
-  // max-min re-solve, the SoA slot slabs, and the shape pool are what keep
-  // these rows tractable.
+  // max-min re-solve, the SoA slot slabs, and per-admission cost rows are
+  // what keep these rows tractable.
   const std::vector<double> burst_rates_per_ms = {0.005, 0.05};
   for (const std::string& family : families) {
     for (double rate : burst_rates_per_ms) {

@@ -99,9 +99,8 @@ std::uint64_t structure_hash(const Dag& dag);
 
 /// Exact structural equality: same node count, every node's kernel, data
 /// size, and release time (bitwise) equal, and identical successor lists.
-/// This is the serialise-identically relation structure_hash fingerprints —
-/// the stream engine's shape pool uses it to confirm a hash hit before two
-/// instances share one cost table.
+/// This is the serialise-identically relation structure_hash fingerprints,
+/// decided exactly (no hash collisions).
 bool identical(const Dag& a, const Dag& b);
 
 }  // namespace apt::dag

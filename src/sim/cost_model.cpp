@@ -4,6 +4,13 @@
 
 namespace apt::sim {
 
+void CostModel::exec_row_ms(const dag::Dag& dag, dag::NodeId node,
+                            const std::vector<Processor>& procs,
+                            TimeMs* out) const {
+  for (std::size_t i = 0; i < procs.size(); ++i)
+    out[i] = exec_time_ms(dag, node, procs[i]);
+}
+
 TimeMs CostModel::average_transfer_time_ms(const dag::Dag& dag,
                                            dag::NodeId src, dag::NodeId dst,
                                            const System& system) const {
@@ -50,6 +57,14 @@ const lut::Entry& LutCostModel::entry_for(const dag::Dag& dag,
 TimeMs LutCostModel::exec_time_ms(const dag::Dag& dag, dag::NodeId node,
                                   const Processor& proc) const {
   return entry_for(dag, node).time(proc.type);
+}
+
+void LutCostModel::exec_row_ms(const dag::Dag& dag, dag::NodeId node,
+                               const std::vector<Processor>& procs,
+                               TimeMs* out) const {
+  const lut::Entry& entry = entry_for(dag, node);
+  for (std::size_t i = 0; i < procs.size(); ++i)
+    out[i] = entry.time(procs[i].type);
 }
 
 TimeMs LutCostModel::transfer_time_ms(const dag::Dag& dag, dag::NodeId src,

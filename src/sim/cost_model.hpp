@@ -38,6 +38,14 @@ class CostModel {
   virtual TimeMs exec_time_ms(const dag::Dag& dag, dag::NodeId node,
                               const Processor& proc) const = 0;
 
+  /// Execution times of `node` on every processor of `procs`:
+  /// `out[i] = exec_time_ms(dag, node, procs[i])`, bit for bit. The default
+  /// loops over exec_time_ms; models that resolve a whole row at once (one
+  /// lookup-table entry per kernel) override it.
+  virtual void exec_row_ms(const dag::Dag& dag, dag::NodeId node,
+                           const std::vector<Processor>& procs,
+                           TimeMs* out) const;
+
   /// Time to move the data of edge src -> dst when src ran on `from` and
   /// dst runs on `to`. Must be 0 when from.id == to.id.
   virtual TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
@@ -69,6 +77,10 @@ class LutCostModel final : public CostModel {
 
   TimeMs exec_time_ms(const dag::Dag& dag, dag::NodeId node,
                       const Processor& proc) const override;
+  /// One table entry lookup for the whole row.
+  void exec_row_ms(const dag::Dag& dag, dag::NodeId node,
+                   const std::vector<Processor>& procs,
+                   TimeMs* out) const override;
   TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
                           dag::NodeId dst, const Processor& from,
                           const Processor& to) const override;

@@ -11,10 +11,8 @@ PrecomputedCostModel::PrecomputedCostModel(const dag::Dag& dag,
   const auto& procs = system.processors();
 
   exec_.resize(n * p);
-  for (dag::NodeId node = 0; node < n; ++node) {
-    for (std::size_t proc = 0; proc < p; ++proc)
-      exec_[node * p + proc] = base.exec_time_ms(dag, node, procs[proc]);
-  }
+  for (dag::NodeId node = 0; node < n; ++node)
+    base.exec_row_ms(dag, node, procs, exec_.data() + node * p);
 
   edge_offset_.resize(n + 1, 0);
   for (dag::NodeId node = 0; node < n; ++node)

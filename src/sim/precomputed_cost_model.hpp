@@ -5,9 +5,10 @@
 // The paper's LutCostModel resolves every exec_time_ms through a
 // map<(kernel, size)> keyed by strings; the engine and the policies query it
 // thousands of times per run with the same arguments. This adapter pays the
-// map cost exactly once per (node, proc) / (edge, from, to) combination and
-// serves every later query from a flat vector. Values are the base model's
-// own doubles, so results are bit-identical to querying the base directly.
+// map cost exactly once per node (one exec_row_ms) and per (edge, from, to)
+// combination, and serves every later query from a flat vector. Values are
+// the base model's own doubles, so results are bit-identical to querying
+// the base directly.
 //
 // Queries about a *different* dag (or out-of-range processors) fall back to
 // the base model, so the adapter can be handed to code that mixes graphs.
@@ -23,8 +24,8 @@ namespace apt::sim {
 
 class PrecomputedCostModel final : public CostModel {
  public:
-  /// Builds the dense tables by querying `base` for every node on every
-  /// processor and every edge over every ordered processor pair. The dag,
+  /// Builds the dense tables by querying `base` for every node's exec row
+  /// and every edge over every ordered processor pair. The dag,
   /// system, and base model must outlive this object.
   PrecomputedCostModel(const dag::Dag& dag, const System& system,
                        const CostModel& base);
@@ -36,28 +37,6 @@ class PrecomputedCostModel final : public CostModel {
                           const Processor& to) const override;
 
   const CostModel& base() const noexcept { return base_; }
-
-  // --- raw-table access for engine hot paths ---------------------------------
-  //
-  // The virtual queries above re-check the dag pointer and processor range
-  // on every call; the engines query millions of times with arguments known
-  // valid by construction, so they bake these row pointers into their slot
-  // arrays once per instance instead.
-
-  std::size_t table_proc_count() const noexcept { return proc_count_; }
-
-  /// Execution times of `node` on every processor: `row[proc]`.
-  const TimeMs* exec_row(dag::NodeId node) const {
-    return exec_.data() + static_cast<std::size_t>(node) * proc_count_;
-  }
-
-  /// Transfer times of the edge src -> successors(src)[succ_index] over
-  /// every ordered processor pair: `row[from * table_proc_count() + to]` —
-  /// the same doubles transfer_time_ms serves after its successor scan.
-  const TimeMs* transfer_row(dag::NodeId src, std::size_t succ_index) const {
-    return transfer_.data() +
-           (edge_offset_[src] + succ_index) * proc_count_ * proc_count_;
-  }
 
  private:
   const dag::Dag* dag_;

@@ -362,9 +362,12 @@ std::vector<Violation> validate_stream_schedule(
   return out;
 }
 
-TimeMs critical_path_lower_bound_ms(const dag::Dag& dag, const System& system,
-                                    const CostModel& cost) {
-  if (dag.empty()) return 0.0;
+namespace {
+
+/// Each node's best-case execution time over every processor.
+std::vector<TimeMs> best_exec_times_ms(const dag::Dag& dag,
+                                       const System& system,
+                                       const CostModel& cost) {
   std::vector<TimeMs> best(dag.node_count(), 0.0);
   for (dag::NodeId n = 0; n < dag.node_count(); ++n) {
     TimeMs b = std::numeric_limits<TimeMs>::infinity();
@@ -372,10 +375,15 @@ TimeMs critical_path_lower_bound_ms(const dag::Dag& dag, const System& system,
       b = std::min(b, cost.exec_time_ms(dag, n, p));
     best[n] = b;
   }
+  return best;
+}
+
+/// Longest path through the DAG weighted by `best_ms`, transfers free.
+TimeMs longest_best_path_ms(const dag::Dag& dag, const TimeMs* best_ms) {
   std::vector<TimeMs> longest(dag.node_count(), 0.0);
   TimeMs bound = 0.0;
   for (const dag::NodeId n : dag.topological_order()) {
-    longest[n] += best[n];
+    longest[n] += best_ms[n];
     bound = std::max(bound, longest[n]);
     for (const dag::NodeId s : dag.successors(n))
       longest[s] = std::max(longest[s], longest[n]);
@@ -383,18 +391,29 @@ TimeMs critical_path_lower_bound_ms(const dag::Dag& dag, const System& system,
   return bound;
 }
 
+}  // namespace
+
+TimeMs critical_path_lower_bound_ms(const dag::Dag& dag, const System& system,
+                                    const CostModel& cost) {
+  if (dag.empty()) return 0.0;
+  return longest_best_path_ms(dag,
+                              best_exec_times_ms(dag, system, cost).data());
+}
+
+TimeMs makespan_lower_bound_ms(const dag::Dag& dag, const System& system,
+                               const TimeMs* best_ms) {
+  if (dag.empty() || system.proc_count() == 0) return 0.0;
+  TimeMs total_best = 0.0;
+  for (dag::NodeId n = 0; n < dag.node_count(); ++n) total_best += best_ms[n];
+  const TimeMs area = total_best / static_cast<double>(system.proc_count());
+  return std::max(area, longest_best_path_ms(dag, best_ms));
+}
+
 TimeMs makespan_lower_bound_ms(const dag::Dag& dag, const System& system,
                                const CostModel& cost) {
   if (dag.empty() || system.proc_count() == 0) return 0.0;
-  TimeMs total_best = 0.0;
-  for (dag::NodeId n = 0; n < dag.node_count(); ++n) {
-    TimeMs b = std::numeric_limits<TimeMs>::infinity();
-    for (const Processor& p : system.processors())
-      b = std::min(b, cost.exec_time_ms(dag, n, p));
-    total_best += b;
-  }
-  const TimeMs area = total_best / static_cast<double>(system.proc_count());
-  return std::max(area, critical_path_lower_bound_ms(dag, system, cost));
+  return makespan_lower_bound_ms(
+      dag, system, best_exec_times_ms(dag, system, cost).data());
 }
 
 }  // namespace apt::sim

@@ -53,6 +53,12 @@ TimeMs critical_path_lower_bound_ms(const dag::Dag& dag, const System& system,
 TimeMs makespan_lower_bound_ms(const dag::Dag& dag, const System& system,
                                const CostModel& cost);
 
+/// The same bound from each node's best-case execution time already in
+/// hand: `best_ms[n]` is node n's minimum over the system's processors.
+/// The CostModel overload computes those minima and calls this one.
+TimeMs makespan_lower_bound_ms(const dag::Dag& dag, const System& system,
+                               const TimeMs* best_ms);
+
 /// One application of a stream run, as the stream engine records it with
 /// StreamOptions::record_schedules: times absolute, nodes indexed locally
 /// in `dag`. The referenced objects must outlive the validation call.

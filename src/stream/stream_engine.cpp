@@ -4,7 +4,6 @@
 #include <deque>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <stdexcept>
@@ -13,7 +12,6 @@
 #include "net/transfer_manager.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace_sink.hpp"
-#include "sim/precomputed_cost_model.hpp"
 #include "sim/ready_set.hpp"
 #include "sim/validate.hpp"
 #include "util/contracts.hpp"
@@ -237,29 +235,35 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   // The hottest queries of the whole engine: every MET-family policy pass
   // asks these for every ready kernel. They read the per-slot SoA slabs
-  // admit() baked from the instance's shared ShapeEntry — one load instead
-  // of the slot -> app -> cost-model -> dag-check virtual chain.
+  // admit() filled — one load instead of the slot -> app -> cost-model
+  // virtual chain. A retired slot's values linger until its range is
+  // reused, so the guard catches a query that outlived its instance.
   sim::TimeMs exec_time_ms(dag::NodeId slot,
                            sim::ProcId proc) const override {
-    return exec_row_[slot][proc];
+    APT_ASSERT(node_state_[slot].app != kNoApp,
+               "exec_time_ms on retired slot %u", slot);
+    return exec_slab_[slot * proc_count_ + proc];
   }
 
   sim::TimeMs min_exec_time_ms(dag::NodeId slot) const override {
+    APT_ASSERT(node_state_[slot].app != kNoApp,
+               "min_exec_time_ms on retired slot %u", slot);
     return min_exec_slab_[slot];
   }
 
   sim::ProcId min_exec_proc(dag::NodeId slot) const override {
+    APT_ASSERT(node_state_[slot].app != kNoApp,
+               "min_exec_proc on retired slot %u", slot);
     return min_proc_slab_[slot];
   }
 
   sim::TimeMs input_transfer_ms(dag::NodeId slot,
                                 sim::ProcId proc) const override {
     const App& app = app_of(slot);
-    const ShapeEntry& shape = *app.shape;
     const dag::NodeId local = slot - app.base;
     sim::TimeMs worst = 0.0;
     if (contended_) {
-      for (const dag::NodeId pred : shape.dag.predecessors(local)) {
+      for (const dag::NodeId pred : app.dag.predecessors(local)) {
         const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
         // Internal invariant (not policy-misuse validation): ready slots
         // only surface once every predecessor was scheduled.
@@ -271,15 +275,14 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       }
       return worst;
     }
-    // Ideal topology: the shape's predecessor CSR points straight at the
-    // cost model's transfer rows (same doubles, no successor scan).
-    for (std::size_t i = shape.pred_offset[local];
-         i < shape.pred_offset[local + 1]; ++i) {
-      const ShapeEntry::PredEdge& e = shape.pred_edges[i];
-      const sim::ScheduledKernel& rec = node_state_[app.base + e.pred].record;
+    // Ideal topology: the input edges' transfer tables admit() filled.
+    const sim::TimeMs* row = pred_transfer_rows(app, local);
+    for (const dag::NodeId pred : app.dag.predecessors(local)) {
+      const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
       APT_ASSERT(rec.proc != sim::kInvalidProc,
-                 "predecessor %u of slot %u not yet scheduled", e.pred, slot);
-      worst = std::max(worst, e.row[rec.proc * proc_count_ + proc]);
+                 "predecessor %u of slot %u not yet scheduled", pred, slot);
+      worst = std::max(worst, row[rec.proc * proc_count_ + proc]);
+      row += proc_count_ * proc_count_;
     }
     return worst;
   }
@@ -295,10 +298,9 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       return est;
     }
     const App& app = app_of(slot);
-    const ShapeEntry& shape = *app.shape;
     const dag::NodeId local = slot - app.base;
     sim::ProcId worst_from = proc;  // local: contributes no link
-    for (const dag::NodeId pred : shape.dag.predecessors(local)) {
+    for (const dag::NodeId pred : app.dag.predecessors(local)) {
       const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
       APT_ASSERT(rec.proc != sim::kInvalidProc,
                  "predecessor %u of slot %u not yet scheduled", pred, slot);
@@ -405,95 +407,22 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     std::deque<sim::TimeMs> exec_history;  ///< newest at the back, capped
   };
 
-  /// Immutable per-shape data shared by every live instance whose DAG is
-  /// structurally identical: the canonical graph, its densified cost
-  /// tables, the makespan lower bound, per-node minimum-execution tables,
-  /// and a predecessor CSR whose entries point straight at the cost
-  /// model's transfer rows. Heap-pinned behind a shared_ptr — the cost
-  /// model holds a pointer to `dag`, so entries never move; they die when
-  /// the last referencing instance retires and the pool has let go.
-  struct ShapeEntry {
-    dag::Dag dag;
-    sim::PrecomputedCostModel cost;  ///< references `dag` above
-    sim::TimeMs lower_bound_ms = 0.0;
-    std::vector<sim::TimeMs> min_exec;  ///< [local] min over processors
-    std::vector<sim::ProcId> min_proc;  ///< [local] lowest argmin
-    struct PredEdge {
-      dag::NodeId pred;        ///< local predecessor id
-      const sim::TimeMs* row;  ///< that edge's P×P transfer table
-    };
-    std::vector<std::size_t> pred_offset;  ///< [local + 1], CSR bounds
-    std::vector<PredEdge> pred_edges;      ///< in predecessors() order
-
-    ShapeEntry(dag::Dag d, const sim::System& system,
-               const sim::CostModel& base)
-        : dag(std::move(d)), cost(dag, system, base) {}
-  };
-
-  /// Returns the pooled entry for this exact graph, building (and pooling)
-  /// it on first sight. The structure hash is the lookup key; an exact
-  /// dag::identical() check confirms every hit, so a collision costs a
-  /// rebuild, never a wrong table. The pool is bounded: at the cap it is
-  /// generationally cleared — live instances keep their entries alive
-  /// through their own shared_ptrs, the pool merely stops deduplicating
-  /// shapes it has already seen.
-  std::shared_ptr<const ShapeEntry> acquire_shape(dag::Dag&& dag) {
-    const std::uint64_t hash = dag::structure_hash(dag);
-    if (auto it = shape_pool_.find(hash); it != shape_pool_.end()) {
-      for (const auto& entry : it->second) {
-        if (dag::identical(entry->dag, dag)) return entry;
-      }
-    }
-    if (shape_pool_size_ >= kShapePoolCap) {
-      shape_pool_.clear();
-      shape_pool_size_ = 0;
-    }
-    auto entry =
-        std::make_shared<ShapeEntry>(std::move(dag), system_, base_cost_);
-    entry->lower_bound_ms =
-        sim::makespan_lower_bound_ms(entry->dag, system_, entry->cost);
-    const std::size_t n = entry->dag.node_count();
-    entry->min_exec.resize(n);
-    entry->min_proc.resize(n);
-    for (dag::NodeId local = 0; local < n; ++local) {
-      const sim::TimeMs* row = entry->cost.exec_row(local);
-      sim::TimeMs best = row[0];
-      sim::ProcId best_proc = 0;
-      for (sim::ProcId p = 1; p < proc_count_; ++p) {
-        if (row[p] < best) {
-          best = row[p];
-          best_proc = p;
-        }
-      }
-      entry->min_exec[local] = best;
-      entry->min_proc[local] = best_proc;
-    }
-    entry->pred_offset.assign(n + 1, 0);
-    entry->pred_edges.reserve(entry->dag.edge_count());
-    for (dag::NodeId local = 0; local < n; ++local) {
-      for (const dag::NodeId pred : entry->dag.predecessors(local)) {
-        const auto& succs = entry->dag.successors(pred);
-        std::size_t k = 0;
-        while (succs[k] != local) ++k;
-        entry->pred_edges.push_back(
-            ShapeEntry::PredEdge{pred, entry->cost.transfer_row(pred, k)});
-      }
-      entry->pred_offset[local + 1] = entry->pred_edges.size();
-    }
-    shape_pool_[hash].push_back(entry);
-    ++shape_pool_size_;
-    return entry;
-  }
-
   /// One live application instance — a plain value in the reusable app
-  /// table; everything shape-dependent lives behind `shape`.
+  /// table, so its vectors keep their capacity from tenant to tenant.
   struct App {
     std::size_t index = 0;  ///< global arrival index
     sim::TimeMs arrival_ms = 0.0;
-    std::shared_ptr<const ShapeEntry> shape;
+    /// This instance's graph; retire() moves it into the recorded schedule.
+    dag::Dag dag;
+    sim::TimeMs lower_bound_ms = 0.0;      ///< isolated makespan bound
     dag::NodeId base = dag::kInvalidNode;  ///< first global slot
     std::size_t remaining = 0;             ///< kernels not yet completed
-    std::size_t remaining_total = 0;       ///< kernel count
+    /// Ideal topology only (the only mode that reads them): every input
+    /// edge's P×P transfer table, `[from * P + to]`, grouped by consumer in
+    /// predecessors() order; node `local`'s first edge is
+    /// pred_offset[local]. Contended runs price edges on the fabric.
+    std::vector<std::size_t> pred_offset;
+    std::vector<sim::TimeMs> pred_transfer;
     /// Completed/in-flight link messages, local node ids, absolute times.
     /// Only populated when StreamOptions::record_schedules (memory stays
     /// bounded by the live backlog otherwise).
@@ -503,6 +432,14 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     /// it — but only retained into the outcome under record_schedules.
     std::vector<sim::HedgeRecord> hedges;
   };
+
+  /// Ideal topology: the transfer table of `local`'s first input edge in
+  /// `app`; each further edge's table follows P×P doubles later.
+  const sim::TimeMs* pred_transfer_rows(const App& app,
+                                        dag::NodeId local) const {
+    return app.pred_transfer.data() +
+           app.pred_offset[local] * proc_count_ * proc_count_;
+  }
 
   const App& app_of(dag::NodeId slot) const {
     const std::uint32_t a = node_state_.at(slot).app;
@@ -530,7 +467,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     const dag::NodeId base = static_cast<dag::NodeId>(node_state_.size());
     node_state_.resize(node_state_.size() + n);
     ready_.resize(node_state_.size());
-    exec_row_.resize(node_state_.size(), nullptr);
+    exec_slab_.resize(node_state_.size() * proc_count_, 0.0);
     min_exec_slab_.resize(node_state_.size(), 0.0);
     min_proc_slab_.resize(node_state_.size(), 0);
     return base;
@@ -611,7 +548,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     obs::KernelSpan span;
     span.instance = app.index;
     span.node = local;
-    span.kernel = app.shape->dag.node(local).kernel.c_str();
+    span.kernel = app.dag.node(local).kernel.c_str();
     span.proc = ns.record.proc;
     span.occupied_from = ns.record.occupied_from();
     span.exec_start = ns.record.exec_start;
@@ -635,7 +572,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     obs::KernelSpan span;
     span.instance = app.index;
     span.node = local;
-    span.kernel = app.shape->dag.node(local).kernel.c_str();
+    span.kernel = app.dag.node(local).kernel.c_str();
     span.proc = proc;
     span.occupied_from = occupied_from;
     span.exec_start = exec_start;
@@ -668,7 +605,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   /// Payload of the edge out of `pred` (a local node id) in `app`.
   double edge_bytes(const App& app, dag::NodeId pred) const {
-    return sim::edge_payload_bytes(app.shape->dag, pred,
+    return sim::edge_payload_bytes(app.dag, pred,
                                    system_.config().bytes_per_element);
   }
 
@@ -683,7 +620,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     App& app = apps_[ns.app];
     const dag::NodeId local = slot - app.base;
     ns.data_ready_at = dispatched;
-    for (const dag::NodeId pred : app.shape->dag.predecessors(local)) {
+    for (const dag::NodeId pred : app.dag.predecessors(local)) {
       const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
       const net::Topology::Route route = topology_.route(rec.proc, proc);
       if (route.empty()) continue;  // same processor, socket, or cell
@@ -843,17 +780,14 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     if (policy_.transfer_semantics() == sim::TransferSemantics::AtAssignment)
       return input_transfer_ms(slot, proc);
     const App& app = app_of(slot);
-    const dag::Dag& dag = app.shape->dag;
     const dag::NodeId local = slot - app.base;
     sim::TimeMs data_ready = from_time;
-    const sim::Processor& to = system_.processor(proc);
-    for (const dag::NodeId pred : dag.predecessors(local)) {
+    const sim::TimeMs* row = pred_transfer_rows(app, local);
+    for (const dag::NodeId pred : app.dag.predecessors(local)) {
       const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
-      const sim::TimeMs arrival =
-          rec.finish_time +
-          app.shape->cost.transfer_time_ms(dag, pred, local,
-                                           system_.processor(rec.proc), to);
-      data_ready = std::max(data_ready, arrival);
+      data_ready = std::max(
+          data_ready, rec.finish_time + row[rec.proc * proc_count_ + proc]);
+      row += proc_count_ * proc_count_;
     }
     return data_ready - from_time;
   }
@@ -1106,12 +1040,12 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     if (ns.record.finish_time >= options_.warmup_ms)
       ++observation_.kernels_in_window[ns.record.proc];
 
-    for (const dag::NodeId succ : app.shape->dag.successors(slot - app.base)) {
+    for (const dag::NodeId succ : app.dag.successors(slot - app.base)) {
       const dag::NodeId succ_slot = app.base + succ;
       NodeState& ss = node_state_[succ_slot];
       if (--ss.remaining_preds == 0) {
         const sim::TimeMs release =
-            app.arrival_ms + app.shape->dag.node(succ).release_ms;
+            app.arrival_ms + app.dag.node(succ).release_ms;
         if (release <= now_) {
           mark_ready(succ_slot);
         } else {
@@ -1126,34 +1060,30 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     App& app = apps_[app_slot];
     if (profile_) profile_->add(obs::Counter::kRetirements);
     if (sink_) emit_lifecycle(obs::InstantKind::kRetirement, app.index, now_);
+    const std::size_t n = app.dag.node_count();  // before the dag moves out
     observation_.completed.push_back(sim::StreamAppStats{
-        app.index, app.arrival_ms, now_, app.shape->lower_bound_ms,
-        app.shape->dag.node_count()});
+        app.index, app.arrival_ms, now_, app.lower_bound_ms, n});
     if (options_.record_schedules) {
       StreamAppSchedule schedule;
       schedule.index = app.index;
       schedule.arrival_ms = app.arrival_ms;
-      schedule.result.schedule.resize(app.shape->dag.node_count());
+      schedule.result.schedule.resize(n);
       sim::TimeMs last = 0.0;
-      for (dag::NodeId local = 0; local < app.shape->dag.node_count();
-           ++local) {
+      for (dag::NodeId local = 0; local < n; ++local) {
         schedule.result.schedule[local] = node_state_[app.base + local].record;
         last = std::max(last, schedule.result.schedule[local].finish_time);
       }
       schedule.result.makespan = last;
       schedule.result.transfers = std::move(app.transfers);
       schedule.result.hedges = std::move(app.hedges);
-      schedule.dag = app.shape->dag;  // the shape's canonical copy is shared
+      schedule.dag = std::move(app.dag);  // the instance is done with it
       schedules_.push_back(std::move(schedule));
     }
-    // Clear ownership (and the baked cost rows) before releasing so stale
-    // queries fault loudly instead of reading a retired instance's tables.
-    for (dag::NodeId local = 0; local < app.remaining_total; ++local) {
+    // Clear ownership before releasing so stale queries trip the slot guard
+    // instead of reading a retired instance's costs.
+    for (dag::NodeId local = 0; local < n; ++local)
       node_state_[app.base + local].app = kNoApp;
-      exec_row_[app.base + local] = nullptr;
-    }
-    release_slots(app.base, app.remaining_total);
-    app.shape.reset();  // may free the ShapeEntry if the pool let go
+    release_slots(app.base, n);
     app.transfers.clear();
     app.hedges.clear();
     free_app_slots_.push_back(app_slot);
@@ -1221,14 +1151,13 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     App& app = apps_[app_slot];
     app.index = index;
     app.arrival_ms = arrival_ms;
-    app.shape = acquire_shape(std::move(dag));
-    const ShapeEntry& shape = *app.shape;
-    const std::size_t n = shape.dag.node_count();
+    app.dag = std::move(dag);
+    const std::size_t n = app.dag.node_count();
     app.remaining = n;
-    app.remaining_total = n;
     app.base = allocate_slots(n);
     app.transfers.clear();
     app.hedges.clear();
+    resolve_costs(app);
 
     for (dag::NodeId local = 0; local < n; ++local) {
       const dag::NodeId slot = app.base + local;
@@ -1238,15 +1167,10 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       ns.epoch = epoch;
       ns.record.node = local;
       ns.app = app_slot;
-      ns.remaining_preds = shape.dag.in_degree(local);
-      // Bake the shape's cost rows into the per-slot SoA slabs the
-      // scheduler queries hit.
-      exec_row_[slot] = shape.cost.exec_row(local);
-      min_exec_slab_[slot] = shape.min_exec[local];
-      min_proc_slab_[slot] = shape.min_proc[local];
+      ns.remaining_preds = app.dag.in_degree(local);
       if (ns.remaining_preds == 0) {
         const sim::TimeMs release =
-            arrival_ms + shape.dag.node(local).release_ms;
+            arrival_ms + app.dag.node(local).release_ms;
         if (release <= now_) {
           mark_ready(slot);
         } else {
@@ -1256,6 +1180,51 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     }
     ++live_count_;
     observation_.live_apps.observe(now_, live_count_);
+  }
+
+  /// Fills the per-slot cost slabs of a just-placed instance — one
+  /// exec_row_ms per kernel, written straight into its slots, plus the
+  /// row's minimum and lowest argmin — then the lower bound from those
+  /// minima and, under an ideal topology only, the input edges' transfer
+  /// tables.
+  void resolve_costs(App& app) {
+    const std::vector<sim::Processor>& procs = system_.processors();
+    const std::size_t n = app.dag.node_count();
+    for (dag::NodeId local = 0; local < n; ++local) {
+      const dag::NodeId slot = app.base + local;
+      sim::TimeMs* row = exec_slab_.data() + slot * proc_count_;
+      base_cost_.exec_row_ms(app.dag, local, procs, row);
+      sim::TimeMs best = row[0];
+      sim::ProcId best_proc = 0;
+      for (sim::ProcId p = 1; p < proc_count_; ++p) {
+        if (row[p] < best) {
+          best = row[p];
+          best_proc = p;
+        }
+      }
+      min_exec_slab_[slot] = best;
+      min_proc_slab_[slot] = best_proc;
+    }
+    app.lower_bound_ms = sim::makespan_lower_bound_ms(
+        app.dag, system_, min_exec_slab_.data() + app.base);
+
+    if (contended_) return;
+    const std::size_t pp = proc_count_ * proc_count_;
+    app.pred_offset.assign(n + 1, 0);
+    app.pred_transfer.resize(app.dag.edge_count() * pp);
+    sim::TimeMs* row = app.pred_transfer.data();
+    for (dag::NodeId local = 0; local < n; ++local) {
+      for (const dag::NodeId pred : app.dag.predecessors(local)) {
+        for (std::size_t from = 0; from < proc_count_; ++from) {
+          for (std::size_t to = 0; to < proc_count_; ++to)
+            row[from * proc_count_ + to] = base_cost_.transfer_time_ms(
+                app.dag, pred, local, procs[from], procs[to]);
+        }
+        row += pp;
+      }
+      app.pred_offset[local + 1] =
+          app.pred_offset[local] + app.dag.in_degree(local);
+    }
   }
 
   const sim::System& system_;
@@ -1294,11 +1263,11 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   std::vector<NodeState> node_state_;  ///< global slot arrays
   std::vector<ProcState> proc_state_;
 
-  // Per-slot SoA cost slabs (grown with node_state_, rebaked per admit):
+  // Per-slot SoA cost slabs (grown with node_state_, refilled per admit):
   // the policy-facing queries read these instead of chasing app pointers.
-  std::vector<const sim::TimeMs*> exec_row_;  ///< [slot] -> P exec times
-  std::vector<sim::TimeMs> min_exec_slab_;    ///< [slot] min exec time
-  std::vector<sim::ProcId> min_proc_slab_;    ///< [slot] lowest argmin
+  std::vector<sim::TimeMs> exec_slab_;      ///< [slot * P + proc] exec time
+  std::vector<sim::TimeMs> min_exec_slab_;  ///< [slot] min exec time
+  std::vector<sim::ProcId> min_proc_slab_;  ///< [slot] lowest argmin
 
   /// Retired slot ranges, base -> length, adjacent ranges merged.
   std::map<dag::NodeId, std::size_t> free_ranges_;
@@ -1306,15 +1275,6 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   std::vector<App> apps_;  ///< reusable instance table (value slots)
   std::vector<std::uint32_t> free_app_slots_;
   std::size_t live_count_ = 0;
-
-  /// Shape pool: structure hash -> confirmed-identical entries.
-  static constexpr std::size_t kShapePoolCap = 128;
-  // lint:unordered-ok(keyed lookup only — probed/inserted by structure hash
-  // and wholesale clear()ed at the cap; the map itself is never iterated,
-  // and the per-hash bucket vector scans in deterministic insertion order)
-  std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<ShapeEntry>>>
-      shape_pool_;
-  std::size_t shape_pool_size_ = 0;
 
   /// Ready slots in arrival order; committed slots leave in place.
   sim::ReadySet ready_;

@@ -14,15 +14,17 @@
 // kernels carrying their execution time — but generalizes every per-node
 // array to global *slots* spanning the live instances, laid out as
 // structure-of-arrays slabs (exec-time rows, min-exec tables) the
-// scheduler queries read directly. Cost tables are pooled by DAG shape:
-// structurally identical instances (the common case — generators emit a
-// fixed family) share one PrecomputedCostModel, lower bound, and
-// predecessor CSR instead of rebuilding them per arrival; the pool is
-// keyed by dag::structure_hash, every hit confirmed by dag::identical.
+// scheduler queries read directly. Admission resolves each kernel's costs
+// once, straight into its slots: one CostModel::exec_row_ms (a single
+// lookup-table entry for the paper's model), the row's minimum, and the
+// instance's lower bound from those minima. Only an ideal topology reads
+// per-edge transfer tables, so only it builds them. Instances share no
+// cost state: every scenario family draws a fresh kernel series per
+// instance, so a per-shape cache would never hit.
 // A retired instance (all kernels done) releases its slot range back to a
 // free-range allocator and its per-app statistics are folded into bounded
 // aggregates, so memory is bounded by the peak number of concurrently-live
-// instances (plus the bounded shape pool), not by the length of the run.
+// instances, not by the length of the run.
 //
 // Policies: any *dynamic* sim::Policy runs unmodified — the scheduler
 // context exposes ready kernels (as global ids), idle processors, and cost
@@ -138,9 +140,8 @@ struct StreamOutcome {
 
 class StreamEngine {
  public:
-  /// The system and base cost model must outlive the engine. Admitted
-  /// instances densify `base_cost` into PrecomputedCostModels shared
-  /// across structurally identical DAGs (the shape pool).
+  /// The system and base cost model must outlive the engine. Each admitted
+  /// instance resolves its kernels' costs from `base_cost` into its slots.
   StreamEngine(const sim::System& system, const sim::CostModel& base_cost,
                DagSource source, StreamOptions options);
 

@@ -12,6 +12,10 @@
 #include "lut/lookup_table.hpp"
 #include "util/csv.hpp"
 
+#ifndef APTSIM_GOLDEN_DIR
+#define APTSIM_GOLDEN_DIR "tests/golden"
+#endif
+
 namespace {
 
 std::string quoted(const std::string& s) { return "\"" + s + "\""; }
@@ -311,6 +315,33 @@ TEST(Cli, StreamIsBitIdenticalAcrossJobCounts) {
   EXPECT_EQ(slurp(json1), slurp(json8));
   for (const auto& f : {csv1, csv8, json1, json8})
     std::filesystem::remove(f);
+}
+
+TEST(Cli, StreamCsvMatchesTheGoldens) {
+  // Two frozen stream grids: noise off on the ideal paper platform, and the
+  // contended mesh:2x2 fabric. A diff means a simulated bit moved; if that
+  // is intended, regenerate with the command below and --csv <golden>.
+  const std::string flags =
+      "stream --family layered --rate 0.01 --duration 5000 --jobs 1 ";
+  const struct {
+    const char* golden;
+    const char* flags;
+  } cases[] = {
+      {"stream_noise_off.csv", "--policies apt:4,met"},
+      {"stream_contended.csv",
+       "--policies apt:4,met,ag,ag-net --topology mesh:2x2 --bandwidth 1 "
+       "--latency 0.05"},
+  };
+  for (const auto& c : cases) {
+    const std::string csv = ::testing::TempDir() + "/aptsim_" + c.golden;
+    ASSERT_EQ(run_cli(flags + c.flags + " --csv " + quoted(csv)), 0)
+        << c.golden;
+    const std::string golden =
+        slurp(std::string(APTSIM_GOLDEN_DIR) + "/" + c.golden);
+    ASSERT_FALSE(golden.empty()) << "missing golden file " << c.golden;
+    EXPECT_EQ(slurp(csv), golden) << c.golden;
+    std::filesystem::remove(csv);
+  }
 }
 
 TEST(Cli, StreamRejectsStaticPolicies) {

@@ -151,8 +151,8 @@ TEST(Dag, LargeFanInAndOut) {
 }
 
 // identical() is the serialise-identically relation structure_hash
-// fingerprints; the stream engine's shape pool relies on it to confirm
-// hash hits before sharing one cost model across instances.
+// fingerprints; the stream tests rely on it to check that a recorded
+// schedule carries exactly the instance its source produced.
 TEST(Dag, IdenticalMatchesStructureHash) {
   auto make = [] {
     Dag d;

@@ -8,6 +8,8 @@
 
 #include "dag/graph.hpp"
 #include "lut/paper_data.hpp"
+#include "lut/synthetic.hpp"
+#include "net/topology.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/engine.hpp"
 #include "sim/metrics.hpp"
@@ -30,6 +32,32 @@ inline sim::System generic_system(std::size_t n) {
 /// The paper's 1×CPU + 1×GPU + 1×FPGA platform.
 inline sim::System paper_system(double rate_gbps = 4.0) {
   return sim::System(sim::SystemConfig::paper_default(rate_gbps));
+}
+
+/// The 12-processor platform of the `fabric-mesh` benchmark workload:
+/// 4 CPU + 4 GPU + 4 FPGA at 1 GB/s, `topology` links at 1 GB/s and
+/// 0.05 ms latency.
+inline sim::System fabric_system(const std::string& topology) {
+  sim::SystemConfig cfg;
+  for (const lut::ProcType type :
+       {lut::ProcType::CPU, lut::ProcType::GPU, lut::ProcType::FPGA})
+    cfg.processors.insert(cfg.processors.end(), 4, type);
+  cfg.link_rate_gbps = 1.0;
+  cfg.topology = net::parse_topology_spec(topology);
+  cfg.topology.bandwidth_gbps = 1.0;
+  cfg.topology.latency_ms = 0.05;
+  return sim::System(cfg);
+}
+
+/// fabric_system()'s lookup table: synthetic, ccr 1, heterogeneity 4,
+/// seed 11.
+inline lut::LookupTable fabric_table() {
+  lut::SyntheticLutSpec spec;
+  spec.ccr = 1.0;
+  spec.heterogeneity = 4.0;
+  spec.seed = 11;
+  spec.link_rate_gbps = 1.0;
+  return lut::synthetic_lookup_table(spec);
 }
 
 /// Runs a policy and asserts the schedule satisfies every invariant.

@@ -2,11 +2,103 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
+#include "scenario/scenario.hpp"
+#include "sim/validate.hpp"
 #include "test_helpers.hpp"
 
 namespace apt::sim {
 namespace {
+
+/// A platform, its lookup table, and a 46-kernel graph drawn from it.
+struct RowCase {
+  std::string name;
+  System system;
+  lut::LookupTable table;
+  dag::Dag dag;
+};
+
+std::vector<RowCase> row_cases() {
+  std::vector<RowCase> cases;
+  cases.push_back({"paper", test::paper_system(), lut::paper_lookup_table(),
+                   scenario::generate("type1", 46, 3,
+                                      dag::KernelPool::paper_pool())});
+  const lut::LookupTable table = test::fabric_table();
+  const dag::KernelPool pool = dag::KernelPool::from_lookup_table(table);
+  cases.push_back({"12-proc", test::fabric_system("mesh:3x4"), table,
+                   scenario::generate("layered", 46, 3, pool)});
+  return cases;
+}
+
+/// exec_row_ms must reproduce exec_time_ms bit for bit on every node.
+void expect_rows_match(const CostModel& cost, const RowCase& c) {
+  std::vector<TimeMs> row(c.system.proc_count());
+  for (dag::NodeId n = 0; n < c.dag.node_count(); ++n) {
+    cost.exec_row_ms(c.dag, n, c.system.processors(), row.data());
+    for (const Processor& p : c.system.processors())
+      EXPECT_EQ(row[p.id], cost.exec_time_ms(c.dag, n, p))
+          << c.name << " node " << n << " proc " << p.id;
+  }
+}
+
+TEST(CostModelRows, LutRowEqualsPerProcessorQueries) {
+  for (const RowCase& c : row_cases())
+    expect_rows_match(LutCostModel(c.table, c.system), c);
+}
+
+TEST(CostModelRows, LenientLutRowFallsBackToTheNearestSize) {
+  const System sys = test::paper_system();
+  const LutCostModel cost(lut::paper_lookup_table(), sys, /*strict=*/false);
+  dag::Dag d;
+  d.add_node("mm", 260000);  // nearest measured: 250000
+  const RowCase c{"lenient", sys, lut::paper_lookup_table(), d};
+  expect_rows_match(cost, c);
+}
+
+TEST(CostModelRows, MatrixRowEqualsPerProcessorQueries) {
+  for (const RowCase& c : row_cases()) {
+    std::vector<std::vector<TimeMs>> exec(c.dag.node_count());
+    for (dag::NodeId n = 0; n < c.dag.node_count(); ++n) {
+      for (std::size_t p = 0; p < c.system.proc_count(); ++p)
+        exec[n].push_back(1.0 + 0.37 * static_cast<double>(n * 7 + p * 3));
+    }
+    expect_rows_match(MatrixCostModel(exec), c);
+  }
+}
+
+TEST(CostModelRows, TopologyRowEqualsPerProcessorQueries) {
+  for (const RowCase& c : row_cases()) {
+    const LutCostModel base(c.table, c.system);
+    expect_rows_match(TopologyCostModel(base, c.system), c);
+  }
+}
+
+// The best-times overload is what the stream engine feeds from its min-exec
+// slabs (a row's minimum, lowest index first); it must reproduce the
+// CostModel overload bit for bit on every family.
+TEST(MakespanLowerBound, BestTimesOverloadEqualsCostModelOverload) {
+  for (const RowCase& c : row_cases()) {
+    const LutCostModel cost(c.table, c.system);
+    const dag::KernelPool pool = dag::KernelPool::from_lookup_table(c.table);
+    for (const scenario::ScenarioFamily* family : scenario::all_families()) {
+      const dag::Dag dag = family->generate(46, 5, pool);
+      std::vector<TimeMs> row(c.system.proc_count());
+      std::vector<TimeMs> best(dag.node_count());
+      for (dag::NodeId n = 0; n < dag.node_count(); ++n) {
+        cost.exec_row_ms(dag, n, c.system.processors(), row.data());
+        best[n] = row[0];
+        for (const TimeMs t : row) best[n] = t < best[n] ? t : best[n];
+      }
+      EXPECT_EQ(makespan_lower_bound_ms(dag, c.system, best.data()),
+                makespan_lower_bound_ms(dag, c.system, cost))
+          << c.name << " " << family->name();
+    }
+  }
+}
 
 TEST(LutCostModel, ExecTimesComeFromTheTable) {
   const System sys = test::paper_system();

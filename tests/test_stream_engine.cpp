@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/policy_factory.hpp"
 #include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
+#include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/validate.hpp"
 #include "stream/stream_engine.hpp"
@@ -134,13 +137,15 @@ TEST(StreamOptions, RequiresABoundedRun) {
 
 // --- Single-arrival equivalence with the closed-system engine ----------------
 
-TEST(StreamEngine, SingleArrivalReproducesEngineExactly) {
-  const sim::System system = test::paper_system();
-  const sim::LutCostModel cost(lut::paper_lookup_table(), system);
-  const dag::Dag graph = dag::paper_graph(dag::DfgType::Type1, 0);
-
-  // AG exercises the enqueue path; APT and MET the assign path.
-  for (const char* spec : {"apt:4", "met", "spn", "ag"}) {
+/// Runs `graph` through sim::Engine and as a single-arrival stream under
+/// each policy spec, and asserts the two agree bit for bit: processors,
+/// exec starts, finishes, transfer stalls and messages, makespan, and the
+/// stream's slowdown against the isolated lower bound. The recorded
+/// instance must be the source's graph itself.
+void expect_single_arrival_matches_engine(
+    const sim::System& system, const sim::CostModel& cost,
+    const dag::Dag& graph, const std::vector<std::string>& specs) {
+  for (const std::string& spec : specs) {
     const auto batch_policy = core::make_policy(spec);
     sim::Engine engine(graph, system, cost);
     const sim::SimResult batch = engine.run(*batch_policy);
@@ -154,6 +159,7 @@ TEST(StreamEngine, SingleArrivalReproducesEngineExactly) {
     const stream::StreamOutcome outcome = stream_engine.run(*stream_policy);
 
     ASSERT_EQ(outcome.schedules.size(), 1u) << spec;
+    EXPECT_TRUE(dag::identical(outcome.schedules[0].dag, graph)) << spec;
     const sim::SimResult& streamed = outcome.schedules[0].result;
     ASSERT_EQ(streamed.schedule.size(), batch.schedule.size()) << spec;
     EXPECT_EQ(streamed.makespan, batch.makespan) << spec;  // bitwise
@@ -166,8 +172,46 @@ TEST(StreamEngine, SingleArrivalReproducesEngineExactly) {
       EXPECT_EQ(a.transfer_ms, b.transfer_ms) << spec << " node " << n;
       EXPECT_EQ(a.alternative, b.alternative) << spec << " node " << n;
     }
-    EXPECT_EQ(outcome.metrics.apps_completed, 1u);
+    ASSERT_EQ(streamed.transfers.size(), batch.transfers.size()) << spec;
+    for (std::size_t i = 0; i < batch.transfers.size(); ++i) {
+      EXPECT_EQ(streamed.transfers[i].start, batch.transfers[i].start)
+          << spec << " transfer " << i;
+      EXPECT_EQ(streamed.transfers[i].finish, batch.transfers[i].finish)
+          << spec << " transfer " << i;
+      EXPECT_EQ(streamed.transfers[i].path, batch.transfers[i].path)
+          << spec << " transfer " << i;
+    }
+    EXPECT_EQ(outcome.metrics.apps_completed, 1u) << spec;
     EXPECT_EQ(outcome.metrics.flow_ms.avg, batch.makespan) << spec;
+    EXPECT_EQ(outcome.metrics.slowdown.avg,
+              batch.makespan /
+                  sim::makespan_lower_bound_ms(graph, system, cost))
+        << spec;
+  }
+}
+
+TEST(StreamEngine, SingleArrivalReproducesEngineExactly) {
+  const sim::System system = test::paper_system();
+  const sim::LutCostModel cost(lut::paper_lookup_table(), system);
+  const dag::Dag graph = dag::paper_graph(dag::DfgType::Type1, 0);
+  // AG exercises the enqueue path; APT and MET the assign path.
+  expect_single_arrival_matches_engine(system, cost, graph,
+                                       {"apt:4", "met", "spn", "ag"});
+}
+
+// The 12-processor fabric platform: wider exec rows and min-exec slabs than
+// any other stream test, per-edge transfer tables on the ideal fabric, and
+// routed contended messages on the mesh.
+TEST(StreamEngine, SingleArrivalReproducesEngineOnTheTwelveProcessorFabric) {
+  const lut::LookupTable table = test::fabric_table();
+  const dag::Dag graph = scenario::generate(
+      "layered", 46, 11, dag::KernelPool::from_lookup_table(table));
+  for (const std::string topology : {"ideal", "mesh:3x4"}) {
+    SCOPED_TRACE(topology);
+    const sim::System system = test::fabric_system(topology);
+    const sim::LutCostModel cost(table, system);
+    expect_single_arrival_matches_engine(system, cost, graph,
+                                         {"ag", "ag-net", "met", "apt:4"});
   }
 }
 

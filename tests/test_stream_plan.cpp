@@ -119,8 +119,8 @@ TEST(StreamPlan, BitIdenticalAcrossJobCounts) {
 
 // The burst regime the perf work targets: 10x the densest sustained bench
 // rate on a contended routed topology, so the incremental TM re-solve, the
-// SoA slot slabs, and the shape pool are all live — and still bit-identical
-// for any worker count.
+// SoA slot slabs, and per-admission cost resolution into reused slot ranges
+// are all live — and still bit-identical for any worker count.
 TEST(StreamPlan, BitIdenticalAcrossJobCountsAtBurstRate) {
   core::StreamPlan plan;
   plan.families = {"type1"};
