@@ -17,13 +17,17 @@ Apt::Apt(AptOptions options) : options_(options) {
 }
 
 std::string Apt::name() const {
+  const bool remaining_head = options_.consider_remaining_time &&
+                              !options_.comm_aware &&
+                              !(options_.rank_quantile > 0.0);
   const char* head = options_.rank_quantile > 0.0 ? "APT-Q"
                      : options_.comm_aware        ? "APT-C"
+                     : remaining_head             ? "APT-R"
                                                   : "APT";
   std::string n = std::string(head) + "(alpha=" +
                   util::format_double(options_.alpha, 2) + ")";
   if (!options_.transfer_aware) n += "[no-transfer]";
-  if (options_.consider_remaining_time) n += "[remaining]";
+  if (options_.consider_remaining_time && !remaining_head) n += "[remaining]";
   return n;
 }
 

@@ -44,7 +44,9 @@ struct AptOptions {
 
   /// Also compare the alternative against waiting for p_min to drain
   /// (remaining busy time + x) — the thesis's announced future-work
-  /// extension; see AptRemaining for the packaged policy.
+  /// extension ("In the future, we will consider the remaining execution
+  /// time in the optimal processor before deciding whether to assign to an
+  /// alternative processor", Chapter 5). Names the policy "APT-R".
   bool consider_remaining_time = false;
 
   /// Price transfers with the backlog-aware reading (total_ms()) instead

@@ -6,7 +6,6 @@
 
 #include "core/apt.hpp"
 #include "core/apt_ranked.hpp"
-#include "core/apt_remaining.hpp"
 #include "policies/ag.hpp"
 #include "policies/batch_mode.hpp"
 #include "policies/heft.hpp"
@@ -92,7 +91,8 @@ const std::vector<Entry>& registry() {
                  "alpha",
                  {},
                  [alpha_of](const std::string& arg) {
-                   return std::make_unique<AptRemaining>(alpha_of(arg));
+                   return std::make_unique<Apt>(
+                       AptOptions{alpha_of(arg), true, true});
                  }});
     t.push_back({{"apt-ranked", {"aptranked"}, "apt-ranked[:alpha]",
                   "APT serving the ready set in HEFT upward-rank order",

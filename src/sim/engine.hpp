@@ -1,13 +1,21 @@
-// The discrete-event simulation engine.
+// The closed-system simulation: one DAG, everything submitted at time
+// zero, judged by makespan (the thesis's experiments).
 //
 // Drives a Policy over a DAG on a System with a CostModel and produces the
-// per-kernel schedule. Deterministic: identical inputs give identical
-// results (events at equal timestamps are processed in ascending node id).
+// per-kernel schedule. There is one event core in the simulator, the
+// stream engine's (src/stream/stream_engine.cpp); run() is a closed-mode
+// run of it: the DAG is the only instance, admitted at t = 0 as arrival 0
+// and borrowed for the run, so a single-arrival stream and this engine
+// share every line of the kernel lifecycle. Static policies (HEFT, PEFT,
+// ranked APT) are allowed, SchedulerContext::dag() returns the DAG, and
+// every kernel, transfer, and hedge record lands in the SimResult.
+// Deterministic: identical inputs give identical results (events at equal
+// timestamps are processed in ascending node id).
 //
 // Communication: under the default ideal topology, transfer stalls are the
 // cost model's analytic point-to-point times (uncontended — the paper's
-// model). When the system carries a contended net::Topology, the engine
-// instead simulates each non-local input edge as a sized message through a
+// model). When the system carries a contended net::Topology, each
+// non-local input edge becomes a sized message through a
 // net::TransferManager (fair bandwidth sharing on shared links): the
 // policy's commitment fixes the destination and starts the messages at the
 // kernel's dispatch instant, the processor is held through the stall, and
@@ -16,11 +24,6 @@
 // prefetch assumption cannot hold on a contended fabric (data cannot move
 // retroactively), so their plans become estimates — which is the point.
 #pragma once
-
-#include <deque>
-#include <optional>
-#include <queue>
-#include <vector>
 
 #include "dag/graph.hpp"
 #include "sim/cost_model.hpp"
@@ -40,7 +43,7 @@ namespace apt::sim {
 /// reproduces the deterministic timelines bit-for-bit.
 struct EngineOptions {
   /// Service-time noise on realized execution times (policies keep seeing
-  /// nominal costs). The closed engine draws noise instance 0, so a
+  /// nominal costs). A closed run draws noise instance 0, so a
   /// single-instance stream run sees the same multipliers.
   NoiseSpec noise;
   /// Straggler hedging (replica races). Requires an uncontended topology:
@@ -72,8 +75,6 @@ class Engine {
   SimResult run(Policy& policy);
 
  private:
-  class Context;
-
   const dag::Dag& dag_;
   const System& system_;
   const CostModel& cost_;

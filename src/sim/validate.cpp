@@ -25,21 +25,18 @@ struct LinkLoad {
   std::vector<Interval> drains;
 };
 
-/// Checks one run's transfer records (times already absolute). `tag`
-/// prefixes messages; `exec_start_of(dst)` resolves the consumer's start.
-template <typename ExecStartFn>
-void check_transfers(const std::vector<TransferRecord>& transfers,
-                     const System& system, const std::string& tag,
-                     const ExecStartFn& exec_start_of,
-                     std::vector<LinkLoad>& loads,
+/// Checks one run's transfer records against its schedule (times already
+/// absolute); `tag` prefixes messages.
+void check_transfers(const SimResult& result, const System& system,
+                     const std::string& tag, std::vector<LinkLoad>& loads,
                      std::vector<Violation>& out) {
   const net::Topology& topology = system.topology();
   auto fail = [&](std::string msg) {
     out.push_back(Violation{std::move(msg)});
   };
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    const TransferRecord& t = transfers[i];
-    const std::string ttag = tag + " transfer " + std::to_string(i);
+  for (std::size_t i = 0; i < result.transfers.size(); ++i) {
+    const TransferRecord& t = result.transfers[i];
+    const std::string ttag = tag + "transfer " + std::to_string(i);
     if (t.path.empty()) {
       fail(ttag + ": empty route (local pairs move no message)");
       continue;
@@ -70,7 +67,10 @@ void check_transfers(const std::vector<TransferRecord>& transfers,
     if (t.finish - t.start + kTol * std::max(1.0, min_duration) <
         min_duration)
       fail(ttag + ": faster than the uncontended route");
-    const TimeMs consumer_start = exec_start_of(t.dst);
+    const TimeMs consumer_start =
+        t.dst < result.schedule.size()
+            ? result.schedule[t.dst].exec_start
+            : std::numeric_limits<TimeMs>::lowest();
     if (consumer_start + kTol < t.finish)
       fail(ttag + ": consumer kernel " + std::to_string(t.dst) +
            " starts before the message is delivered");
@@ -84,17 +84,6 @@ void check_transfers(const std::vector<TransferRecord>& transfers,
   }
 }
 
-/// Resolves a transfer's consumer kernel to its exec_start (lowest() for an
-/// out-of-range id, which check_transfers then reports) — the one rule both
-/// the closed- and open-system validators share.
-auto exec_start_resolver(const SimResult& result) {
-  return [&result](dag::NodeId dst) {
-    return dst < result.schedule.size()
-               ? result.schedule[dst].exec_start
-               : std::numeric_limits<TimeMs>::lowest();
-  };
-}
-
 /// Checks one run's hedge records against its schedule: at most one
 /// episode per kernel, valid distinct processors, the schedule entry is
 /// the winning attempt, and the losing attempt was cancelled exactly at
@@ -103,16 +92,15 @@ auto exec_start_resolver(const SimResult& result) {
 /// its processor-exclusivity check — a cancelled attempt occupied real
 /// processor time and must not overlap anything else.
 template <typename AddLoserSpan>
-void check_hedges(const std::vector<HedgeRecord>& hedges,
-                  const SimResult& result, const System& system,
+void check_hedges(const SimResult& result, const System& system,
                   const std::string& tag, const AddLoserSpan& add_loser_span,
                   std::vector<Violation>& out) {
   auto fail = [&](std::string msg) {
     out.push_back(Violation{std::move(msg)});
   };
   std::vector<bool> hedged(result.schedule.size(), false);
-  for (std::size_t i = 0; i < hedges.size(); ++i) {
-    const HedgeRecord& h = hedges[i];
+  for (std::size_t i = 0; i < result.hedges.size(); ++i) {
+    const HedgeRecord& h = result.hedges[i];
     const std::string htag = tag + "hedge " + std::to_string(i);
     if (h.node >= result.schedule.size()) {
       fail(htag + ": invalid kernel id");
@@ -166,114 +154,100 @@ void check_link_capacity(const System& system, std::vector<LinkLoad>& loads,
           " busy ms — exceeds capacity " + std::to_string(capacity)});
   }
 }
-}  // namespace
 
-std::vector<Violation> validate_schedule(const dag::Dag& dag,
-                                         const System& system,
-                                         const CostModel& cost,
-                                         const SimResult& result) {
-  std::vector<Violation> out;
-  auto fail = [&](std::string msg) { out.push_back(Violation{std::move(msg)}); };
+/// The checks both validators share, fed one application at a time:
+/// each application's per-kernel timeline, readiness, precedence, noise
+/// multiplier, transfer and hedge records; then processor exclusivity and
+/// link capacity, pooled across every application added (kernels and
+/// messages of different applications share the platform).
+class ScheduleChecker {
+ public:
+  explicit ScheduleChecker(const System& system)
+      : system_(system),
+        by_proc_(system.proc_count()),
+        loads_(system.topology().link_count()) {}
 
-  if (result.schedule.size() != dag.node_count()) {
-    fail("schedule size " + std::to_string(result.schedule.size()) +
-         " != node count " + std::to_string(dag.node_count()));
-    return out;
-  }
+  void fail(std::string msg) { out_.push_back(Violation{std::move(msg)}); }
 
-  TimeMs latest = 0.0;
-  for (dag::NodeId n = 0; n < dag.node_count(); ++n) {
-    const ScheduledKernel& k = result.schedule[n];
-    const std::string tag = "node " + std::to_string(n);
-    if (k.node != n) fail(tag + ": record/node index mismatch");
-    if (k.proc == kInvalidProc || k.proc >= system.proc_count()) {
-      fail(tag + ": invalid processor");
-      continue;
+  /// Checks one application that arrived at `arrival_ms` (times absolute,
+  /// nodes local to `dag`); `tag` prefixes its messages. Returns false,
+  /// having checked nothing else, when the schedule does not cover the DAG.
+  bool add_app(const dag::Dag& dag, TimeMs arrival_ms,
+               const SimResult& result, const std::string& tag) {
+    if (result.schedule.size() != dag.node_count()) {
+      fail(tag + "schedule size " + std::to_string(result.schedule.size()) +
+           " != node count " + std::to_string(dag.node_count()));
+      return false;
     }
-    if (k.ready_time < 0.0 || k.assign_time + kTol < k.ready_time)
-      fail(tag + ": assigned before ready");
-    if (k.ready_time + kTol < dag.node(n).release_ms)
-      fail(tag + ": ready before its release time");
-    if (k.exec_start + kTol < k.assign_time)
-      fail(tag + ": execution before assignment");
-    if (!close(k.finish_time, k.exec_start + k.exec_ms))
-      fail(tag + ": finish != exec_start + exec_ms");
-    if (!(k.noise_mult > 0.0))
-      fail(tag + ": non-positive noise multiplier");
-    // Under service-time noise the realized duration is the cost model's
-    // nominal time scaled by the recorded multiplier; with noise off the
-    // multiplier is exactly 1.0 and this is the plain cost-model check.
-    const TimeMs expected_exec =
-        cost.exec_time_ms(dag, n, system.processor(k.proc)) * k.noise_mult;
-    if (!close(k.exec_ms, expected_exec))
-      fail(tag + ": exec_ms " + std::to_string(k.exec_ms) +
-           " != cost model × noise_mult " + std::to_string(expected_exec));
-    for (const dag::NodeId pred : dag.predecessors(n)) {
-      const ScheduledKernel& pk = result.schedule[pred];
-      if (k.exec_start + kTol < pk.finish_time)
-        fail(tag + ": starts before predecessor " + std::to_string(pred) +
-             " finishes");
-      if (k.ready_time + kTol < pk.finish_time)
-        fail(tag + ": marked ready before predecessor " +
-             std::to_string(pred) + " finished");
+    const std::size_t app = tags_.size();
+    tags_.push_back(tag);
+    for (dag::NodeId n = 0; n < dag.node_count(); ++n) {
+      const ScheduledKernel& k = result.schedule[n];
+      const std::string ntag = tag + "node " + std::to_string(n);
+      if (k.node != n) fail(ntag + ": record/node index mismatch");
+      if (k.proc == kInvalidProc || k.proc >= system_.proc_count()) {
+        fail(ntag + ": invalid processor");
+        continue;
+      }
+      if (k.ready_time + kTol < arrival_ms + dag.node(n).release_ms)
+        fail(ntag + ": ready before its arrival/release instant");
+      if (k.ready_time < 0.0 || k.assign_time + kTol < k.ready_time)
+        fail(ntag + ": assigned before ready");
+      if (k.exec_start + kTol < k.assign_time)
+        fail(ntag + ": execution before assignment");
+      if (!close(k.finish_time, k.exec_start + k.exec_ms))
+        fail(ntag + ": finish != exec_start + exec_ms");
+      if (!(k.noise_mult > 0.0))
+        fail(ntag + ": non-positive noise multiplier");
+      for (const dag::NodeId pred : dag.predecessors(n)) {
+        const ScheduledKernel& pk = result.schedule[pred];
+        if (k.exec_start + kTol < pk.finish_time)
+          fail(ntag + ": starts before predecessor " + std::to_string(pred) +
+               " finishes");
+        if (k.ready_time + kTol < pk.finish_time)
+          fail(ntag + ": marked ready before predecessor " +
+               std::to_string(pred) + " finished");
+      }
+      by_proc_[k.proc].push_back(Span{app, n, k.occupied_from(),
+                                      k.finish_time});
     }
-    latest = std::max(latest, k.finish_time);
+    check_transfers(result, system_, tag, loads_, out_);
+    // The losing attempts of hedged kernels held their processor until
+    // the cancellation instant, so their spans join the exclusivity pool.
+    check_hedges(result, system_, tag,
+                 [&](ProcId proc, TimeMs from, TimeMs to, dag::NodeId node) {
+                   by_proc_[proc].push_back(Span{app, node, from, to});
+                 },
+                 out_);
+    return true;
   }
 
-  // Processor exclusivity: the occupation intervals
-  // [occupied_from, finish) of kernels sharing a processor never overlap —
-  // with the cancelled losing attempts of hedged kernels pooled in (they
-  // held their processor until the cancellation instant).
-  struct ProcSpan {
-    dag::NodeId node;
-    TimeMs from;
-    TimeMs to;
-  };
-  std::vector<std::vector<ProcSpan>> by_proc(system.proc_count());
-  for (const ScheduledKernel& k : result.schedule) {
-    if (k.proc != kInvalidProc && k.proc < system.proc_count())
-      by_proc[k.proc].push_back(ProcSpan{k.node, k.occupied_from(),
-                                         k.finish_time});
-  }
-  check_hedges(result.hedges, result, system, "",
-               [&](ProcId proc, TimeMs from, TimeMs to, dag::NodeId node) {
-                 by_proc[proc].push_back(ProcSpan{node, from, to});
-               },
-               out);
-  for (ProcId p = 0; p < system.proc_count(); ++p) {
-    std::vector<ProcSpan>& spans = by_proc[p];
-    std::sort(spans.begin(), spans.end(),
-              [](const ProcSpan& a, const ProcSpan& b) {
-                if (a.from != b.from) return a.from < b.from;
-                return a.node < b.node;
-              });
-    for (std::size_t i = 1; i < spans.size(); ++i) {
-      if (spans[i].from + kTol < spans[i - 1].to)
-        fail("processor " + system.processor(p).name + ": kernels " +
-             std::to_string(spans[i - 1].node) + " and " +
-             std::to_string(spans[i].node) + " overlap");
+  /// The pooled checks; returns every violation found.
+  std::vector<Violation> finish() {
+    check_link_capacity(system_, loads_, out_);
+    // Processor exclusivity: the occupation intervals [occupied_from,
+    // finish) of kernels sharing a processor never overlap, whichever
+    // application they belong to.
+    for (ProcId p = 0; p < system_.proc_count(); ++p) {
+      std::vector<Span>& spans = by_proc_[p];
+      std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
+        if (a.from != b.from) return a.from < b.from;
+        if (a.app != b.app) return a.app < b.app;
+        return a.node < b.node;
+      });
+      for (std::size_t i = 1; i < spans.size(); ++i) {
+        const Span& prev = spans[i - 1];
+        if (spans[i].from + kTol < prev.to)
+          fail("processor " + system_.processor(p).name + ": " +
+               tags_[prev.app] + "kernel " + std::to_string(prev.node) +
+               " overlaps " + tags_[spans[i].app] + "kernel " +
+               std::to_string(spans[i].node));
+      }
     }
+    return std::move(out_);
   }
 
-  if (!dag.empty() && !close(result.makespan, latest))
-    fail("makespan " + std::to_string(result.makespan) +
-         " != latest finish " + std::to_string(latest));
-
-  // Interconnect invariants (contended topologies record link messages).
-  if (!result.transfers.empty()) {
-    std::vector<LinkLoad> loads(system.topology().link_count());
-    check_transfers(result.transfers, system, "",
-                    exec_start_resolver(result), loads, out);
-    check_link_capacity(system, loads, out);
-  }
-  return out;
-}
-
-std::vector<Violation> validate_stream_schedule(
-    const System& system, const std::vector<StreamAppView>& apps) {
-  std::vector<Violation> out;
-  auto fail = [&](std::string msg) { out.push_back(Violation{std::move(msg)}); };
-
+ private:
   /// Occupation interval of one kernel, remembered across applications.
   struct Span {
     std::size_t app;
@@ -281,85 +255,59 @@ std::vector<Violation> validate_stream_schedule(
     TimeMs from;
     TimeMs to;
   };
-  std::vector<std::vector<Span>> by_proc(system.proc_count());
-  std::vector<LinkLoad> link_loads(system.topology().link_count());
 
+  const System& system_;
+  std::vector<std::string> tags_;  ///< [app] message prefix
+  std::vector<std::vector<Span>> by_proc_;
+  std::vector<LinkLoad> loads_;
+  std::vector<Violation> out_;
+};
+}  // namespace
+
+std::vector<Violation> validate_schedule(const dag::Dag& dag,
+                                         const System& system,
+                                         const CostModel& cost,
+                                         const SimResult& result) {
+  ScheduleChecker checker(system);
+  if (!checker.add_app(dag, 0.0, result, "")) return checker.finish();
+  std::vector<Violation> out = checker.finish();
+  auto fail = [&](std::string msg) { out.push_back(Violation{std::move(msg)}); };
+
+  // The two checks that need the cost model and the makespan.
+  TimeMs latest = 0.0;
+  for (dag::NodeId n = 0; n < dag.node_count(); ++n) {
+    const ScheduledKernel& k = result.schedule[n];
+    if (k.proc == kInvalidProc || k.proc >= system.proc_count()) continue;
+    // Under service-time noise the realized duration is the cost model's
+    // nominal time scaled by the recorded multiplier; with noise off the
+    // multiplier is exactly 1.0 and this is the plain cost-model check.
+    const TimeMs expected_exec =
+        cost.exec_time_ms(dag, n, system.processor(k.proc)) * k.noise_mult;
+    if (!close(k.exec_ms, expected_exec))
+      fail("node " + std::to_string(n) + ": exec_ms " +
+           std::to_string(k.exec_ms) + " != cost model × noise_mult " +
+           std::to_string(expected_exec));
+    latest = std::max(latest, k.finish_time);
+  }
+  if (!dag.empty() && !close(result.makespan, latest))
+    fail("makespan " + std::to_string(result.makespan) +
+         " != latest finish " + std::to_string(latest));
+  return out;
+}
+
+std::vector<Violation> validate_stream_schedule(
+    const System& system, const std::vector<StreamAppView>& apps) {
+  ScheduleChecker checker(system);
   for (std::size_t a = 0; a < apps.size(); ++a) {
     const StreamAppView& view = apps[a];
-    const std::string app_tag = "app " + std::to_string(a);
+    const std::string tag = "app " + std::to_string(a) + " ";
     if (view.dag == nullptr || view.result == nullptr) {
-      fail(app_tag + ": null dag/result");
+      checker.fail(tag + "null dag/result");
       continue;
     }
-    const dag::Dag& dag = *view.dag;
-    const SimResult& result = *view.result;
-    if (result.schedule.size() != dag.node_count()) {
-      fail(app_tag + ": schedule size " +
-           std::to_string(result.schedule.size()) + " != node count " +
-           std::to_string(dag.node_count()));
-      continue;
-    }
-    for (dag::NodeId n = 0; n < dag.node_count(); ++n) {
-      const ScheduledKernel& k = result.schedule[n];
-      const std::string tag = app_tag + " node " + std::to_string(n);
-      if (k.node != n) fail(tag + ": record/node index mismatch");
-      if (k.proc == kInvalidProc || k.proc >= system.proc_count()) {
-        fail(tag + ": invalid processor");
-        continue;
-      }
-      const TimeMs release = view.arrival_ms + dag.node(n).release_ms;
-      if (k.ready_time + kTol < release)
-        fail(tag + ": ready before its arrival/release instant");
-      if (k.assign_time + kTol < k.ready_time)
-        fail(tag + ": assigned before ready");
-      if (k.exec_start + kTol < k.assign_time)
-        fail(tag + ": execution before assignment");
-      if (!close(k.finish_time, k.exec_start + k.exec_ms))
-        fail(tag + ": finish != exec_start + exec_ms");
-      for (const dag::NodeId pred : dag.predecessors(n)) {
-        const ScheduledKernel& pk = result.schedule[pred];
-        if (k.exec_start + kTol < pk.finish_time)
-          fail(tag + ": starts before predecessor " + std::to_string(pred) +
-               " finishes");
-        if (k.ready_time + kTol < pk.finish_time)
-          fail(tag + ": marked ready before predecessor " +
-               std::to_string(pred) + " finished");
-      }
-      by_proc[k.proc].push_back(Span{a, n, k.occupied_from(), k.finish_time});
-    }
-    // Per-app transfer sanity; loads pool ACROSS apps (the links are as
-    // shared as the processors).
-    check_transfers(result.transfers, system, app_tag,
-                    exec_start_resolver(result), link_loads, out);
-    // Per-app hedge-record coherence; the losing attempts' occupation
-    // spans join the cross-instance exclusivity pool below.
-    check_hedges(result.hedges, result, system, app_tag + " ",
-                 [&](ProcId proc, TimeMs from, TimeMs to, dag::NodeId node) {
-                   by_proc[proc].push_back(Span{a, node, from, to});
-                 },
-                 out);
+    checker.add_app(*view.dag, view.arrival_ms, *view.result, tag);
   }
-  check_link_capacity(system, link_loads, out);
-
-  // Cross-instance exclusivity: kernels of *different* applications share
-  // the processors, so the overlap check must pool every span.
-  for (ProcId p = 0; p < system.proc_count(); ++p) {
-    std::vector<Span>& spans = by_proc[p];
-    std::sort(spans.begin(), spans.end(), [](const Span& a, const Span& b) {
-      if (a.from != b.from) return a.from < b.from;
-      if (a.app != b.app) return a.app < b.app;
-      return a.node < b.node;
-    });
-    for (std::size_t i = 1; i < spans.size(); ++i) {
-      if (spans[i].from + kTol < spans[i - 1].to)
-        fail("processor " + system.processor(p).name + ": app " +
-             std::to_string(spans[i - 1].app) + " kernel " +
-             std::to_string(spans[i - 1].node) + " overlaps app " +
-             std::to_string(spans[i].app) + " kernel " +
-             std::to_string(spans[i].node));
-    }
-  }
-  return out;
+  return checker.finish();
 }
 
 namespace {

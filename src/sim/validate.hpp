@@ -18,10 +18,12 @@ struct Violation {
   std::string message;
 };
 
-/// Checks a finished schedule:
+/// Checks a finished schedule. It is validate_stream_schedule's per-app
+/// check of one application arriving at 0, plus the two checks that need
+/// the cost model and the makespan:
 ///  * every kernel assigned exactly once to a valid processor;
-///  * per-kernel timeline sane (ready <= assign <= exec_start <= finish,
-///    finish == exec_start + exec_ms);
+///  * per-kernel timeline sane (release <= ready <= assign <= exec_start <=
+///    finish, finish == exec_start + exec_ms, noise multiplier > 0);
 ///  * precedence: a kernel never starts executing before all predecessors
 ///    finished;
 ///  * exclusivity: occupation intervals [assign, finish) of kernels sharing
@@ -69,8 +71,8 @@ struct StreamAppView {
 };
 
 /// Checks a finished multi-instance (open-system) schedule:
-///  * per application, the same per-kernel timeline and precedence
-///    invariants validate_schedule enforces, with readiness additionally
+///  * per application, the same per-kernel timeline, precedence, transfer,
+///    and hedge invariants validate_schedule enforces, with readiness
 ///    gated on the application's arrival instant (ready >= arrival +
 ///    release offset);
 ///  * exclusivity ACROSS instances: the occupation intervals of kernels

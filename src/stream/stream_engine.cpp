@@ -14,6 +14,7 @@
 #include "obs/trace_sink.hpp"
 #include "sim/ready_set.hpp"
 #include "sim/validate.hpp"
+#include "stream/closed_run.hpp"
 #include "util/contracts.hpp"
 #include "util/rolling_quantile.hpp"
 
@@ -73,19 +74,27 @@ struct Event {
 using EventQueue =
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>;
 
-}  // namespace
-
-/// All mutable state of one stream run; implements the SchedulerContext the
-/// policy schedules against. Per-node arrays are indexed by global slot id;
-/// a retired instance's slot range returns to the free-range allocator.
-class StreamEngine::Context final : public sim::SchedulerContext {
+/// The event core: all mutable state of one run, and the SchedulerContext
+/// the policy schedules against. Per-node arrays are indexed by global slot
+/// id; a retired instance's slot range returns to the free-range allocator.
+///
+/// An open run (StreamEngine::run) admits instances from a DagSource as the
+/// arrival process delivers them. A closed run (sim::Engine::run, through
+/// detail::run_closed) admits one borrowed graph at t = 0 as arrival 0, so
+/// slot == node id and its noise draws are instance 0's. It records every
+/// kernel, transfer, and hedge, and skips everything only stream metrics
+/// read: lifecycle instants and counts, the lower bound, the queue-depth
+/// trace. It stops as soon as the instance retires.
+class EventCore final : public sim::SchedulerContext {
  public:
-  Context(const sim::System& system, const sim::CostModel& base_cost,
-          const DagSource& source, const StreamOptions& options,
-          sim::Policy& policy)
+  /// Exactly one of `source` (open run) and `closed` (closed run) is set.
+  EventCore(const sim::System& system, const sim::CostModel& base_cost,
+            const StreamOptions& options, sim::Policy& policy,
+            const DagSource* source, const dag::Dag* closed)
       : system_(system),
         base_cost_(base_cost),
         source_(source),
+        closed_(closed),
         options_(options),
         policy_(policy),
         topology_(system.topology()),
@@ -95,6 +104,12 @@ class StreamEngine::Context final : public sim::SchedulerContext {
         sink_(options.sink),
         profile_(options.profile),
         proc_state_(system.proc_count()) {
+    if (options.hedging.enabled && contended_)
+      throw std::invalid_argument(
+          std::string(who()) +
+          ": straggler hedging requires an uncontended topology (a "
+          "replica's input transfers are not modelled as fabric messages)");
+    cost_ = &base_cost_;
     if (contended_) {
       tm_.emplace(topology_);
       // Per-link busy/bytes clip to the observation window exactly like
@@ -102,7 +117,10 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       // by warmup traffic.
       tm_->set_window_start(options.warmup_ms);
       tm_->set_profile(profile_);
-      topo_cost_.emplace(base_cost_, system_);
+      // Policies and transfer stalls price edges against the fabric, not
+      // the base model's uncontended point-to-point links — this is what
+      // makes HEFT/PEFT EFT estimates topology-aware.
+      cost_ = &topo_cost_.emplace(base_cost_, system_);
     }
     observation_.warmup_ms = options.warmup_ms;
     observation_.busy_in_window_ms.assign(system.proc_count(), 0.0);
@@ -112,27 +130,12 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     idle_cache_.reserve(system.proc_count());
   }
 
-  StreamOutcome simulate() {
-    ArrivalProcess arrivals(options_.arrivals);
-    pull_next_arrival(arrivals);
-    process_arrivals(arrivals);  // a trace may start at t = 0
-    for (;;) {
-      {
-        obs::ScopedTimer timer(profile_, obs::Timer::kPolicyPass);
-        policy_.on_event(*this);
-      }
-      if (profile_) profile_->add(obs::Counter::kPolicyPasses);
-      drain_queues();
-      const bool quiescent = events_.empty() && releases_.empty() &&
-                             !next_arrival_ && !(tm_ && tm_->busy());
-      if (live_count_ == 0 && quiescent) break;
-      if (quiescent) {
-        throw std::logic_error("StreamEngine: policy '" + policy_.name() +
-                               "' stalled: work remains but nothing is "
-                               "executing and no arrival is pending");
-      }
-      advance_to_next_event(arrivals);
-    }
+  /// Open run to quiescence, then the stream metrics.
+  StreamOutcome run_open() {
+    arrivals_.emplace(options_.arrivals);
+    pull_next_arrival();
+    process_arrivals();  // a trace may start at t = 0
+    simulate();
     observation_.end_ms = std::max(now_, options_.warmup_ms);
     observation_.queue_depth.finish(observation_.end_ms);
     observation_.live_apps.finish(observation_.end_ms);
@@ -153,23 +156,26 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     return outcome;
   }
 
+  /// Closed run of a non-empty graph until its last kernel retires.
+  sim::SimResult run_closed() {
+    place(0, 0.0, dag::Dag{});
+    simulate();
+    return std::move(closed_result_);
+  }
+
   // --- SchedulerContext -----------------------------------------------------
 
   sim::TimeMs now() const override { return now_; }
 
   const dag::Dag& dag() const override {
+    if (closed_) return *closed_;
     throw std::logic_error(
         "StreamEngine: SchedulerContext::dag() is unavailable in stream "
         "contexts (the ready set spans many DAG instances)");
   }
 
   const sim::System& system() const override { return system_; }
-  const sim::CostModel& cost_model() const override {
-    // Contended runs price transfers against the fabric, not the base
-    // model's uncontended point-to-point links.
-    return contended_ ? static_cast<const sim::CostModel&>(*topo_cost_)
-                      : base_cost_;
-  }
+  const sim::CostModel& cost_model() const override { return *cost_; }
 
   const std::vector<dag::NodeId>& ready() const override {
     return ready_.nodes();
@@ -235,7 +241,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   // The hottest queries of the whole engine: every MET-family policy pass
   // asks these for every ready kernel. They read the per-slot SoA slabs
-  // admit() filled — one load instead of the slot -> app -> cost-model
+  // admission filled — one load instead of the slot -> app -> cost-model
   // virtual chain. A retired slot's values linger until its range is
   // reused, so the guard catches a query that outlived its instance.
   sim::TimeMs exec_time_ms(dag::NodeId slot,
@@ -260,29 +266,20 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   sim::TimeMs input_transfer_ms(dag::NodeId slot,
                                 sim::ProcId proc) const override {
     const App& app = app_of(slot);
+    const dag::Dag& dag = app.dag();
     const dag::NodeId local = slot - app.base;
+    const sim::Processor& to = system_.processor(proc);
     sim::TimeMs worst = 0.0;
-    if (contended_) {
-      for (const dag::NodeId pred : app.dag.predecessors(local)) {
-        const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
-        // Internal invariant (not policy-misuse validation): ready slots
-        // only surface once every predecessor was scheduled.
-        APT_ASSERT(rec.proc != sim::kInvalidProc,
-                   "predecessor %u of slot %u not yet scheduled", pred, slot);
-        // Comm-adjusted estimate from the topology (uncontended share).
-        worst = std::max(worst, topology_.transfer_time_ms(
-                                    edge_bytes(app, pred), rec.proc, proc));
-      }
-      return worst;
-    }
-    // Ideal topology: the input edges' transfer tables admit() filled.
-    const sim::TimeMs* row = pred_transfer_rows(app, local);
-    for (const dag::NodeId pred : app.dag.predecessors(local)) {
+    for (const dag::NodeId pred : dag.predecessors(local)) {
       const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
+      // Internal invariant (not policy-misuse validation): ready slots
+      // only surface once every predecessor was scheduled.
       APT_ASSERT(rec.proc != sim::kInvalidProc,
                  "predecessor %u of slot %u not yet scheduled", pred, slot);
-      worst = std::max(worst, row[rec.proc * proc_count_ + proc]);
-      row += proc_count_ * proc_count_;
+      worst = std::max(worst,
+                       cost_->transfer_time_ms(dag, pred, local,
+                                               system_.processor(rec.proc),
+                                               to));
     }
     return worst;
   }
@@ -291,23 +288,19 @@ class StreamEngine::Context final : public sim::SchedulerContext {
                                           sim::ProcId proc) const override {
     sim::TransferEstimate est;
     est.noise = options_.noise;
-    if (!contended_) {
-      // Ideal topology: only the unloaded stall is non-trivial, and the
-      // ideal fast path above is the bit-identical source for it.
-      est.stall_ms = input_transfer_ms(slot, proc);
-      return est;
-    }
     const App& app = app_of(slot);
+    const dag::Dag& dag = app.dag();
     const dag::NodeId local = slot - app.base;
+    const sim::Processor& to = system_.processor(proc);
     sim::ProcId worst_from = proc;  // local: contributes no link
-    for (const dag::NodeId pred : app.dag.predecessors(local)) {
+    for (const dag::NodeId pred : dag.predecessors(local)) {
       const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
       APT_ASSERT(rec.proc != sim::kInvalidProc,
                  "predecessor %u of slot %u not yet scheduled", pred, slot);
-      // Same call, same order, same std::max as input_transfer_ms above —
+      // Same call, same order, same maximum as input_transfer_ms above —
       // stall_ms stays bit-identical to the legacy scalar.
-      const sim::TimeMs edge =
-          topology_.transfer_time_ms(edge_bytes(app, pred), rec.proc, proc);
+      const sim::TimeMs edge = cost_->transfer_time_ms(
+          dag, pred, local, system_.processor(rec.proc), to);
       if (edge > est.stall_ms) {
         est.stall_ms = edge;
         worst_from = rec.proc;
@@ -325,9 +318,10 @@ class StreamEngine::Context final : public sim::SchedulerContext {
         }
       }
     }
-    // Idle fabric: pin the estimate to the unloaded bottleneck of the
-    // worst predecessor's route, kNoLink when every input is local.
-    if (est.bottleneck_link == net::kNoLink && worst_from != proc)
+    // Idle fabric (or ideal topology): pin the estimate to the unloaded
+    // bottleneck of the worst predecessor's route, kNoLink when local.
+    if (est.bottleneck_link == net::kNoLink && contended_ &&
+        worst_from != proc)
       est.bottleneck_link = topology_.bottleneck_link(worst_from, proc);
     return est;
   }
@@ -336,7 +330,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   void assign(dag::NodeId slot, sim::ProcId proc, bool alternative) override {
     if (!is_idle(proc))
-      throw std::logic_error("StreamEngine::assign: processor " +
+      throw std::logic_error(std::string(who()) + "::assign: processor " +
                              system_.processor(proc).name + " is not idle");
     take_from_ready(slot);
     note_decision(slot, proc, "assign");
@@ -358,12 +352,15 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       begin_comm(slot, proc,
                  now_ + system_.config().decision_overhead_ms +
                      system_.config().dispatch_overhead_ms);
+    // drain_queues() (called right after the policy pass) starts it if the
+    // processor is actually free.
   }
 
  private:
   static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
   static constexpr std::uint32_t kNoApp = static_cast<std::uint32_t>(-1);
-  /// Bounded per-processor execution history (memory over long runs).
+  /// Bounded per-processor execution history (memory over long runs). Its
+  /// only reader, AG's recent-window estimator, looks back 5 completions.
   static constexpr std::size_t kHistoryCap = 1024;
 
   struct NodeState {
@@ -396,6 +393,8 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     sim::TimeMs data_ready_at = 0.0;
   };
 
+  /// A kernel waiting in a processor's FIFO queue with its (destination
+  /// fixed, hence known) execution time.
   struct QueuedKernel {
     dag::NodeId slot;
     sim::TimeMs exec_ms;
@@ -412,17 +411,13 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   struct App {
     std::size_t index = 0;  ///< global arrival index
     sim::TimeMs arrival_ms = 0.0;
-    /// This instance's graph; retire() moves it into the recorded schedule.
-    dag::Dag dag;
+    /// A closed run's graph, borrowed for the run; null in open runs.
+    const dag::Dag* borrowed = nullptr;
+    /// An open run's graph; retire() moves it into the recorded schedule.
+    dag::Dag owned;
     sim::TimeMs lower_bound_ms = 0.0;      ///< isolated makespan bound
     dag::NodeId base = dag::kInvalidNode;  ///< first global slot
     std::size_t remaining = 0;             ///< kernels not yet completed
-    /// Ideal topology only (the only mode that reads them): every input
-    /// edge's P×P transfer table, `[from * P + to]`, grouped by consumer in
-    /// predecessors() order; node `local`'s first edge is
-    /// pred_offset[local]. Contended runs price edges on the fabric.
-    std::vector<std::size_t> pred_offset;
-    std::vector<sim::TimeMs> pred_transfer;
     /// Completed/in-flight link messages, local node ids, absolute times.
     /// Only populated when StreamOptions::record_schedules (memory stays
     /// bounded by the live backlog otherwise).
@@ -431,20 +426,18 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     /// Always populated while live — the aggregate counters fold out of
     /// it — but only retained into the outcome under record_schedules.
     std::vector<sim::HedgeRecord> hedges;
+
+    const dag::Dag& dag() const { return borrowed ? *borrowed : owned; }
   };
 
-  /// Ideal topology: the transfer table of `local`'s first input edge in
-  /// `app`; each further edge's table follows P×P doubles later.
-  const sim::TimeMs* pred_transfer_rows(const App& app,
-                                        dag::NodeId local) const {
-    return app.pred_transfer.data() +
-           app.pred_offset[local] * proc_count_ * proc_count_;
-  }
+  /// Entry point name for error messages.
+  const char* who() const { return closed_ ? "Engine" : "StreamEngine"; }
 
   const App& app_of(dag::NodeId slot) const {
     const std::uint32_t a = node_state_.at(slot).app;
     if (a == kNoApp)
-      throw std::logic_error("StreamEngine: slot has no live application");
+      throw std::logic_error(std::string(who()) +
+                             ": slot has no live application");
     return apps_[a];
   }
 
@@ -492,7 +485,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     }
   }
 
-  // --- ready-set bookkeeping (sim::Engine's in-place sim::ReadySet) --------
+  // --- ready-set bookkeeping (in-place sim::ReadySet) -----------------------
 
   void mark_ready(dag::NodeId slot) {
     if (profile_) profile_->add(obs::Counter::kReadyMarked);
@@ -500,17 +493,23 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     ns.ready = true;
     ns.record.ready_time = now_;
     ready_.push_back(slot);
-    observation_.queue_depth.observe(now_, ready_.size());
+    observe_queue_depth();
   }
 
   void take_from_ready(dag::NodeId slot) {
     NodeState& ns = node_state_.at(slot);
     if (!ns.ready || ns.assigned)
-      throw std::logic_error("StreamEngine: slot " + std::to_string(slot) +
+      throw std::logic_error(std::string(who()) + ": slot " +
+                             std::to_string(slot) +
                              " is not in the ready set");
     ns.assigned = true;
     ready_.erase(slot);
-    observation_.queue_depth.observe(now_, ready_.size());
+    observe_queue_depth();
+  }
+
+  /// The queue-depth trace feeds only stream metrics; closed runs skip it.
+  void observe_queue_depth() {
+    if (!closed_) observation_.queue_depth.observe(now_, ready_.size());
   }
 
   // --- observability (src/obs) ----------------------------------------------
@@ -548,7 +547,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     obs::KernelSpan span;
     span.instance = app.index;
     span.node = local;
-    span.kernel = app.dag.node(local).kernel.c_str();
+    span.kernel = app.dag().node(local).kernel.c_str();
     span.proc = ns.record.proc;
     span.occupied_from = ns.record.occupied_from();
     span.exec_start = ns.record.exec_start;
@@ -572,7 +571,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     obs::KernelSpan span;
     span.instance = app.index;
     span.node = local;
-    span.kernel = app.dag.node(local).kernel.c_str();
+    span.kernel = app.dag().node(local).kernel.c_str();
     span.proc = proc;
     span.occupied_from = occupied_from;
     span.exec_start = exec_start;
@@ -601,30 +600,28 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     sink_->transfer_span(span);
   }
 
-  // --- kernel lifecycle (mirrors sim::Engine) -------------------------------
-
-  /// Payload of the edge out of `pred` (a local node id) in `app`.
-  double edge_bytes(const App& app, dag::NodeId pred) const {
-    return sim::edge_payload_bytes(app.dag, pred,
-                                   system_.config().bytes_per_element);
-  }
+  // --- kernel lifecycle -----------------------------------------------------
 
   /// Contended mode: creates one link message per non-local input edge of
   /// `slot`, entering the fabric at the dispatch instant. Called exactly
-  /// once per kernel, when the policy commits it.
+  /// once per kernel, when the policy commits it (assign or enqueue fixes
+  /// the destination).
   void begin_comm(dag::NodeId slot, sim::ProcId proc,
                   sim::TimeMs dispatched) {
     NodeState& ns = node_state_[slot];
     if (ns.app == kNoApp)
-      throw std::logic_error("StreamEngine: slot has no live application");
+      throw std::logic_error(std::string(who()) +
+                             ": slot has no live application");
     App& app = apps_[ns.app];
+    const dag::Dag& dag = app.dag();
     const dag::NodeId local = slot - app.base;
     ns.data_ready_at = dispatched;
-    for (const dag::NodeId pred : app.dag.predecessors(local)) {
+    for (const dag::NodeId pred : dag.predecessors(local)) {
       const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
       const net::Topology::Route route = topology_.route(rec.proc, proc);
       if (route.empty()) continue;  // same processor, socket, or cell
-      const double bytes = edge_bytes(app, pred);
+      const double bytes = sim::edge_payload_bytes(
+          dag, pred, system_.config().bytes_per_element);
       const std::uint64_t tag = next_transfer_tag_++;
       // A trace sink needs the full message record at delivery time, so
       // tracing also populates the app's transfer log; retire() still
@@ -663,10 +660,13 @@ class StreamEngine::Context final : public sim::SchedulerContext {
         Event{ns.record.finish_time, slot, EventKind::kCompletion, ns.epoch});
   }
 
+  /// One input message delivered; start the kernel when it was the last
+  /// and the kernel already holds its processor.
   void on_delivery(const net::Delivery& delivery) {
     const auto it = inflight_.find(delivery.tag);
     if (it == inflight_.end())
-      throw std::logic_error("StreamEngine: delivery for unknown transfer");
+      throw std::logic_error(std::string(who()) +
+                             ": delivery for unknown transfer");
     const InFlight flight = it->second;
     inflight_.erase(it);
     NodeState& ns = node_state_[flight.slot];
@@ -682,10 +682,11 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   }
 
   /// Stamps the realized execution time of `slot` on its processor: the
-  /// nominal (SoA-baked) duration times the per-kernel noise multiplier.
-  /// The noise instance is the app's global arrival index and the node id
-  /// is local, so the draw matches sim::Engine's for the same DAG and is
-  /// independent of slot placement, scheduling order, and --jobs.
+  /// nominal (SoA-baked) duration times the per-kernel noise multiplier
+  /// (exactly 1.0 — and no RNG consulted — when noise is disabled). The
+  /// noise instance is the app's global arrival index and the node id is
+  /// local, so the draw is independent of slot placement, scheduling
+  /// order, and --jobs, and a closed run draws instance 0.
   void stamp_exec_time(NodeState& ns, dag::NodeId slot, sim::TimeMs nominal) {
     ns.nominal_exec_ms = nominal;
     if (options_.noise.enabled()) {
@@ -698,6 +699,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     ns.record.exec_ms = nominal * ns.record.noise_mult;
   }
 
+  /// Starts `slot` on the idle processor `proc` at the current time.
   void start_kernel(dag::NodeId slot, sim::ProcId proc, bool alternative) {
     NodeState& ns = node_state_[slot];
     const sim::SystemConfig& cfg = system_.config();
@@ -707,6 +709,8 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     const sim::TimeMs dispatched =
         ns.record.assign_time + cfg.dispatch_overhead_ms;
     if (contended_) {
+      // The processor is dedicated from dispatch; computation begins when
+      // the simulated input messages are all delivered.
       stamp_exec_time(ns, slot, exec_time_ms(slot, proc));
       ns.occupied_at = dispatched;
       ns.holds_proc = true;
@@ -741,6 +745,8 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     }
   }
 
+  /// Starts a previously enqueued kernel whose transfer began at enqueue
+  /// time (the destination was fixed then, so the data could prefetch).
   void start_queued_kernel(const QueuedKernel& queued, sim::ProcId proc) {
     NodeState& ns = node_state_[queued.slot];
     const sim::SystemConfig& cfg = system_.config();
@@ -760,6 +766,8 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     const sim::TimeMs transfer = input_transfer_ms(queued.slot, proc);
     const sim::TimeMs data_ready = ns.enqueued_at + cfg.decision_overhead_ms +
                                    cfg.dispatch_overhead_ms + transfer;
+    // assign_time was stamped at enqueue; the processor picks the kernel up
+    // now, and computation starts once the (possibly prefetched) data is in.
     // queued.exec_ms stayed nominal for the queue-estimate queries; the
     // noise draw lands only now, on the realized duration.
     ns.record.proc = proc;
@@ -775,19 +783,26 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     if (options_.hedging.enabled) schedule_hedge_check(queued.slot);
   }
 
+  /// Transfer stall for a direct assignment, honouring the policy's
+  /// transfer semantics.
   sim::TimeMs transfer_delay(dag::NodeId slot, sim::ProcId proc,
                              sim::TimeMs from_time) {
     if (policy_.transfer_semantics() == sim::TransferSemantics::AtAssignment)
       return input_transfer_ms(slot, proc);
+    // Prefetched: each edge's data has been moving since the predecessor
+    // finished; the kernel only stalls for whatever is still in flight.
     const App& app = app_of(slot);
+    const dag::Dag& dag = app.dag();
     const dag::NodeId local = slot - app.base;
+    const sim::Processor& to = system_.processor(proc);
     sim::TimeMs data_ready = from_time;
-    const sim::TimeMs* row = pred_transfer_rows(app, local);
-    for (const dag::NodeId pred : app.dag.predecessors(local)) {
+    for (const dag::NodeId pred : dag.predecessors(local)) {
       const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
-      data_ready = std::max(
-          data_ready, rec.finish_time + row[rec.proc * proc_count_ + proc]);
-      row += proc_count_ * proc_count_;
+      const sim::TimeMs arrival =
+          rec.finish_time +
+          cost_->transfer_time_ms(dag, pred, local,
+                                  system_.processor(rec.proc), to);
+      data_ready = std::max(data_ready, arrival);
     }
     return data_ready - from_time;
   }
@@ -832,8 +847,9 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     ns.hedged = true;  // one decision per kernel, launched or dropped
     const std::vector<sim::ProcId>& idle = idle_processors();
     if (idle.empty()) return;
-    // Fastest idle destination by NOMINAL time; idle list ascends, so ties
-    // break to the lowest processor id.
+    // Fastest idle destination by NOMINAL time (the realized duration is
+    // unknowable before it happens); idle list ascends, so ties break to
+    // the lowest processor id.
     sim::ProcId best = idle.front();
     sim::TimeMs best_ms = exec_time_ms(slot, best);
     for (std::size_t i = 1; i < idle.size(); ++i) {
@@ -848,8 +864,8 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   /// Launches the hedged replica of `slot` on idle `proc` at time `t`. The
   /// replica pays the full reactive path — decision + dispatch overheads
-  /// and its input transfers from scratch — and draws its own noise
-  /// substream (replica id 1).
+  /// and its input transfers from scratch (nothing was prefetched for it)
+  /// — and draws its own noise substream (replica id 1).
   void launch_replica(dag::NodeId slot, sim::ProcId proc, sim::TimeMs nominal,
                       sim::TimeMs t) {
     NodeState& ns = node_state_[slot];
@@ -969,7 +985,34 @@ class StreamEngine::Context final : public sim::SchedulerContext {
 
   // --- event loop -----------------------------------------------------------
 
-  void advance_to_next_event(ArrivalProcess& arrivals) {
+  /// Alternates policy passes and event instants. An open run ends at
+  /// quiescence (dead hedge events and pending arrivals still advance the
+  /// clock); a closed run ends the moment its instance retires.
+  void simulate() {
+    for (;;) {
+      {
+        obs::ScopedTimer timer(profile_, obs::Timer::kPolicyPass);
+        policy_.on_event(*this);
+      }
+      if (profile_) profile_->add(obs::Counter::kPolicyPasses);
+      drain_queues();
+      const bool quiescent = events_.empty() && releases_.empty() &&
+                             !next_arrival_ && !(tm_ && tm_->busy());
+      if (live_count_ == 0 && (quiescent || closed_)) break;
+      if (quiescent) {
+        throw std::logic_error(std::string(who()) + ": policy '" +
+                               policy_.name() +
+                               "' stalled: work remains but nothing is "
+                               "executing and no arrival is pending");
+      }
+      advance_to_next_event();
+    }
+  }
+
+  /// Advances the clock to the earliest pending event (completion,
+  /// replica race, hedge check, delivery, release, or arrival), processes
+  /// everything sharing that timestamp, then updates queue heads.
+  void advance_to_next_event() {
     obs::ScopedTimer timer(profile_, obs::Timer::kEventLoopAdvance);
     sim::TimeMs t = std::numeric_limits<sim::TimeMs>::infinity();
     if (!events_.empty()) t = std::min(t, events_.top().time);
@@ -1008,7 +1051,7 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       releases_.pop();
       if (node_state_[slot].remaining_preds == 0) mark_ready(slot);
     }
-    process_arrivals(arrivals);
+    process_arrivals();
     drain_queues();
   }
 
@@ -1040,12 +1083,12 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     if (ns.record.finish_time >= options_.warmup_ms)
       ++observation_.kernels_in_window[ns.record.proc];
 
-    for (const dag::NodeId succ : app.dag.successors(slot - app.base)) {
+    const dag::Dag& dag = app.dag();
+    for (const dag::NodeId succ : dag.successors(slot - app.base)) {
       const dag::NodeId succ_slot = app.base + succ;
       NodeState& ss = node_state_[succ_slot];
       if (--ss.remaining_preds == 0) {
-        const sim::TimeMs release =
-            app.arrival_ms + app.dag.node(succ).release_ms;
+        const sim::TimeMs release = app.arrival_ms + dag.node(succ).release_ms;
         if (release <= now_) {
           mark_ready(succ_slot);
         } else {
@@ -1056,28 +1099,41 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     if (app.remaining == 0) retire(app_slot);
   }
 
+  /// The instance's full schedule (local node ids, absolute times); moves
+  /// its transfer and hedge logs out.
+  sim::SimResult take_result(App& app) {
+    const std::size_t n = app.dag().node_count();
+    sim::SimResult result;
+    result.schedule.resize(n);
+    for (dag::NodeId local = 0; local < n; ++local) {
+      result.schedule[local] = node_state_[app.base + local].record;
+      result.makespan =
+          std::max(result.makespan, result.schedule[local].finish_time);
+    }
+    result.transfers = std::move(app.transfers);
+    result.hedges = std::move(app.hedges);
+    return result;
+  }
+
   void retire(std::uint32_t app_slot) {
     App& app = apps_[app_slot];
-    if (profile_) profile_->add(obs::Counter::kRetirements);
-    if (sink_) emit_lifecycle(obs::InstantKind::kRetirement, app.index, now_);
-    const std::size_t n = app.dag.node_count();  // before the dag moves out
-    observation_.completed.push_back(sim::StreamAppStats{
-        app.index, app.arrival_ms, now_, app.lower_bound_ms, n});
-    if (options_.record_schedules) {
-      StreamAppSchedule schedule;
-      schedule.index = app.index;
-      schedule.arrival_ms = app.arrival_ms;
-      schedule.result.schedule.resize(n);
-      sim::TimeMs last = 0.0;
-      for (dag::NodeId local = 0; local < n; ++local) {
-        schedule.result.schedule[local] = node_state_[app.base + local].record;
-        last = std::max(last, schedule.result.schedule[local].finish_time);
+    const std::size_t n = app.dag().node_count();
+    if (closed_) {
+      closed_result_ = take_result(app);
+    } else {
+      if (profile_) profile_->add(obs::Counter::kRetirements);
+      if (sink_)
+        emit_lifecycle(obs::InstantKind::kRetirement, app.index, now_);
+      observation_.completed.push_back(sim::StreamAppStats{
+          app.index, app.arrival_ms, now_, app.lower_bound_ms, n});
+      if (options_.record_schedules) {
+        StreamAppSchedule schedule;
+        schedule.index = app.index;
+        schedule.arrival_ms = app.arrival_ms;
+        schedule.result = take_result(app);
+        schedule.dag = std::move(app.owned);  // the instance is done with it
+        schedules_.push_back(std::move(schedule));
       }
-      schedule.result.makespan = last;
-      schedule.result.transfers = std::move(app.transfers);
-      schedule.result.hedges = std::move(app.hedges);
-      schedule.dag = std::move(app.dag);  // the instance is done with it
-      schedules_.push_back(std::move(schedule));
     }
     // Clear ownership before releasing so stale queries trip the slot guard
     // instead of reading a retired instance's costs.
@@ -1088,35 +1144,36 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     app.hedges.clear();
     free_app_slots_.push_back(app_slot);
     --live_count_;
-    observation_.live_apps.observe(now_, live_count_);
+    if (!closed_) observation_.live_apps.observe(now_, live_count_);
   }
 
   // --- admission ------------------------------------------------------------
 
-  void pull_next_arrival(ArrivalProcess& arrivals) {
+  void pull_next_arrival() {
     if (options_.max_apps != 0 &&
         observation_.apps_arrived >= options_.max_apps) {
       next_arrival_ = std::nullopt;
       return;
     }
-    next_arrival_ = arrivals.next();
+    next_arrival_ = arrivals_->next();
     if (next_arrival_ && options_.horizon_ms > 0.0 &&
         *next_arrival_ > options_.horizon_ms)
       next_arrival_ = std::nullopt;
   }
 
-  void process_arrivals(ArrivalProcess& arrivals) {
+  void process_arrivals() {
     while (next_arrival_ && *next_arrival_ <= now_) {
       admit(*next_arrival_);
-      pull_next_arrival(arrivals);
+      pull_next_arrival();
     }
   }
 
+  /// Open run: draws the next instance from the source and admits it.
   void admit(sim::TimeMs arrival_ms) {
     const std::size_t index = observation_.apps_arrived++;
     if (profile_) profile_->add(obs::Counter::kArrivals);
     if (sink_) emit_lifecycle(obs::InstantKind::kArrival, index, arrival_ms);
-    dag::Dag dag = source_(index);
+    dag::Dag dag = (*source_)(index);
 
     if (dag.empty()) {
       // A zero-kernel application completes the instant it arrives.
@@ -1139,7 +1196,14 @@ class StreamEngine::Context final : public sim::SchedulerContext {
           std::to_string(options_.max_live_apps) +
           " concurrent apps) — the arrival rate exceeds the platform's "
           "capacity");
+    place(index, arrival_ms, std::move(dag));
+    observation_.live_apps.observe(now_, live_count_);
+  }
 
+  /// Gives a non-empty instance an app-table entry and a slot range,
+  /// resolves its costs, and seeds its entry kernels. A closed run places
+  /// its borrowed graph; an open run hands over the `owned` one.
+  void place(std::size_t index, sim::TimeMs arrival_ms, dag::Dag owned) {
     std::uint32_t app_slot;
     if (!free_app_slots_.empty()) {
       app_slot = free_app_slots_.back();
@@ -1151,8 +1215,10 @@ class StreamEngine::Context final : public sim::SchedulerContext {
     App& app = apps_[app_slot];
     app.index = index;
     app.arrival_ms = arrival_ms;
-    app.dag = std::move(dag);
-    const std::size_t n = app.dag.node_count();
+    app.borrowed = closed_;
+    app.owned = std::move(owned);
+    const dag::Dag& dag = app.dag();
+    const std::size_t n = dag.node_count();
     app.remaining = n;
     app.base = allocate_slots(n);
     app.transfers.clear();
@@ -1167,10 +1233,9 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       ns.epoch = epoch;
       ns.record.node = local;
       ns.app = app_slot;
-      ns.remaining_preds = app.dag.in_degree(local);
+      ns.remaining_preds = dag.in_degree(local);
       if (ns.remaining_preds == 0) {
-        const sim::TimeMs release =
-            arrival_ms + app.dag.node(local).release_ms;
+        const sim::TimeMs release = arrival_ms + dag.node(local).release_ms;
         if (release <= now_) {
           mark_ready(slot);
         } else {
@@ -1179,21 +1244,19 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       }
     }
     ++live_count_;
-    observation_.live_apps.observe(now_, live_count_);
   }
 
   /// Fills the per-slot cost slabs of a just-placed instance — one
   /// exec_row_ms per kernel, written straight into its slots, plus the
-  /// row's minimum and lowest argmin — then the lower bound from those
-  /// minima and, under an ideal topology only, the input edges' transfer
-  /// tables.
+  /// row's minimum and lowest argmin — then, in open runs, the lower bound
+  /// from those minima. Transfers are priced lazily from cost_model().
   void resolve_costs(App& app) {
     const std::vector<sim::Processor>& procs = system_.processors();
-    const std::size_t n = app.dag.node_count();
-    for (dag::NodeId local = 0; local < n; ++local) {
+    const dag::Dag& dag = app.dag();
+    for (dag::NodeId local = 0; local < dag.node_count(); ++local) {
       const dag::NodeId slot = app.base + local;
       sim::TimeMs* row = exec_slab_.data() + slot * proc_count_;
-      base_cost_.exec_row_ms(app.dag, local, procs, row);
+      base_cost_.exec_row_ms(dag, local, procs, row);
       sim::TimeMs best = row[0];
       sim::ProcId best_proc = 0;
       for (sim::ProcId p = 1; p < proc_count_; ++p) {
@@ -1205,31 +1268,15 @@ class StreamEngine::Context final : public sim::SchedulerContext {
       min_exec_slab_[slot] = best;
       min_proc_slab_[slot] = best_proc;
     }
-    app.lower_bound_ms = sim::makespan_lower_bound_ms(
-        app.dag, system_, min_exec_slab_.data() + app.base);
-
-    if (contended_) return;
-    const std::size_t pp = proc_count_ * proc_count_;
-    app.pred_offset.assign(n + 1, 0);
-    app.pred_transfer.resize(app.dag.edge_count() * pp);
-    sim::TimeMs* row = app.pred_transfer.data();
-    for (dag::NodeId local = 0; local < n; ++local) {
-      for (const dag::NodeId pred : app.dag.predecessors(local)) {
-        for (std::size_t from = 0; from < proc_count_; ++from) {
-          for (std::size_t to = 0; to < proc_count_; ++to)
-            row[from * proc_count_ + to] = base_cost_.transfer_time_ms(
-                app.dag, pred, local, procs[from], procs[to]);
-        }
-        row += pp;
-      }
-      app.pred_offset[local + 1] =
-          app.pred_offset[local] + app.dag.in_degree(local);
-    }
+    if (!closed_)
+      app.lower_bound_ms = sim::makespan_lower_bound_ms(
+          dag, system_, min_exec_slab_.data() + app.base);
   }
 
   const sim::System& system_;
   const sim::CostModel& base_cost_;
-  const DagSource& source_;
+  const DagSource* const source_;  ///< open runs only
+  const dag::Dag* const closed_;   ///< a closed run's graph; null when open
   const StreamOptions& options_;
   sim::Policy& policy_;
 
@@ -1246,6 +1293,9 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   obs::Profile* const profile_;
   std::optional<net::TransferManager> tm_;
   std::optional<sim::TopologyCostModel> topo_cost_;
+  /// What policies and transfer stalls price against: topo_cost_ on a
+  /// contended fabric, the base model otherwise.
+  const sim::CostModel* cost_ = nullptr;
   static constexpr std::size_t kNoRecord = static_cast<std::size_t>(-1);
   /// One in-flight message: the waiting kernel's slot and (when schedules
   /// are recorded) the index into its app's transfer log.
@@ -1279,16 +1329,21 @@ class StreamEngine::Context final : public sim::SchedulerContext {
   /// Ready slots in arrival order; committed slots leave in place.
   sim::ReadySet ready_;
 
+  /// Cached available set, rebuilt on demand after processor-state changes.
   mutable std::vector<sim::ProcId> idle_cache_;
   mutable bool idle_dirty_ = true;
 
-  EventQueue events_;    ///< kernel completions
+  EventQueue events_;    ///< kernel completions, replica races, hedge checks
   EventQueue releases_;  ///< future release instants (arrival + offset)
+  std::optional<ArrivalProcess> arrivals_;  ///< open runs only
   std::optional<sim::TimeMs> next_arrival_;
 
   sim::StreamObservation observation_;
   std::vector<StreamAppSchedule> schedules_;
+  sim::SimResult closed_result_;  ///< a closed run's one schedule
 };
+
+}  // namespace
 
 StreamEngine::StreamEngine(const sim::System& system,
                            const sim::CostModel& base_cost, DagSource source,
@@ -1308,19 +1363,37 @@ StreamOutcome StreamEngine::run(sim::Policy& policy) {
         "StreamEngine: policy '" + policy.name() +
         "' plans statically from the whole DAG, which does not exist in an "
         "open system — use a dynamic policy");
-  if (options_.hedging.enabled && system_.topology().contended())
-    throw std::invalid_argument(
-        "StreamEngine: straggler hedging requires an uncontended topology "
-        "(a replica's input transfers are not modelled as fabric messages)");
-  // The same lifecycle every policy sees in the closed-system engine; the
-  // DAG is empty because instances only materialize as they arrive.
-  // prepare() receives the context's own cost model (topology-priced
-  // under a contended fabric), so a policy that caches the reference sees
-  // the same object SchedulerContext::cost_model() later returns.
+  EventCore core(system_, base_cost_, options_, policy, &source_, nullptr);
+  // The same lifecycle every policy sees in a closed run; the DAG is empty
+  // because instances only materialize as they arrive. prepare() receives
+  // the core's own cost model (topology-priced under a contended fabric),
+  // so a policy that caches the reference sees the same object
+  // SchedulerContext::cost_model() later returns.
   const dag::Dag no_dag;
-  Context ctx(system_, base_cost_, source_, options_, policy);
-  policy.prepare(no_dag, system_, ctx.cost_model());
-  return ctx.simulate();
+  policy.prepare(no_dag, system_, core.cost_model());
+  return core.run_open();
 }
+
+namespace detail {
+
+sim::SimResult run_closed(const dag::Dag& dag, const sim::System& system,
+                          const sim::CostModel& cost,
+                          const sim::EngineOptions& options,
+                          sim::Policy& policy) {
+  StreamOptions closed;
+  closed.record_schedules = true;
+  closed.noise = options.noise;
+  closed.hedging = options.hedging;
+  closed.sink = options.sink;
+  closed.profile = options.profile;
+  EventCore core(system, cost, closed, policy, nullptr, &dag);
+  // prepare() runs even for an empty DAG so every policy sees the same
+  // lifecycle regardless of input.
+  policy.prepare(dag, system, core.cost_model());
+  if (dag.empty()) return sim::SimResult{};
+  return core.run_closed();
+}
+
+}  // namespace detail
 
 }  // namespace apt::stream

@@ -9,46 +9,46 @@
 // judged by flow time, slowdown, throughput, utilization, and backlog
 // (sim::StreamMetrics).
 //
-// Mechanics: the engine reuses sim::Engine's hot-path design — in-place
-// ready-set removal (sim::ReadySet), a cached idle-processor list, queued
-// kernels carrying their execution time — but generalizes every per-node
-// array to global *slots* spanning the live instances, laid out as
+// One event core runs both: stream_engine.cpp holds the simulator's only
+// kernel lifecycle, and sim::Engine::run is a closed-mode run of it (one
+// borrowed DAG admitted at t = 0 as arrival 0). The core indexes every
+// per-node array by global *slot* spanning the live instances, laid out as
 // structure-of-arrays slabs (exec-time rows, min-exec tables) the
-// scheduler queries read directly. Admission resolves each kernel's costs
-// once, straight into its slots: one CostModel::exec_row_ms (a single
-// lookup-table entry for the paper's model), the row's minimum, and the
-// instance's lower bound from those minima. Only an ideal topology reads
-// per-edge transfer tables, so only it builds them. Instances share no
-// cost state: every scenario family draws a fresh kernel series per
-// instance, so a per-shape cache would never hit.
+// scheduler queries read directly; ready kernels leave the ready set in
+// place (sim::ReadySet), and the idle-processor list is cached. Admission
+// resolves each kernel's execution costs once, straight into its slots:
+// one CostModel::exec_row_ms (a single lookup-table entry for the paper's
+// model), the row's minimum, and the instance's lower bound from those
+// minima. Transfers are priced lazily from SchedulerContext::cost_model(),
+// the same path in both modes. Instances share no cost state: every
+// scenario family draws a fresh kernel series per instance, so a
+// per-shape cache would never hit.
 // A retired instance (all kernels done) releases its slot range back to a
 // free-range allocator and its per-app statistics are folded into bounded
 // aggregates, so memory is bounded by the peak number of concurrently-live
-// instances, not by the length of the run.
+// instances, not by the length of the run. Per-processor execution history
+// (recent_avg_exec_ms) keeps the most recent 1024 completions in both
+// modes, and per-kernel schedules are only retained when
+// StreamOptions::record_schedules is set.
 //
 // Policies: any *dynamic* sim::Policy runs unmodified — the scheduler
 // context exposes ready kernels (as global ids), idle processors, and cost
-// queries exactly as the closed-system engine does, and no dynamic policy
-// inspects the DAG object itself. Static policies (HEFT, PEFT, ranked APT)
-// plan from the whole DAG up front, which does not exist in an open
-// system; run() rejects them. SchedulerContext::dag() therefore throws
-// std::logic_error in stream contexts. Two further deliberate deviations
-// from sim::Engine, both documented here because they bound memory:
-// per-processor execution history (recent_avg_exec_ms) is capped at the
-// most recent 1024 completions, and per-kernel schedules are only retained
-// when StreamOptions::record_schedules is set.
+// queries exactly as a closed run does, and no dynamic policy inspects the
+// DAG object itself. Static policies (HEFT, PEFT, ranked APT) plan from
+// the whole DAG up front, which does not exist in an open system; run()
+// rejects them. SchedulerContext::dag() therefore throws std::logic_error
+// in stream contexts.
 //
 // Determinism: identical inputs give identical results. Events sharing a
 // timestamp are processed completions-first (ascending slot id), then
 // transfer deliveries, then releases, then admissions — single-arrival
 // streams therefore reproduce sim::Engine's schedule exactly.
 //
-// Communication: exactly sim::Engine's model — ideal topologies keep the
-// analytic uncontended transfer stalls, contended ones (see net/) simulate
-// per-edge messages with fair bandwidth sharing, with the links shared
-// ACROSS application instances just like the processors. Per-app transfer
-// logs are retained only under record_schedules; per-link busy/byte totals
-// always land in the metrics.
+// Communication: ideal topologies keep the analytic uncontended transfer
+// stalls, contended ones (see net/) simulate per-edge messages with fair
+// bandwidth sharing, with the links shared ACROSS application instances
+// just like the processors. Per-app transfer logs are retained only under
+// record_schedules; per-link busy/byte totals always land in the metrics.
 #pragma once
 
 #include <cstdint>
@@ -152,8 +152,6 @@ class StreamEngine {
   StreamOutcome run(sim::Policy& policy);
 
  private:
-  class Context;
-
   const sim::System& system_;
   const sim::CostModel& base_cost_;
   DagSource source_;

@@ -20,8 +20,7 @@ TEST(Apt, NameEncodesConfiguration) {
   EXPECT_EQ(Apt(4.0).name(), "APT(alpha=4.00)");
   EXPECT_EQ(Apt(AptOptions{2.0, false, false}).name(),
             "APT(alpha=2.00)[no-transfer]");
-  EXPECT_EQ(Apt(AptOptions{2.0, true, true}).name(),
-            "APT(alpha=2.00)[remaining]");
+  EXPECT_EQ(Apt(AptOptions{2.0, true, true}).name(), "APT-R(alpha=2.00)");
 }
 
 TEST(Apt, TakesTheOptimalProcessorWhenItIsIdle) {

@@ -1,4 +1,4 @@
-#include "core/apt_remaining.hpp"
+#include "core/apt.hpp"
 
 #include <gtest/gtest.h>
 
@@ -6,11 +6,17 @@
 #include "lut/paper_data.hpp"
 #include "test_helpers.hpp"
 
+// APT-R: the remaining-time extension (AptOptions::consider_remaining_time).
+
 namespace apt::core {
 namespace {
 
+/// The registry's apt-r row: APT that sends a kernel to the alternative
+/// only when that beats waiting for p_min, (remaining time on p_min) + x.
+Apt apt_r(double alpha) { return Apt(AptOptions{alpha, true, true}); }
+
 TEST(AptRemaining, NameAndConfiguration) {
-  AptRemaining policy(8.0);
+  const Apt policy = apt_r(8.0);
   EXPECT_EQ(policy.name(), "APT-R(alpha=8.00)");
   EXPECT_TRUE(policy.is_dynamic());
   EXPECT_TRUE(policy.options().consider_remaining_time);
@@ -30,7 +36,7 @@ TEST(AptRemaining, WaitsWhenTheBestProcessorFreesSoon) {
   const auto plain_result = test::run_and_validate(plain, d, sys, cost);
   EXPECT_EQ(plain_result.schedule[1].proc, 1u);
 
-  AptRemaining refined(4.0);
+  Apt refined = apt_r(4.0);
   const auto refined_result = test::run_and_validate(refined, d, sys, cost);
   EXPECT_EQ(refined_result.schedule[1].proc, 0u);
   EXPECT_DOUBLE_EQ(refined_result.makespan, 2.0);  // beats plain APT's 3.0
@@ -43,7 +49,7 @@ TEST(AptRemaining, TakesTheAlternativeWhenWaitingIsWorse) {
   d.add_node("b", 1);
   const sim::System sys = test::generic_system(2);
   sim::MatrixCostModel cost({{10.0, 30.0}, {1.0, 3.0}});
-  AptRemaining refined(4.0);
+  Apt refined = apt_r(4.0);
   const auto result = test::run_and_validate(refined, d, sys, cost);
   EXPECT_EQ(result.schedule[1].proc, 1u);
   EXPECT_TRUE(result.schedule[1].alternative);
@@ -58,7 +64,7 @@ TEST(AptRemaining, StillRespectsTheThreshold) {
   d.add_node("b", 1);
   const sim::System sys = test::generic_system(2);
   sim::MatrixCostModel cost({{100.0, 300.0}, {1.0, 5.0}});
-  AptRemaining refined(4.0);
+  Apt refined = apt_r(4.0);
   const auto result = test::run_and_validate(refined, d, sys, cost);
   EXPECT_EQ(result.schedule[1].proc, 0u);
   EXPECT_FALSE(result.schedule[1].alternative);
@@ -79,7 +85,7 @@ TEST(AptRemaining, StaysCompetitiveWithAptOnPaperWorkloads) {
   for (std::size_t i = 0; i < 10; ++i) {
     const dag::Dag graph = dag::paper_graph(dag::DfgType::Type1, i);
     Apt apt(4.0);
-    AptRemaining aptr(4.0);
+    Apt aptr = apt_r(4.0);
     apt_total += test::run_and_validate(apt, graph, sys, cost).makespan;
     aptr_total += test::run_and_validate(aptr, graph, sys, cost).makespan;
   }

@@ -378,7 +378,7 @@ TEST(Cli, PoliciesTypoGetsDidYouMean) {
 TEST(Cli, VersionPrintsBuildInfo) {
   // Both spellings, and the line must carry the git describe (never empty
   // or the literal "unknown" in a CMake build) plus the build type.
-  for (const std::string& spelling : {"--version", "version"}) {
+  for (const char* spelling : {"--version", "version"}) {
     const std::string out = ::testing::TempDir() + "/aptsim_version.txt";
     ASSERT_EQ(run_cli(spelling, out), 0) << spelling;
     const std::string text = slurp(out);

@@ -86,8 +86,9 @@ TEST(ChromeTrace, DeterministicAcrossRuns) {
 TEST(ChromeTrace, GoldenRunTraceBytes) {
   // Freezes the exact trace of the fixed-seed run. A diff here means either
   // the simulated timeline moved (the golden regression suite will say so
-  // too) or the trace encoding changed — if intentional, regenerate with:
-  //   build/aptsim run --policy apt:4 --type 1 --kernels 24 --seed 3 \
+  // too) or the trace encoding changed — if intentional, regenerate with
+  // this one command:
+  //   build/aptsim run --policy apt:4 --type 1 --kernels 24 --seed 3
   //     --topology mesh:2x2 --trace-out tests/golden/run_trace.json
   obs::ChromeTraceWriter writer{mesh_system()};
   traced_run(&writer);

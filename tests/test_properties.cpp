@@ -78,8 +78,9 @@ TEST_P(PolicyProperty, ProducesAValidSchedule) {
   EXPECT_LE(m.lambda.occurrences, graph.node_count());
 
   // Only APT-family policies may mark alternatives.
-  if (c.policy_spec.rfind("apt", 0) != 0)
+  if (c.policy_spec.rfind("apt", 0) != 0) {
     EXPECT_EQ(m.alternative_count, 0u) << c.policy_spec;
+  }
 }
 
 TEST_P(PolicyProperty, IsDeterministic) {

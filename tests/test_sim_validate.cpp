@@ -224,6 +224,12 @@ TEST(ValidateStream, RejectsReadinessBeforeArrival) {
   const OneKernelApp a(0.0, 0, 0.0, 1.0);
   const auto violations = validate_stream_schedule(sys, {a.view(10.0)});
   ASSERT_FALSE(violations.empty());
+
+  // A well-timed kernel whose recorded noise multiplier is not positive:
+  // the per-app checks are validate_schedule's, noise_mult > 0 included.
+  OneKernelApp b(0.0, 0, 0.0, 1.0);
+  b.result.schedule[0].noise_mult = 0.0;
+  EXPECT_FALSE(validate_stream_schedule(sys, {b.view(0.0)}).empty());
 }
 
 }  // namespace

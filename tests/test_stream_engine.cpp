@@ -10,6 +10,7 @@
 #include "core/policy_factory.hpp"
 #include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
+#include "reference_closed_engine.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 #include "sim/validate.hpp"
@@ -116,8 +117,12 @@ TEST(Arrivals, DeterministicClockIsExactOverLongHorizons) {
     const auto t = process.next();
     ASSERT_TRUE(t.has_value());
     if (k == kArrivals || k == 1 || k == 999) last = *t;
-    if (k == 1) EXPECT_EQ(*t, 1.0 / rate);
-    if (k == 999) EXPECT_EQ(*t, 999.0 / rate);
+    if (k == 1) {
+      EXPECT_EQ(*t, 1.0 / rate);
+    }
+    if (k == 999) {
+      EXPECT_EQ(*t, 999.0 / rate);
+    }
   }
   EXPECT_EQ(last, static_cast<double>(kArrivals) / rate);  // bitwise
 }
@@ -137,17 +142,19 @@ TEST(StreamOptions, RequiresABoundedRun) {
 
 // --- Single-arrival equivalence with the closed-system engine ----------------
 
-/// Runs `graph` through sim::Engine and as a single-arrival stream under
-/// each policy spec, and asserts the two agree bit for bit: processors,
-/// exec starts, finishes, transfer stalls and messages, makespan, and the
-/// stream's slowdown against the isolated lower bound. The recorded
-/// instance must be the source's graph itself.
+/// Runs `graph` through the frozen closed engine (test::ReferenceClosedEngine,
+/// the closed engine as it ran before it shared the stream's event core)
+/// and as a single-arrival stream under each policy spec, and asserts the
+/// two agree bit for bit: processors, exec starts, finishes, transfer
+/// stalls and messages, makespan, and the stream's slowdown against the
+/// isolated lower bound. The recorded instance must be the source's graph
+/// itself.
 void expect_single_arrival_matches_engine(
     const sim::System& system, const sim::CostModel& cost,
     const dag::Dag& graph, const std::vector<std::string>& specs) {
   for (const std::string& spec : specs) {
     const auto batch_policy = core::make_policy(spec);
-    sim::Engine engine(graph, system, cost);
+    test::ReferenceClosedEngine engine(graph, system, cost);
     const sim::SimResult batch = engine.run(*batch_policy);
 
     stream::StreamOptions opts;
