@@ -26,6 +26,9 @@ void AptRanked::prepare(const dag::Dag& dag, const sim::System& system,
 }
 
 void AptRanked::on_event(sim::SchedulerContext& ctx) {
+  // Every commit takes an idle processor, so a pass without one cannot
+  // commit, and the walk ends once the last one is taken.
+  if (ctx.idle_processors().empty()) return;
   // Serve the ready set highest-upward-rank first (ties: lower id, which
   // std::stable_sort preserves from the FIFO order).
   std::vector<dag::NodeId> ready = ctx.ready();
@@ -34,6 +37,7 @@ void AptRanked::on_event(sim::SchedulerContext& ctx) {
                      return rank_.at(a) > rank_.at(b);
                    });
   for (const dag::NodeId node : ready) {
+    if (ctx.idle_processors().empty()) return;
     if (const auto pmin = policies::idle_optimal_proc(ctx, node)) {
       ctx.assign(node, *pmin);
       continue;

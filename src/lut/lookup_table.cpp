@@ -52,27 +52,31 @@ void LookupTable::add(Entry entry) {
           "LookupTable::add: times must be positive and finite (kernel '" +
           entry.kernel + "')");
   }
-  const Key key{entry.kernel, entry.data_size};
-  if (index_.count(key) != 0)
+  if (find(entry.kernel, entry.data_size) != nullptr)
     throw std::invalid_argument("LookupTable::add: duplicate row for kernel '" +
                                 entry.kernel + "' size " +
                                 std::to_string(entry.data_size));
-  index_.emplace(key, ordered_.size());
+  index_.emplace(Key{entry.kernel, entry.data_size}, ordered_.size());
   ordered_.push_back(std::move(entry));
+}
+
+const Entry* LookupTable::find(std::string_view kernel,
+                               std::uint64_t data_size) const noexcept {
+  const auto it = index_.find(std::pair{kernel, data_size});
+  return it == index_.end() ? nullptr : &ordered_[it->second];
 }
 
 bool LookupTable::contains(const std::string& kernel,
                            std::uint64_t data_size) const {
-  return index_.count({canonical_kernel_name(kernel), data_size}) != 0;
+  return find(canonical_kernel_name(kernel), data_size) != nullptr;
 }
 
 const Entry& LookupTable::at(const std::string& kernel,
                              std::uint64_t data_size) const {
-  const auto it = index_.find({canonical_kernel_name(kernel), data_size});
-  if (it == index_.end())
-    throw std::out_of_range("LookupTable: no row for kernel '" + kernel +
-                            "' size " + std::to_string(data_size));
-  return ordered_[it->second];
+  if (const Entry* e = find(canonical_kernel_name(kernel), data_size))
+    return *e;
+  throw std::out_of_range("LookupTable: no row for kernel '" + kernel +
+                          "' size " + std::to_string(data_size));
 }
 
 double LookupTable::exec_time_ms(const std::string& kernel,

@@ -11,6 +11,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lut/proc_type.hpp"
@@ -39,6 +40,13 @@ class LookupTable {
 
   std::size_t size() const noexcept { return ordered_.size(); }
   bool empty() const noexcept { return ordered_.empty(); }
+
+  /// The row for an already-canonical kernel name (as add() and
+  /// dag::Dag::add_node store it), or null: one index probe, no
+  /// canonicalisation, no throw. Every other exact query canonicalises
+  /// its name and then calls this.
+  const Entry* find(std::string_view kernel,
+                    std::uint64_t data_size) const noexcept;
 
   bool contains(const std::string& kernel, std::uint64_t data_size) const;
 
@@ -85,8 +93,18 @@ class LookupTable {
   void save_csv_file(const std::string& path) const;
 
  private:
+  /// Orders (name, size) keys; transparent, so find() probes with a
+  /// string_view instead of building a std::string key.
+  struct KeyLess {
+    using is_transparent = void;
+    template <class L, class R>
+    bool operator()(const L& l, const R& r) const noexcept {
+      const int c = std::string_view(l.first).compare(r.first);
+      return c < 0 || (c == 0 && l.second < r.second);
+    }
+  };
   using Key = std::pair<std::string, std::uint64_t>;
-  std::map<Key, std::size_t> index_;  // -> position in ordered_
+  std::map<Key, std::size_t, KeyLess> index_;  // -> position in ordered_
   std::vector<Entry> ordered_;
 };
 

@@ -49,9 +49,11 @@ LutCostModel::LutCostModel(lut::LookupTable table, const System& system,
 const lut::Entry& LutCostModel::entry_for(const dag::Dag& dag,
                                           dag::NodeId node) const {
   const dag::Node& n = dag.node(node);
-  if (strict_ || table_.contains(n.kernel, n.data_size))
-    return table_.at(n.kernel, n.data_size);
-  return table_.nearest(n.kernel, n.data_size);
+  // dag::Dag::add_node stored the canonical name, so one raw probe is
+  // exact; only an off-grid size takes the canonicalising slow path.
+  if (const lut::Entry* e = table_.find(n.kernel, n.data_size)) return *e;
+  return strict_ ? table_.at(n.kernel, n.data_size)
+                 : table_.nearest(n.kernel, n.data_size);
 }
 
 TimeMs LutCostModel::exec_time_ms(const dag::Dag& dag, dag::NodeId node,

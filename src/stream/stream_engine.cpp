@@ -99,12 +99,13 @@ class EventCore final : public sim::SchedulerContext {
         policy_(policy),
         topology_(system.topology()),
         contended_(topology_.contended()),
+        hedging_(options.hedging.enabled),
         proc_count_(system.proc_count()),
         hedge_window_(options.hedging.window),
         sink_(options.sink),
         profile_(options.profile),
         proc_state_(system.proc_count()) {
-    if (options.hedging.enabled && contended_)
+    if (hedging_ && contended_)
       throw std::invalid_argument(
           std::string(who()) +
           ": straggler hedging requires an uncontended topology (a "
@@ -363,17 +364,27 @@ class EventCore final : public sim::SchedulerContext {
   /// only reader, AG's recent-window estimator, looks back 5 completions.
   static constexpr std::size_t kHistoryCap = 1024;
 
+  /// The per-slot state every run reads. Admission writes one per kernel,
+  /// so it stays small; hedging and the contended comm phase keep their
+  /// fields in the side tables below.
   struct NodeState {
     sim::ScheduledKernel record;  ///< record.node holds the LOCAL node id
     bool ready = false;
     bool assigned = false;
     bool done = false;
+    bool exec_started = false;   ///< computation has begun
     std::uint32_t app = kNoApp;  ///< owning slot in apps_
     std::uint32_t epoch = 0;     ///< slot reuse generation (see Event)
-    std::size_t remaining_preds = 0;
+    std::uint32_t remaining_preds = 0;
     sim::TimeMs enqueued_at = std::numeric_limits<sim::TimeMs>::quiet_NaN();
+  };
+  static_assert(sizeof(NodeState) <= 96,
+                "NodeState is the hot per-kernel state: move new fields that "
+                "only some runs read to a side table");
 
-    // --- straggler hedging (unused when hedging is disabled) ---
+  /// Straggler-hedging state of a slot; the table exists only when hedging
+  /// is on.
+  struct HedgeState {
     sim::TimeMs nominal_exec_ms = 0.0;  ///< pre-noise exec on record.proc
     bool hedged = false;           ///< a hedge decision was made (at most 1)
     bool replica_outstanding = false;  ///< replica launched, race unresolved
@@ -384,9 +395,11 @@ class EventCore final : public sim::SchedulerContext {
     sim::TimeMs replica_transfer_ms = 0.0;
     sim::TimeMs replica_finish = 0.0;
     double replica_mult = 1.0;
+  };
 
-    // --- contended-topology comm phase (unused under ideal) ---
-    bool exec_started = false;     ///< computation has begun
+  /// Contended-topology comm phase of a slot; the table exists only on a
+  /// contended fabric.
+  struct CommState {
     bool holds_proc = false;       ///< occupies its processor, maybe stalled
     std::size_t pending_msgs = 0;  ///< input messages still in flight
     sim::TimeMs occupied_at = 0.0;
@@ -459,6 +472,8 @@ class EventCore final : public sim::SchedulerContext {
     }
     const dag::NodeId base = static_cast<dag::NodeId>(node_state_.size());
     node_state_.resize(node_state_.size() + n);
+    if (hedging_) hedge_.resize(node_state_.size());
+    if (contended_) comm_.resize(node_state_.size());
     ready_.resize(node_state_.size());
     exec_slab_.resize(node_state_.size() * proc_count_, 0.0);
     min_exec_slab_.resize(node_state_.size(), 0.0);
@@ -554,8 +569,8 @@ class EventCore final : public sim::SchedulerContext {
     span.finish = ns.record.finish_time;
     span.noise_mult = ns.record.noise_mult;
     span.alternative = ns.record.alternative;
-    if (ns.hedge_idx != kNoPos)
-      span.role = app.hedges[ns.hedge_idx].replica_won
+    if (hedging_ && hedge_[slot].hedge_idx != kNoPos)
+      span.role = app.hedges[hedge_[slot].hedge_idx].replica_won
                       ? obs::SpanRole::kHedgeReplica
                       : obs::SpanRole::kHedgePrimary;
     sink_->kernel_span(span);
@@ -608,14 +623,15 @@ class EventCore final : public sim::SchedulerContext {
   /// the destination).
   void begin_comm(dag::NodeId slot, sim::ProcId proc,
                   sim::TimeMs dispatched) {
-    NodeState& ns = node_state_[slot];
+    const NodeState& ns = node_state_[slot];
     if (ns.app == kNoApp)
       throw std::logic_error(std::string(who()) +
                              ": slot has no live application");
     App& app = apps_[ns.app];
     const dag::Dag& dag = app.dag();
     const dag::NodeId local = slot - app.base;
-    ns.data_ready_at = dispatched;
+    CommState& cs = comm_[slot];
+    cs.data_ready_at = dispatched;
     for (const dag::NodeId pred : dag.predecessors(local)) {
       const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
       const net::Topology::Route route = topology_.route(rec.proc, proc);
@@ -644,7 +660,7 @@ class EventCore final : public sim::SchedulerContext {
         inflight_[tag] = InFlight{slot, kNoRecord};
       }
       tm_->start(tag, bytes, rec.proc, proc, dispatched);
-      ++ns.pending_msgs;
+      ++cs.pending_msgs;
       if (profile_) profile_->add(obs::Counter::kTransfersStarted);
     }
   }
@@ -654,7 +670,7 @@ class EventCore final : public sim::SchedulerContext {
     NodeState& ns = node_state_[slot];
     ns.exec_started = true;
     ns.record.exec_start = at;
-    ns.record.transfer_ms = at - ns.occupied_at;
+    ns.record.transfer_ms = at - comm_[slot].occupied_at;
     ns.record.finish_time = at + ns.record.exec_ms;
     events_.push(
         Event{ns.record.finish_time, slot, EventKind::kCompletion, ns.epoch});
@@ -669,16 +685,17 @@ class EventCore final : public sim::SchedulerContext {
                              ": delivery for unknown transfer");
     const InFlight flight = it->second;
     inflight_.erase(it);
-    NodeState& ns = node_state_[flight.slot];
+    const NodeState& ns = node_state_[flight.slot];
     if (flight.record != kNoRecord) {
       sim::TransferRecord& record = apps_[ns.app].transfers[flight.record];
       record.finish = now_;
       if (sink_) emit_transfer_span(record, apps_[ns.app].index);
     }
-    --ns.pending_msgs;
-    ns.data_ready_at = std::max(ns.data_ready_at, now_);
-    if (ns.pending_msgs == 0 && ns.holds_proc)
-      begin_exec(flight.slot, std::max(ns.occupied_at, ns.data_ready_at));
+    CommState& cs = comm_[flight.slot];
+    --cs.pending_msgs;
+    cs.data_ready_at = std::max(cs.data_ready_at, now_);
+    if (cs.pending_msgs == 0 && cs.holds_proc)
+      begin_exec(flight.slot, std::max(cs.occupied_at, cs.data_ready_at));
   }
 
   /// Stamps the realized execution time of `slot` on its processor: the
@@ -688,7 +705,7 @@ class EventCore final : public sim::SchedulerContext {
   /// local, so the draw is independent of slot placement, scheduling
   /// order, and --jobs, and a closed run draws instance 0.
   void stamp_exec_time(NodeState& ns, dag::NodeId slot, sim::TimeMs nominal) {
-    ns.nominal_exec_ms = nominal;
+    if (hedging_) hedge_[slot].nominal_exec_ms = nominal;
     if (options_.noise.enabled()) {
       const App& app = app_of(slot);
       ns.record.noise_mult =
@@ -712,12 +729,13 @@ class EventCore final : public sim::SchedulerContext {
       // The processor is dedicated from dispatch; computation begins when
       // the simulated input messages are all delivered.
       stamp_exec_time(ns, slot, exec_time_ms(slot, proc));
-      ns.occupied_at = dispatched;
-      ns.holds_proc = true;
+      CommState& cs = comm_[slot];
+      cs.occupied_at = dispatched;
+      cs.holds_proc = true;
       proc_state_[proc].running = slot;
       idle_dirty_ = true;
       begin_comm(slot, proc, dispatched);
-      if (ns.pending_msgs == 0) begin_exec(slot, ns.data_ready_at);
+      if (cs.pending_msgs == 0) begin_exec(slot, cs.data_ready_at);
       return;
     }
     ns.record.transfer_ms = transfer_delay(slot, proc, dispatched);
@@ -729,7 +747,7 @@ class EventCore final : public sim::SchedulerContext {
     idle_dirty_ = true;
     events_.push(
         Event{ns.record.finish_time, slot, EventKind::kCompletion, ns.epoch});
-    if (options_.hedging.enabled) schedule_hedge_check(slot);
+    if (hedging_) schedule_hedge_check(slot);
   }
 
   /// Pops queue heads onto idle processors. (Profiled as its own phase;
@@ -755,12 +773,13 @@ class EventCore final : public sim::SchedulerContext {
       // picks the kernel up now and stalls until the last one lands.
       ns.record.proc = proc;
       stamp_exec_time(ns, queued.slot, queued.exec_ms);
-      ns.occupied_at = now_;
-      ns.holds_proc = true;
+      CommState& cs = comm_[queued.slot];
+      cs.occupied_at = now_;
+      cs.holds_proc = true;
       proc_state_[proc].running = queued.slot;
       idle_dirty_ = true;
-      if (ns.pending_msgs == 0)
-        begin_exec(queued.slot, std::max(now_, ns.data_ready_at));
+      if (cs.pending_msgs == 0)
+        begin_exec(queued.slot, std::max(now_, cs.data_ready_at));
       return;
     }
     const sim::TimeMs transfer = input_transfer_ms(queued.slot, proc);
@@ -780,7 +799,7 @@ class EventCore final : public sim::SchedulerContext {
     idle_dirty_ = true;
     events_.push(Event{ns.record.finish_time, queued.slot,
                        EventKind::kCompletion, ns.epoch});
-    if (options_.hedging.enabled) schedule_hedge_check(queued.slot);
+    if (hedging_) schedule_hedge_check(queued.slot);
   }
 
   /// Transfer stall for a direct assignment, honouring the policy's
@@ -823,9 +842,10 @@ class EventCore final : public sim::SchedulerContext {
 
   void schedule_hedge_check(dag::NodeId slot) {
     const NodeState& ns = node_state_[slot];
-    events_.push(
-        Event{ns.record.exec_start + hedge_threshold_ms(ns.nominal_exec_ms),
-              slot, EventKind::kHedgeCheck, ns.epoch});
+    const sim::TimeMs threshold =
+        hedge_threshold_ms(hedge_[slot].nominal_exec_ms);
+    events_.push(Event{ns.record.exec_start + threshold, slot,
+                       EventKind::kHedgeCheck, ns.epoch});
   }
 
   /// A hedge check came due at `t`. The threshold is re-derived from the
@@ -836,15 +856,16 @@ class EventCore final : public sim::SchedulerContext {
   /// preempts or queues; a saturated platform has no spare capacity worth
   /// burning on duplicates).
   void process_hedge_check(dag::NodeId slot, sim::TimeMs t) {
-    NodeState& ns = node_state_[slot];
-    if (ns.done || ns.hedged || !ns.exec_started) return;
+    const NodeState& ns = node_state_[slot];
+    HedgeState& hs = hedge_[slot];
+    if (ns.done || hs.hedged || !ns.exec_started) return;
     const sim::TimeMs due =
-        ns.record.exec_start + hedge_threshold_ms(ns.nominal_exec_ms);
+        ns.record.exec_start + hedge_threshold_ms(hs.nominal_exec_ms);
     if (due > t) {
       events_.push(Event{due, slot, EventKind::kHedgeCheck, ns.epoch});
       return;
     }
-    ns.hedged = true;  // one decision per kernel, launched or dropped
+    hs.hedged = true;  // one decision per kernel, launched or dropped
     const std::vector<sim::ProcId>& idle = idle_processors();
     if (idle.empty()) return;
     // Fastest idle destination by NOMINAL time (the realized duration is
@@ -868,22 +889,23 @@ class EventCore final : public sim::SchedulerContext {
   /// — and draws its own noise substream (replica id 1).
   void launch_replica(dag::NodeId slot, sim::ProcId proc, sim::TimeMs nominal,
                       sim::TimeMs t) {
-    NodeState& ns = node_state_[slot];
+    const NodeState& ns = node_state_[slot];
+    HedgeState& hs = hedge_[slot];
     App& app = apps_[ns.app];
     const sim::SystemConfig& cfg = system_.config();
     const sim::TimeMs dispatched =
         t + cfg.decision_overhead_ms + cfg.dispatch_overhead_ms;
-    ns.replica_proc = proc;
-    ns.replica_transfer_ms = input_transfer_ms(slot, proc);
-    ns.replica_exec_start = dispatched + ns.replica_transfer_ms;
-    ns.replica_mult = options_.noise.enabled()
+    hs.replica_proc = proc;
+    hs.replica_transfer_ms = input_transfer_ms(slot, proc);
+    hs.replica_exec_start = dispatched + hs.replica_transfer_ms;
+    hs.replica_mult = options_.noise.enabled()
                           ? sim::noise_multiplier(options_.noise, app.index,
                                                   slot - app.base, 1)
                           : 1.0;
-    ns.replica_exec_ms = nominal * ns.replica_mult;
-    ns.replica_finish = ns.replica_exec_start + ns.replica_exec_ms;
-    ns.replica_outstanding = true;
-    ns.hedge_idx = app.hedges.size();
+    hs.replica_exec_ms = nominal * hs.replica_mult;
+    hs.replica_finish = hs.replica_exec_start + hs.replica_exec_ms;
+    hs.replica_outstanding = true;
+    hs.hedge_idx = app.hedges.size();
     sim::HedgeRecord record;
     record.node = slot - app.base;
     record.primary_proc = ns.record.proc;
@@ -894,7 +916,7 @@ class EventCore final : public sim::SchedulerContext {
     proc_state_[proc].running = slot;
     idle_dirty_ = true;
     events_.push(
-        Event{ns.replica_finish, slot, EventKind::kReplica, ns.epoch});
+        Event{hs.replica_finish, slot, EventKind::kReplica, ns.epoch});
     if (sink_) {
       obs::InstantEvent ev;
       ev.kind = obs::InstantKind::kHedgeLaunch;
@@ -927,23 +949,24 @@ class EventCore final : public sim::SchedulerContext {
   /// race — the replica is cancelled at this instant and its processor
   /// freed.
   void complete_primary(dag::NodeId slot) {
-    NodeState& ns = node_state_[slot];
+    const NodeState& ns = node_state_[slot];
     if (ns.done) return;
-    if (ns.replica_outstanding) {
-      ns.replica_outstanding = false;
-      proc_state_[ns.replica_proc].running.reset();
+    if (hedging_ && hedge_[slot].replica_outstanding) {
+      HedgeState& hs = hedge_[slot];
+      hs.replica_outstanding = false;
+      proc_state_[hs.replica_proc].running.reset();
       idle_dirty_ = true;
-      sim::HedgeRecord& h = apps_[ns.app].hedges[ns.hedge_idx];
+      sim::HedgeRecord& h = apps_[ns.app].hedges[hs.hedge_idx];
       h.replica_won = false;
       h.winner_finish_ms = ns.record.finish_time;
       h.cancelled_ms = ns.record.finish_time;
-      h.loser_start_ms = ns.replica_exec_start - ns.replica_transfer_ms;
-      account_loser(ns.replica_proc, h.loser_start_ms, ns.replica_exec_start,
+      h.loser_start_ms = hs.replica_exec_start - hs.replica_transfer_ms;
+      account_loser(hs.replica_proc, h.loser_start_ms, hs.replica_exec_start,
                     h.cancelled_ms);
       if (sink_)
-        emit_loser_span(slot, ns.replica_proc, h.loser_start_ms,
-                        ns.replica_exec_start, h.cancelled_ms,
-                        ns.replica_mult, obs::SpanRole::kHedgeReplica);
+        emit_loser_span(slot, hs.replica_proc, h.loser_start_ms,
+                        hs.replica_exec_start, h.cancelled_ms,
+                        hs.replica_mult, obs::SpanRole::kHedgeReplica);
     }
     complete_kernel(slot);
   }
@@ -954,14 +977,15 @@ class EventCore final : public sim::SchedulerContext {
   /// the winning attempt (the loser survives in the HedgeRecord).
   void complete_replica(dag::NodeId slot) {
     NodeState& ns = node_state_[slot];
-    if (ns.done || !ns.replica_outstanding) return;
-    ns.replica_outstanding = false;
+    HedgeState& hs = hedge_[slot];
+    if (ns.done || !hs.replica_outstanding) return;
+    hs.replica_outstanding = false;
     proc_state_[ns.record.proc].running.reset();
     idle_dirty_ = true;
-    sim::HedgeRecord& h = apps_[ns.app].hedges[ns.hedge_idx];
+    sim::HedgeRecord& h = apps_[ns.app].hedges[hs.hedge_idx];
     h.replica_won = true;
-    h.winner_finish_ms = ns.replica_finish;
-    h.cancelled_ms = ns.replica_finish;
+    h.winner_finish_ms = hs.replica_finish;
+    h.cancelled_ms = hs.replica_finish;
     h.loser_start_ms = ns.record.occupied_from();
     ++observation_.hedges_replica_won;
     account_loser(ns.record.proc, h.loser_start_ms, ns.record.exec_start,
@@ -972,14 +996,14 @@ class EventCore final : public sim::SchedulerContext {
       emit_loser_span(slot, ns.record.proc, h.loser_start_ms,
                       ns.record.exec_start, h.cancelled_ms,
                       ns.record.noise_mult, obs::SpanRole::kHedgePrimary);
-    ns.record.proc = ns.replica_proc;
+    ns.record.proc = hs.replica_proc;
     ns.record.assign_time =
         h.launched_ms + system_.config().decision_overhead_ms;
-    ns.record.exec_start = ns.replica_exec_start;
-    ns.record.exec_ms = ns.replica_exec_ms;
-    ns.record.transfer_ms = ns.replica_transfer_ms;
-    ns.record.finish_time = ns.replica_finish;
-    ns.record.noise_mult = ns.replica_mult;
+    ns.record.exec_start = hs.replica_exec_start;
+    ns.record.exec_ms = hs.replica_exec_ms;
+    ns.record.transfer_ms = hs.replica_transfer_ms;
+    ns.record.finish_time = hs.replica_finish;
+    ns.record.noise_mult = hs.replica_mult;
     complete_kernel(slot);
   }
 
@@ -1070,7 +1094,7 @@ class EventCore final : public sim::SchedulerContext {
     if (ps.exec_history.size() > kHistoryCap) ps.exec_history.pop_front();
     // Feed the hedging threshold: the winner's noise multiplier IS the
     // realized/nominal inflation ratio of this completion.
-    if (options_.hedging.enabled) hedge_window_.add(ns.record.noise_mult);
+    if (hedging_) hedge_window_.add(ns.record.noise_mult);
 
     // Window-clipped utilization accounting, folded in as kernels finish so
     // nothing per-kernel must be retained.
@@ -1233,7 +1257,9 @@ class EventCore final : public sim::SchedulerContext {
       ns.epoch = epoch;
       ns.record.node = local;
       ns.app = app_slot;
-      ns.remaining_preds = dag.in_degree(local);
+      ns.remaining_preds = static_cast<std::uint32_t>(dag.in_degree(local));
+      if (hedging_) hedge_[slot] = HedgeState{};
+      if (contended_) comm_[slot] = CommState{};
       if (ns.remaining_preds == 0) {
         const sim::TimeMs release = arrival_ms + dag.node(local).release_ms;
         if (release <= now_) {
@@ -1283,6 +1309,7 @@ class EventCore final : public sim::SchedulerContext {
   /// Contended-topology comm phase (tm_ engaged only when contended_).
   const net::Topology& topology_;
   const bool contended_;
+  const bool hedging_;  ///< options_.hedging.enabled
   const std::size_t proc_count_;
   /// Rolling realized/nominal inflation ratios of completed kernels — the
   /// bounded-memory sample the hedging threshold quantile is drawn from
@@ -1311,6 +1338,10 @@ class EventCore final : public sim::SchedulerContext {
 
   sim::TimeMs now_ = 0.0;
   std::vector<NodeState> node_state_;  ///< global slot arrays
+  /// Cold per-slot tables, grown with node_state_ and reset by place();
+  /// each stays empty unless its feature is on, and only then is read.
+  std::vector<HedgeState> hedge_;  ///< hedging_ only
+  std::vector<CommState> comm_;    ///< contended_ only
   std::vector<ProcState> proc_state_;
 
   // Per-slot SoA cost slabs (grown with node_state_, refilled per admit):

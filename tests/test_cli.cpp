@@ -318,23 +318,30 @@ TEST(Cli, StreamIsBitIdenticalAcrossJobCounts) {
 }
 
 TEST(Cli, StreamCsvMatchesTheGoldens) {
-  // Two frozen stream grids: noise off on the ideal paper platform, and the
-  // contended mesh:2x2 fabric. A diff means a simulated bit moved; if that
-  // is intended, regenerate with the command below and --csv <golden>.
-  const std::string flags =
-      "stream --family layered --rate 0.01 --duration 5000 --jobs 1 ";
+  // Three frozen stream grids: noise off on the ideal paper platform, the
+  // contended mesh:2x2 fabric, and noise with straggler hedging (both
+  // slices; apps are recycled while replicas race). A diff means a
+  // simulated bit moved; if that is intended, regenerate with
+  // `aptsim <flags> --csv <golden>`.
   const struct {
     const char* golden;
     const char* flags;
   } cases[] = {
-      {"stream_noise_off.csv", "--policies apt:4,met"},
+      {"stream_noise_off.csv",
+       "stream --family layered --rate 0.01 --duration 5000 --jobs 1 "
+       "--policies apt:4,met"},
       {"stream_contended.csv",
+       "stream --family layered --rate 0.01 --duration 5000 --jobs 1 "
        "--policies apt:4,met,ag,ag-net --topology mesh:2x2 --bandwidth 1 "
        "--latency 0.05"},
+      {"stream_hedging.csv",
+       "stream --family layered --kernels 12 --rate 0.0001 --duration 400000 "
+       "--jobs 1 --policies apt:4,met --noise-sigma 0.25 --tail-prob 0.05 "
+       "--hedging both"},
   };
   for (const auto& c : cases) {
     const std::string csv = ::testing::TempDir() + "/aptsim_" + c.golden;
-    ASSERT_EQ(run_cli(flags + c.flags + " --csv " + quoted(csv)), 0)
+    ASSERT_EQ(run_cli(std::string(c.flags) + " --csv " + quoted(csv)), 0)
         << c.golden;
     const std::string golden =
         slurp(std::string(APTSIM_GOLDEN_DIR) + "/" + c.golden);

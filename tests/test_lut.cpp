@@ -40,6 +40,50 @@ TEST(KernelNames, CanonicalisesTheThesisSpellings) {
   EXPECT_EQ(canonical_kernel_name("unknown thing"), "unknown thing");
 }
 
+// LutCostModel probes the table with dag::Node::kernel as stored, without
+// canonicalising it again. That probe is exact only because a canonical
+// name canonicalises to itself: every alias the mapping knows (spaced,
+// squeezed, upper-case) and every unknown name.
+TEST(KernelNames, CanonicalisationIsIdempotent) {
+  const char* const names[] = {
+      // every alias, in the squeezed form the mapping compares
+      "matrixmultiplication", "matrixmatrixmultiplication", "matmul",
+      "mat.mat.multi.", "mm", "matrixinverse", "matrixinversion", "mi",
+      "choleskydecomposition", "choleskydeco.", "choleskydecomp.", "cholesky",
+      "cd", "needlemanwunsch", "nw", "breadthfirstsearch", "bfs",
+      "specklereducinganisotropicdiffusion", "srad",
+      "gaussianelectrostaticmodel", "gem",
+      // as the thesis tables and users write them
+      "Matrix Multiplication", "Matrix-Matrix Multiplication",
+      "Mat.Mat. Multi.", "Matrix Inverse", "Matrix Inversion",
+      "Cholesky Decomposition", "Cholesky Deco.", "Cholesky_Decomp.",
+      "Needleman Wunsch", "Breadth First Search",
+      "Speckle Reducing Anisotropic Diffusion", "Gaussian Electrostatic Model",
+      " MM ", "BFS", "SRAD", "GEM",
+      // unknown names pass through trimmed and lower-cased
+      "unknown thing", "  Mixed_Case-Name  ", "K", "k", "syn0"};
+  for (const char* name : names) {
+    const std::string once = canonical_kernel_name(name);
+    EXPECT_FALSE(once.empty()) << name;
+    EXPECT_EQ(canonical_kernel_name(once), once) << name;
+  }
+}
+
+TEST(LookupTable, FindProbesTheCanonicalNameAsGiven) {
+  LookupTable t;
+  t.add(make_entry("Matrix Multiplication", 100, 1.0, 2.0, 3.0));
+  const Entry* hit = t.find("mm", 100);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit, &t.at("Matrix Multiplication", 100));
+  EXPECT_EQ(hit, &t.entries().front());
+  // No canonicalisation: other spellings miss instead of throwing.
+  EXPECT_EQ(t.find("MM", 100), nullptr);
+  EXPECT_EQ(t.find("Matrix Multiplication", 100), nullptr);
+  EXPECT_EQ(t.find("mm", 101), nullptr);
+  EXPECT_EQ(t.find("zz", 100), nullptr);
+  EXPECT_EQ(LookupTable{}.find("mm", 100), nullptr);
+}
+
 TEST(LookupTable, AddAndExactQuery) {
   LookupTable t;
   t.add(make_entry("mm", 100, 1.0, 2.0, 3.0));
@@ -76,6 +120,16 @@ TEST(LookupTable, RejectsNonPositiveTimes) {
 TEST(LookupTable, MissingRowThrows) {
   LookupTable t;
   EXPECT_THROW(t.at("mm", 100), std::out_of_range);
+  // The message names the kernel as asked, not as canonicalised.
+  t.add(make_entry("mm", 100, 1.0, 2.0, 3.0));
+  try {
+    t.at("Matrix Multiplication", 101);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(),
+                 "LookupTable: no row for kernel 'Matrix Multiplication' "
+                 "size 101");
+  }
 }
 
 TEST(LookupTable, BestProcessorAndOrdering) {

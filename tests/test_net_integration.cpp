@@ -492,5 +492,58 @@ TEST(NetIntegration, StreamLinkMetricsClipToObservationWindow) {
   EXPECT_EQ(clipped.metrics.per_link[0].transfer_count, 0u);
 }
 
+// --- slot reuse on a contended fabric ----------------------------------------
+
+// Instances arrive far apart, so each runs alone and every one after the
+// first reuses the slots of the one before. AG queues kernels behind each
+// other, so a queued kernel's inputs often land before it holds its
+// processor. Instance k must schedule exactly as in a stream where it is
+// the only non-empty arrival and its slots are fresh.
+TEST(NetIntegration, RecycledSlotsStartWithFreshCommState) {
+  const lut::LookupTable table = test_table();
+  const dag::KernelPool pool = dag::KernelPool::from_lookup_table(table);
+  const sim::System system = make_system("mesh:2x2", 1.0, 0.05);
+  const sim::LutCostModel cost(table, system);
+  constexpr std::size_t kApps = 12;
+  constexpr double kGapMs = 1e6;
+  std::vector<double> instants;
+  for (std::size_t i = 0; i < kApps; ++i)
+    instants.push_back(kGapMs * static_cast<double>(i));
+  const auto graph = [&](std::size_t index) {
+    return scenario::generate("layered", 24, 60 + index, pool);
+  };
+  const auto run = [&](const stream::DagSource& source) {
+    stream::StreamOptions options;
+    options.arrivals = stream::ArrivalSpec::trace(instants);
+    options.record_schedules = true;
+    stream::StreamEngine engine(system, cost, source, options);
+    auto policy = core::make_policy("ag");
+    return engine.run(*policy);
+  };
+  const stream::StreamOutcome all = run(graph);
+  ASSERT_EQ(all.schedules.size(), kApps);
+
+  for (std::size_t k = 0; k < kApps; ++k) {
+    const sim::SimResult& got = all.schedules[k].result;
+    // Precondition: instance k retired before the next one arrived.
+    ASSERT_LT(got.makespan, kGapMs * static_cast<double>(k + 1)) << k;
+    const stream::DagSource only_k = [&](std::size_t index) {
+      return index == k ? graph(index) : dag::Dag{};
+    };
+    const stream::StreamOutcome alone = run(only_k);
+    ASSERT_EQ(alone.schedules.size(), kApps);
+    const sim::SimResult& want = alone.schedules[k].result;
+    ASSERT_EQ(got.schedule.size(), want.schedule.size()) << k;
+    for (dag::NodeId n = 0; n < want.schedule.size(); ++n) {
+      EXPECT_EQ(got.schedule[n].proc, want.schedule[n].proc) << k;
+      EXPECT_EQ(got.schedule[n].exec_start, want.schedule[n].exec_start)
+          << k << " node " << n;
+      EXPECT_EQ(got.schedule[n].finish_time, want.schedule[n].finish_time)
+          << k << " node " << n;
+    }
+    ASSERT_EQ(got.transfers.size(), want.transfers.size()) << k;
+  }
+}
+
 }  // namespace
 }  // namespace apt

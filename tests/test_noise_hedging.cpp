@@ -316,6 +316,71 @@ TEST(StreamHedging, RecordsValidateAcrossInstances) {
     ADD_FAILURE() << v.message;
 }
 
+TEST(StreamHedging, RecycledSlotsStartWithFreshHedgeState) {
+  // Instances arrive far apart, so each runs alone and every one after the
+  // first reuses the slots of the one before. With the rolling window never
+  // trusted (min_samples out of reach) nothing else carries over between
+  // instances, so instance k must schedule exactly as in a stream where it
+  // is the only non-empty arrival and its slots are fresh.
+  const sim::System system = test::generic_system(4);
+  const sim::MatrixCostModel cost(
+      std::vector<std::vector<sim::TimeMs>>(3, {10.0, 10.0, 10.0, 10.0}));
+  constexpr std::size_t kApps = 30;
+  std::vector<double> instants;
+  for (std::size_t i = 0; i < kApps; ++i)
+    instants.push_back(10000.0 * static_cast<double>(i));
+
+  stream::StreamOptions opts;
+  opts.arrivals = stream::ArrivalSpec::trace(instants);
+  opts.record_schedules = true;
+  opts.noise.sigma = 0.1;
+  opts.noise.heavy_tail_prob = 0.4;
+  opts.noise.heavy_tail_multiplier = 25.0;
+  opts.noise.seed = 9;
+  opts.hedging.enabled = true;
+  opts.hedging.min_samples = 1000000;
+
+  const auto chain = [] {
+    dag::Dag d;
+    d.add_node("a", 1);
+    d.add_node("b", 1);
+    d.add_node("c", 1);
+    d.add_edge(0, 1);
+    d.add_edge(1, 2);
+    return d;
+  };
+  const auto run = [&](const stream::DagSource& source) {
+    stream::StreamEngine engine(system, cost, source, opts);
+    const auto policy = core::make_policy("met");
+    return engine.run(*policy);
+  };
+  const stream::StreamOutcome all = run([&](std::size_t) { return chain(); });
+  ASSERT_EQ(all.schedules.size(), kApps);
+  ASSERT_GT(all.metrics.hedges_launched, kApps / 2);
+
+  for (std::size_t k = 0; k < kApps; ++k) {
+    const stream::DagSource only_k = [&](std::size_t i) {
+      return i == k ? chain() : dag::Dag{};
+    };
+    const stream::StreamOutcome alone = run(only_k);
+    ASSERT_EQ(alone.schedules.size(), kApps);
+    const sim::SimResult& want = alone.schedules[k].result;
+    const sim::SimResult& got = all.schedules[k].result;
+    ASSERT_EQ(got.schedule.size(), want.schedule.size()) << k;
+    for (dag::NodeId n = 0; n < want.schedule.size(); ++n) {
+      EXPECT_EQ(got.schedule[n].proc, want.schedule[n].proc) << k;
+      EXPECT_EQ(got.schedule[n].finish_time, want.schedule[n].finish_time)
+          << k << " node " << n;
+    }
+    ASSERT_EQ(got.hedges.size(), want.hedges.size()) << k;
+    for (std::size_t h = 0; h < want.hedges.size(); ++h) {
+      EXPECT_EQ(got.hedges[h].node, want.hedges[h].node) << k;
+      EXPECT_EQ(got.hedges[h].replica_won, want.hedges[h].replica_won) << k;
+      EXPECT_EQ(got.hedges[h].cancelled_ms, want.hedges[h].cancelled_ms) << k;
+    }
+  }
+}
+
 TEST(StreamHedging, RejectedOnContendedTopologies) {
   sim::SystemConfig cfg = sim::SystemConfig::paper_default();
   cfg.topology = net::parse_topology_spec("mesh:2x2");

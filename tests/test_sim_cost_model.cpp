@@ -127,14 +127,73 @@ TEST(LutCostModel, StrictModeThrowsOnUnknownSize) {
   dag::Dag d;
   d.add_node("mm", 123456);  // not a measured size
   EXPECT_THROW(cost.exec_time_ms(d, 0, sys.processor(0)), std::out_of_range);
+  // The row path throws too, with LookupTable::at's message for the name
+  // as the DAG stored it.
+  d.add_node("Matrix Multiplication", 123456);  // stored as "mm"
+  std::vector<TimeMs> row(sys.proc_count());
+  try {
+    cost.exec_row_ms(d, 1, sys.processors(), row.data());
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "LookupTable: no row for kernel 'mm' size 123456");
+  }
 }
 
 TEST(LutCostModel, LenientModeFallsBackToNearestSize) {
   const System sys = test::paper_system();
-  const LutCostModel cost(lut::paper_lookup_table(), sys, /*strict=*/false);
+  const lut::LookupTable table = lut::paper_lookup_table();
+  const LutCostModel cost(table, sys, /*strict=*/false);
   dag::Dag d;
   d.add_node("mm", 260000);  // nearest measured: 250000
   EXPECT_DOUBLE_EQ(cost.exec_time_ms(d, 0, sys.processor(0)), 29.631);
+  // Every off-grid size next to every row, per processor and per row.
+  std::vector<TimeMs> row(sys.proc_count());
+  for (const lut::Entry& e : table.entries()) {
+    for (const std::uint64_t size :
+         {e.data_size + 1, e.data_size - 1, e.data_size * 3 / 2}) {
+      ASSERT_FALSE(table.contains(e.kernel, size)) << e.kernel << " " << size;
+      dag::Dag off;
+      off.add_node(e.kernel, size);
+      const lut::Entry& want = table.nearest(e.kernel, size);
+      cost.exec_row_ms(off, 0, sys.processors(), row.data());
+      for (const Processor& p : sys.processors()) {
+        EXPECT_EQ(cost.exec_time_ms(off, 0, p), want.time(p.type))
+            << e.kernel << " " << size;
+        EXPECT_EQ(row[p.id], want.time(p.type)) << e.kernel << " " << size;
+      }
+    }
+  }
+}
+
+// dag::Dag::add_node stores the canonical name and LutCostModel probes with
+// it as stored: long and mixed-case spellings must still resolve, per
+// processor and per row, to the entry LookupTable::at finds for the name
+// as written.
+TEST(LutCostModel, AliasedNamesResolveToTheCanonicalRow) {
+  const System sys = test::paper_system();
+  const lut::LookupTable table = lut::paper_lookup_table();
+  const LutCostModel cost(table, sys);
+  std::vector<TimeMs> row(sys.proc_count());
+  const auto expect_resolves = [&](const char* name, std::uint64_t size) {
+    dag::Dag d;
+    d.add_node(name, size);
+    const lut::Entry& want = table.at(name, size);
+    EXPECT_EQ(d.node(0).kernel, want.kernel) << name;
+    cost.exec_row_ms(d, 0, sys.processors(), row.data());
+    for (const Processor& p : sys.processors()) {
+      EXPECT_EQ(cost.exec_time_ms(d, 0, p), want.time(p.type)) << name;
+      EXPECT_EQ(row[p.id], want.time(p.type)) << name;
+    }
+  };
+  expect_resolves("Matrix Multiplication", 16000000);
+  expect_resolves(" MM ", 250000);
+  expect_resolves("Matrix-Matrix Multiplication", 64000000);
+  expect_resolves("Cholesky Decomposition", 1000000);
+  expect_resolves("Matrix Inverse", 698896);
+  expect_resolves("Needleman Wunsch", 16777216);
+  expect_resolves("BFS", 2034736);
+  expect_resolves("SRAD", 134217728);
+  expect_resolves("Gem", 2070376);
 }
 
 TEST(LutCostModel, TransferUsesProducerSizeAndLinkRate) {
