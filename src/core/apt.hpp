@@ -73,12 +73,17 @@ class Apt : public sim::Policy {
 
   const AptOptions& options() const noexcept { return options_; }
 
- private:
+ protected:
   /// Algorithm 1 for one ready kernel; true when it was assigned.
   bool decide(sim::SchedulerContext& ctx, dag::NodeId node);
   /// Whether decide() could ever pick `proc` for `node` (the index filter).
   bool admits(const sim::SchedulerContext& ctx, dag::NodeId node,
               sim::ProcId proc);
+
+  /// Ready kernels filed under the processors admits() accepts.
+  policies::ReadyIndex index_;
+
+ private:
   /// m_q, computed on first use in a run.
   double quantile_mult(const sim::SchedulerContext& ctx);
 
@@ -88,9 +93,6 @@ class Apt : public sim::Policy {
   /// the spec is fixed per run, so the bisection runs once. Reset by
   /// prepare(), filled lazily from the first on_event's context.
   std::optional<double> quantile_mult_;
-
-  /// Ready kernels filed under the processors admits() accepts.
-  policies::ReadyIndex index_;
 };
 
 }  // namespace apt::core

@@ -7,7 +7,13 @@
 // are contested. APT-Ranked computes HEFT upward ranks once up front
 // (making it semi-static: it needs the whole DAG, but keeps APT's cheap
 // per-event decisions) and offers contested processors to the
-// highest-rank ready kernel first. Threshold semantics are unchanged.
+// highest-rank ready kernel first, ready order among equal ranks.
+//
+// The per-kernel decision is Apt's with default options (m_q = 1,
+// stall-priced transfers), so threshold semantics are unchanged. The pass
+// runs on Apt's ready index keyed by rank: a kernel's rank is fixed when it
+// becomes ready, so a pass files only the new kernels and visits only those
+// an idle processor could take, instead of sorting the whole ready set.
 #pragma once
 
 #include <vector>
@@ -16,9 +22,9 @@
 
 namespace apt::core {
 
-class AptRanked final : public sim::Policy {
+class AptRanked final : public Apt {
  public:
-  explicit AptRanked(double alpha = 4.0);
+  explicit AptRanked(double alpha = 4.0) : Apt(alpha) {}
 
   std::string name() const override;
 
@@ -35,11 +41,10 @@ class AptRanked final : public sim::Policy {
                const sim::CostModel& cost) override;
   void on_event(sim::SchedulerContext& ctx) override;
 
-  double alpha() const noexcept { return alpha_; }
+  double alpha() const noexcept { return options().alpha; }
   const std::vector<double>& ranks() const noexcept { return rank_; }
 
  private:
-  double alpha_;
   std::vector<double> rank_;  ///< HEFT upward rank per node
 };
 

@@ -96,7 +96,7 @@ const std::vector<Entry>& registry() {
                  }});
     t.push_back({{"apt-ranked", {"aptranked"}, "apt-ranked[:alpha]",
                   "APT serving the ready set in HEFT upward-rank order",
-                  true},
+                  false},
                  "alpha",
                  {},
                  [alpha_of](const std::string& arg) {

@@ -12,6 +12,8 @@ const char* to_string(Counter counter) noexcept {
       return "ready_marked";
     case Counter::kReadyCompactions:
       return "ready_compactions";
+    case Counter::kReadyEntriesMoved:
+      return "ready_entries_moved";
     case Counter::kEventsProcessed:
       return "events_processed";
     case Counter::kHedgeChecks:

@@ -19,6 +19,7 @@
 #include "sim/noise.hpp"
 #include "sim/system.hpp"
 #include "sim/transfer_estimate.hpp"
+#include "util/contracts.hpp"
 
 namespace apt::sim {
 
@@ -30,6 +31,19 @@ enum class TransferSemantics {
   /// Data was already in flight since each predecessor finished (static
   /// policies: destinations are known up front — classic HEFT semantics).
   Prefetched,
+};
+
+/// A read-only run of ready kernels, [begin(), end()): a slice of the ready
+/// set (SchedulerContext::ready_from).
+struct ReadyRange {
+  const dag::NodeId* first = nullptr;
+  const dag::NodeId* last = nullptr;
+
+  const dag::NodeId* begin() const noexcept { return first; }
+  const dag::NodeId* end() const noexcept { return last; }
+  std::size_t size() const noexcept {
+    return static_cast<std::size_t>(last - first);
+  }
 };
 
 /// View of the running simulation offered to a policy, plus the two actions
@@ -46,13 +60,31 @@ class SchedulerContext {
 
   /// Ready, not-yet-assigned kernels in arrival (FIFO) order: the set I.
   ///
-  /// Contract, which the FIFO policies' incremental index relies on
+  /// Contract, which the incremental ready index relies on
   /// (policies::ReadyIndex): between two reads, a kernel leaves the set
   /// only through this context's assign() or enqueue(), and kernels that
   /// became ready are appended at the back. Removal keeps the survivors'
   /// order. So a policy that counts its own commits knows that everything
   /// past the survivors it has already seen is new.
+  ///
+  /// Reading the whole set is the expensive way to learn that. In the
+  /// engines' event core the first ready() read of a run switches its ready
+  /// set to in-place removal for the rest of the run (sim::ReadySet), so a
+  /// policy that only needs the new kernels should call ready_from().
   virtual const std::vector<dag::NodeId>& ready() const = 0;
+
+  /// ready()[first, end) as a pointer range, valid until the next
+  /// assign()/enqueue(). Under the ready() contract, a policy that passes
+  /// the number of kernels it has seen and not yet committed gets exactly
+  /// the kernels that became ready since its last pass; the event core
+  /// then answers from the back of its ready set, without compacting it.
+  /// The default slices ready().
+  virtual ReadyRange ready_from(std::size_t first) const {
+    const std::vector<dag::NodeId>& all = ready();
+    APT_ASSERT(first <= all.size(), "ready_from(%zu) of %zu ready kernels",
+               first, all.size());
+    return {all.data() + first, all.data() + all.size()};
+  }
 
   /// True when the processor is neither executing nor holding queued work:
   /// membership in the available set A.

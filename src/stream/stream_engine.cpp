@@ -182,6 +182,10 @@ class EventCore final : public sim::SchedulerContext {
     return ready_.nodes();
   }
 
+  sim::ReadyRange ready_from(std::size_t first) const override {
+    return ready_.tail(first);
+  }
+
   bool is_idle(sim::ProcId proc) const override {
     const ProcState& ps = proc_state_.at(proc);
     return !ps.running.has_value() && ps.queue.empty();
@@ -500,7 +504,7 @@ class EventCore final : public sim::SchedulerContext {
     }
   }
 
-  // --- ready-set bookkeeping (in-place sim::ReadySet) -----------------------
+  // --- ready-set bookkeeping (sim::ReadySet) ---------------------------------
 
   void mark_ready(dag::NodeId slot) {
     if (profile_) profile_->add(obs::Counter::kReadyMarked);
@@ -1011,18 +1015,28 @@ class EventCore final : public sim::SchedulerContext {
 
   /// Alternates policy passes and event instants. An open run ends at
   /// quiescence (dead hedge events and pending arrivals still advance the
-  /// clock); a closed run ends the moment its instance retires.
+  /// clock); a closed run ends the moment its instance retires. The ready
+  /// set's dead entries are squeezed out after a pass that leaves more of
+  /// them than live ones, and booked with that pass.
   void simulate() {
     for (;;) {
       {
         obs::ScopedTimer timer(profile_, obs::Timer::kPolicyPass);
         policy_.on_event(*this);
+        if (ready_.compaction_due()) ready_.compact();
       }
       if (profile_) profile_->add(obs::Counter::kPolicyPasses);
       drain_queues();
       const bool quiescent = events_.empty() && releases_.empty() &&
                              !next_arrival_ && !(tm_ && tm_->busy());
-      if (live_count_ == 0 && (quiescent || closed_)) break;
+      if (live_count_ == 0 && (quiescent || closed_)) {
+        if (profile_) {
+          profile_->add(obs::Counter::kReadyCompactions, ready_.compactions());
+          profile_->add(obs::Counter::kReadyEntriesMoved,
+                        ready_.entries_moved());
+        }
+        break;
+      }
       if (quiescent) {
         throw std::logic_error(std::string(who()) + ": policy '" +
                                policy_.name() +
@@ -1357,8 +1371,9 @@ class EventCore final : public sim::SchedulerContext {
   std::vector<std::uint32_t> free_app_slots_;
   std::size_t live_count_ = 0;
 
-  /// Ready slots in arrival order; committed slots leave in place.
-  sim::ReadySet ready_;
+  /// Ready slots in arrival order. Mutable because the first ready() read
+  /// switches it to in-place removal.
+  mutable sim::ReadySet ready_;
 
   /// Cached available set, rebuilt on demand after processor-state changes.
   mutable std::vector<sim::ProcId> idle_cache_;

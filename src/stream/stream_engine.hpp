@@ -14,8 +14,9 @@
 // borrowed DAG admitted at t = 0 as arrival 0). The core indexes every
 // per-node array by global *slot* spanning the live instances, laid out as
 // structure-of-arrays slabs (exec-time rows, min-exec tables) the
-// scheduler queries read directly; ready kernels leave the ready set in
-// place (sim::ReadySet), and the idle-processor list is cached. Admission
+// scheduler queries read directly; a committed kernel leaves the ready set
+// as a tombstone, or in place once the policy reads the whole set
+// (sim::ReadySet), and the idle-processor list is cached. Admission
 // resolves each kernel's execution costs once, straight into its slots:
 // one CostModel::exec_row_ms (a single lookup-table entry for the paper's
 // model), the row's minimum, and the instance's lower bound from those

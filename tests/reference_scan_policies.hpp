@@ -1,14 +1,18 @@
 // Test-only reference policies: MET and APT as full FIFO scans over the
-// ready set, the way both policies ran before policies::ReadyIndex. The
+// ready set, the way both policies ran before policies::ReadyIndex, and
+// APT-Ranked as the sorted scan it ran before it moved onto the index. The
 // scans below are the old on_event bodies word for word; the equivalence
 // suite asserts the indexed policies reproduce them bit for bit.
 #pragma once
 
+#include <algorithm>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "core/apt.hpp"
+#include "policies/heft.hpp"
 #include "policies/selection.hpp"
 #include "sim/policy.hpp"
 
@@ -117,6 +121,63 @@ class ReferenceApt final : public sim::Policy {
  private:
   core::AptOptions options_;
   std::optional<double> quantile_mult_;
+};
+
+/// core::AptRanked as a full scan of the ready set sorted by upward rank.
+class ReferenceAptRanked final : public sim::Policy {
+ public:
+  explicit ReferenceAptRanked(double alpha) : alpha_(alpha) {
+    if (!(alpha_ >= 1.0))
+      throw std::invalid_argument("AptRanked: alpha must be >= 1");
+  }
+
+  std::string name() const override { return "reference-APT-Ranked"; }
+  bool is_dynamic() const override { return false; }
+  sim::TransferSemantics transfer_semantics() const override {
+    return sim::TransferSemantics::AtAssignment;
+  }
+
+  void prepare(const dag::Dag& dag, const sim::System& system,
+               const sim::CostModel& cost) override {
+    rank_ = policies::heft_upward_ranks(dag, system, cost);
+  }
+
+  void on_event(sim::SchedulerContext& ctx) override {
+    // Every commit takes an idle processor, so a pass without one cannot
+    // commit, and the walk ends once the last one is taken.
+    if (ctx.idle_processors().empty()) return;
+    // Serve the ready set highest-upward-rank first (ties: lower id, which
+    // std::stable_sort preserves from the FIFO order).
+    std::vector<dag::NodeId> ready = ctx.ready();
+    std::stable_sort(ready.begin(), ready.end(),
+                     [this](dag::NodeId a, dag::NodeId b) {
+                       return rank_.at(a) > rank_.at(b);
+                     });
+    for (const dag::NodeId node : ready) {
+      if (ctx.idle_processors().empty()) return;
+      if (const auto pmin = policies::idle_optimal_proc(ctx, node)) {
+        ctx.assign(node, *pmin);
+        continue;
+      }
+      const sim::TimeMs x = policies::min_exec_time_ms(ctx, node);
+      const sim::TimeMs threshold = alpha_ * x;
+      std::optional<sim::ProcId> alt;
+      sim::TimeMs alt_cost = std::numeric_limits<sim::TimeMs>::infinity();
+      for (const sim::ProcId proc : ctx.idle_processors()) {
+        const sim::TimeMs cost = ctx.exec_time_ms(node, proc) +
+                                 ctx.transfer_estimate(node, proc).stall_ms;
+        if (cost <= threshold && cost < alt_cost) {
+          alt = proc;
+          alt_cost = cost;
+        }
+      }
+      if (alt) ctx.assign(node, *alt, /*alternative=*/true);
+    }
+  }
+
+ private:
+  double alpha_;
+  std::vector<double> rank_;  ///< HEFT upward rank per node
 };
 
 }  // namespace apt::test

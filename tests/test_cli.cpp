@@ -317,12 +317,13 @@ TEST(Cli, StreamIsBitIdenticalAcrossJobCounts) {
     std::filesystem::remove(f);
 }
 
-TEST(Cli, StreamCsvMatchesTheGoldens) {
+TEST(Cli, CsvMatchesTheGoldens) {
   // Three frozen stream grids: noise off on the ideal paper platform, the
   // contended mesh:2x2 fabric, and noise with straggler hedging (both
-  // slices; apps are recycled while replicas race). A diff means a
-  // simulated bit moved; if that is intended, regenerate with
-  // `aptsim <flags> --csv <golden>`.
+  // slices; apps are recycled while replicas race). Then a closed sweep,
+  // the one golden that covers APT-Ranked, next to APT, MET and HEFT on
+  // the ideal and bus fabrics. A diff means a simulated bit moved; if
+  // that is intended, regenerate with `aptsim <flags> --csv <golden>`.
   const struct {
     const char* golden;
     const char* flags;
@@ -338,6 +339,10 @@ TEST(Cli, StreamCsvMatchesTheGoldens) {
        "stream --family layered --kernels 12 --rate 0.0001 --duration 400000 "
        "--jobs 1 --policies apt:4,met --noise-sigma 0.25 --tail-prob 0.05 "
        "--hedging both"},
+      {"sweep_ranked.csv",
+       "sweep --family type1,type2,layered --graphs 3 --kernels 46,157 "
+       "--policies apt-ranked:1,apt-ranked:4,apt-ranked:1e6,apt:4,met,heft "
+       "--topology ideal,bus --jobs 1"},
   };
   for (const auto& c : cases) {
     const std::string csv = ::testing::TempDir() + "/aptsim_" + c.golden;

@@ -1,6 +1,7 @@
-// src/obs profiling: registry behaviour, scoped timers, and — the contract
-// that matters — inertness: attaching a Profile (or a TraceSink) to either
-// engine leaves every simulated bit identical.
+// src/obs profiling: registry behaviour, scoped timers, inertness —
+// attaching a Profile (or a TraceSink) to either engine leaves every
+// simulated bit identical — and the ready-set work gate, which bounds an
+// exact counter per commit.
 #include "obs/profile.hpp"
 
 #include <gtest/gtest.h>
@@ -195,6 +196,48 @@ TEST(Profile, StreamSnapshotLandsInEveryCellsMetrics) {
     }
     EXPECT_EQ(arrivals, cell.metrics.apps_arrived);
     EXPECT_EQ(retirements, cell.metrics.apps_completed);
+  }
+}
+
+// --- ready-set work gate -----------------------------------------------------
+
+std::uint64_t counter(const obs::ProfileSnapshot& snap, const char* name) {
+  for (const auto& c : snap.counters)
+    if (c.name == name) return c.count;
+  return 0;
+}
+
+TEST(Profile, ReadySetWorkPerCommitIsFlatInTheBacklog) {
+  // The type1 burst of `aptsim stream --family type1 --rate 0.005
+  // --duration 0 --warmup 0 --max-apps N`: every app arrives long before
+  // the first ones finish, so the ready set holds thousands of kernels at
+  // N = 960. MET and APT only read the new tail of the ready set, so
+  // removal leaves tombstones and compaction is amortized over the commits
+  // that left them: it moves fewer entries than there are commits. Shifting
+  // the survivors on every commit instead moves O(ready) entries each.
+  // The counts are exact, so the bound needs no timing or baseline.
+  constexpr double kMaxMovedPerCommit = 2.0;
+  for (const std::size_t max_apps : {120u, 960u}) {
+    core::StreamPlan plan;
+    plan.families = {"type1"};
+    plan.rates_per_ms = {0.005};
+    plan.policy_specs = {"met", "apt:4"};
+    plan.max_apps = max_apps;
+    plan.horizon_ms = 0.0;
+    plan.warmup_ms = 0.0;
+    plan.profile = true;
+    const core::StreamBatchResult result =
+        core::run_stream_plan(plan, core::BatchRunner(2));
+    for (const core::StreamCellResult& cell : result.cells) {
+      const obs::ProfileSnapshot& snap = cell.metrics.profile;
+      const std::uint64_t commits = counter(snap, "policy_decisions");
+      const std::uint64_t moved = counter(snap, "ready_entries_moved");
+      ASSERT_EQ(commits, cell.metrics.kernels_completed) << cell.policy_spec;
+      EXPECT_LT(static_cast<double>(moved),
+                kMaxMovedPerCommit * static_cast<double>(commits))
+          << cell.policy_spec << " at max_apps " << max_apps << ": " << moved
+          << " entries moved for " << commits << " commits";
+    }
   }
 }
 

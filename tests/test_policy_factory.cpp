@@ -52,6 +52,13 @@ TEST(PolicyFactory, DynamicAndStaticClassification) {
   EXPECT_FALSE(make_policy("peft")->is_dynamic());
 }
 
+TEST(PolicyFactory, RegistryClassificationMatchesEveryPolicy) {
+  // `aptsim policies` and the README print the row's flag; the stream
+  // engine trusts the policy's own is_dynamic().
+  for (const PolicyInfo& info : policy_registry())
+    EXPECT_EQ(info.dynamic, make_policy(info.head)->is_dynamic()) << info.head;
+}
+
 TEST(PolicyFactory, PaperPolicySetHasSevenColumns) {
   const auto set = paper_policy_set(4.0);
   ASSERT_EQ(set.size(), 7u);

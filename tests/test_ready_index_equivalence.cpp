@@ -1,10 +1,12 @@
-// The indexed MET/APT dispatch (policies::ReadyIndex) against the FIFO
-// scans it replaced (reference_scan_policies.hpp). Every schedule record,
-// fabric message, hedge, and stream metric must match bit for bit, over
-// the grid
+// The indexed MET/APT/APT-Ranked dispatch (policies::ReadyIndex) against
+// the scans it replaced (reference_scan_policies.hpp). Every schedule
+// record, fabric message, hedge, and stream metric must match bit for bit,
+// over the grid
 //
 //   policies    met, apt:1, apt:4, apt:1e6, apt-c, apt-q, apt-r, and APT
-//               without transfer pricing
+//               without transfer pricing; apt-ranked:1, apt-ranked:4 and
+//               apt-ranked:1e6 in the closed engine only (it plans from
+//               the whole DAG, so the stream engine rejects it)
 //   topologies  ideal, ring:6, mesh:2x3 (six processors, 1 GB/s links)
 //   noise       off everywhere, plus noise with hedging on the ideal one
 //   engines     sim::Engine on paper graphs with release offsets, and a
@@ -12,9 +14,11 @@
 //               slot ranges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/apt.hpp"
@@ -22,6 +26,8 @@
 #include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
 #include "net/topology.hpp"
+#include "policies/heft.hpp"
+#include "policies/ready_index.hpp"
 #include "reference_scan_policies.hpp"
 #include "sim/engine.hpp"
 #include "stream/stream_engine.hpp"
@@ -43,7 +49,8 @@ core::AptOptions apt_options(double alpha) {
   return options;
 }
 
-std::vector<Variant> variants() {
+/// The grid's policies; `closed` adds the ones only a closed run accepts.
+std::vector<Variant> variants(bool closed) {
   const auto registered = [](const std::string& spec,
                              const core::AptOptions& options) {
     return Variant{spec, [spec] { return core::make_policy(spec); },
@@ -74,6 +81,15 @@ std::vector<Variant> variants() {
                   [blind] {
                     return std::make_unique<test::ReferenceApt>(blind);
                   }});
+  if (!closed) return grid;
+  const std::pair<std::string, double> ranked[] = {
+      {"apt-ranked:1", 1.0}, {"apt-ranked:4", 4.0}, {"apt-ranked:1e6", 1e6}};
+  for (const auto& [spec, alpha] : ranked) {
+    grid.push_back({spec, [spec = spec] { return core::make_policy(spec); },
+                    [alpha = alpha] {
+                      return std::make_unique<test::ReferenceAptRanked>(alpha);
+                    }});
+  }
   return grid;
 }
 
@@ -241,7 +257,7 @@ std::size_t check_closed(const std::string& topology,
   const std::vector<dag::Dag> graphs = closed_workload();
   std::size_t alternatives = 0;
   std::size_t hedges = 0;
-  for (const Variant& v : variants()) {
+  for (const Variant& v : variants(/*closed=*/true)) {
     for (std::size_t g = 0; g < graphs.size(); ++g) {
       const std::string where =
           topology + "/" + v.label + "/graph " + std::to_string(g);
@@ -281,6 +297,93 @@ TEST(ReadyIndexEquivalence, ClosedEngineNoiseAndHedging) {
   EXPECT_GT(check_closed("ideal", options), 0u);
 }
 
+// --- rejected visits -----------------------------------------------------------
+
+/// A decision that declines kernels it is offered, so the index must set
+/// them aside and file them again (APT-Ranked's filter is exact, so it
+/// never does): every third kernel takes a processor only while at least
+/// two are idle. It takes the lowest idle one.
+bool picky_decide(sim::SchedulerContext& ctx, dag::NodeId node) {
+  const std::vector<sim::ProcId>& idle = ctx.idle_processors();
+  if (node % 3 == 0 && idle.size() < 2) return false;
+  ctx.assign(node, idle.front());
+  return true;
+}
+
+/// picky_decide over ReadyIndex, in FIFO or highest-upward-rank order.
+class IndexedPicky final : public sim::Policy {
+ public:
+  explicit IndexedPicky(bool ranked) : ranked_(ranked) {}
+  std::string name() const override { return "indexed-picky"; }
+  bool is_dynamic() const override { return true; }
+  void prepare(const dag::Dag& dag, const sim::System& system,
+               const sim::CostModel& cost) override {
+    index_.reset(system.proc_count());
+    rank_ = policies::heft_upward_ranks(dag, system, cost);
+  }
+  void on_event(sim::SchedulerContext& ctx) override {
+    const auto admits = [](dag::NodeId, sim::ProcId) { return true; };
+    const auto decide = [&ctx](dag::NodeId n) { return picky_decide(ctx, n); };
+    if (ranked_) {
+      index_.pass(ctx, admits, decide,
+                  [this](dag::NodeId n) { return rank_.at(n); });
+    } else {
+      index_.pass(ctx, admits, decide);
+    }
+  }
+
+ private:
+  bool ranked_;
+  policies::ReadyIndex index_;
+  std::vector<double> rank_;
+};
+
+/// picky_decide as a scan of the ready set, stable-sorted by rank when
+/// `ranked`.
+class ScannedPicky final : public sim::Policy {
+ public:
+  explicit ScannedPicky(bool ranked) : ranked_(ranked) {}
+  std::string name() const override { return "scanned-picky"; }
+  bool is_dynamic() const override { return true; }
+  void prepare(const dag::Dag& dag, const sim::System& system,
+               const sim::CostModel& cost) override {
+    rank_ = policies::heft_upward_ranks(dag, system, cost);
+  }
+  void on_event(sim::SchedulerContext& ctx) override {
+    std::vector<dag::NodeId> ready = ctx.ready();
+    if (ranked_) {
+      std::stable_sort(ready.begin(), ready.end(),
+                       [this](dag::NodeId a, dag::NodeId b) {
+                         return rank_.at(a) > rank_.at(b);
+                       });
+    }
+    for (const dag::NodeId node : ready) {
+      if (ctx.idle_processors().empty()) return;
+      picky_decide(ctx, node);
+    }
+  }
+
+ private:
+  bool ranked_;
+  std::vector<double> rank_;
+};
+
+TEST(ReadyIndexEquivalence, RejectedVisitsAreFiledAgain) {
+  const sim::System system = six_proc_system("ideal");
+  const sim::LutCostModel cost(lut::paper_lookup_table(), system);
+  const std::vector<dag::Dag> graphs = closed_workload();
+  for (const bool ranked : {false, true}) {
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+      const std::string where = std::string(ranked ? "ranked" : "fifo") +
+                                "/graph " + std::to_string(g);
+      IndexedPicky indexed(ranked);
+      ScannedPicky scanned(ranked);
+      expect_same(sim::Engine(graphs[g], system, cost).run(indexed),
+                  sim::Engine(graphs[g], system, cost).run(scanned), where);
+    }
+  }
+}
+
 // --- stream engine -----------------------------------------------------------
 
 /// A saturated burst of paper graphs of mixed types and sizes (the ready
@@ -309,7 +412,7 @@ std::size_t check_stream(const std::string& topology,
   const sim::System system = six_proc_system(topology);
   const sim::LutCostModel cost(lut::paper_lookup_table(), system);
   std::size_t hedges = 0;
-  for (const Variant& v : variants()) {
+  for (const Variant& v : variants(/*closed=*/false)) {
     const std::string where = topology + "/" + v.label;
     const auto indexed = v.indexed();
     const auto reference = v.reference();
