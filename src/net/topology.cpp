@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -43,10 +44,14 @@ std::string TopologySpec::label() const {
 }
 
 void TopologySpec::validate() const {
-  if (bandwidth_gbps < 0.0)
-    throw std::invalid_argument("TopologySpec: bandwidth must be >= 0");
-  if (latency_ms < 0.0)
-    throw std::invalid_argument("TopologySpec: latency must be >= 0");
+  // NaN passes a plain `< 0` test; a NaN or infinite latency never lets a
+  // message activate.
+  if (!std::isfinite(bandwidth_gbps) || bandwidth_gbps < 0.0)
+    throw std::invalid_argument(
+        "TopologySpec: bandwidth must be finite and >= 0");
+  if (!std::isfinite(latency_ms) || latency_ms < 0.0)
+    throw std::invalid_argument(
+        "TopologySpec: latency must be finite and >= 0");
   if (kind == TopologyKind::Hierarchical && socket_size == 0)
     throw std::invalid_argument("TopologySpec: socket size must be >= 1");
   if (kind == TopologyKind::Mesh && (mesh_rows == 0 || mesh_cols == 0))
@@ -172,6 +177,9 @@ Topology::Topology(const TopologySpec& spec, std::size_t proc_count,
   const std::size_t p = proc_count_;
   route_begin_.assign(p * p, 0);
   route_hops_.assign(p * p, 0);
+  route_latency_ms_.assign(p * p, 0.0);
+  route_bandwidth_gbps_.assign(p * p, 0.0);
+  route_bottleneck_.assign(p * p, kNoLink);
 
   if (spec_.kind == TopologyKind::Bus) {
     std::vector<LinkId> link_of(p * p, kNoLink);
@@ -432,24 +440,39 @@ void Topology::build_fattree() {
   flatten_routes(std::move(routes));
 }
 
+/// Also fills the per-pair head latency (summed per hop in route order)
+/// and bottleneck tables from the per-link values.
 void Topology::flatten_routes(std::vector<std::vector<LinkId>> routes) {
   std::size_t total = 0;
   for (const auto& r : routes) total += r.size();
   route_data_.reserve(total);
   for (std::size_t pair = 0; pair < routes.size(); ++pair) {
+    const std::vector<LinkId>& r = routes[pair];
     route_begin_[pair] = static_cast<std::uint32_t>(route_data_.size());
-    route_hops_[pair] = static_cast<std::uint32_t>(routes[pair].size());
-    diameter_hops_ = std::max<std::size_t>(diameter_hops_, routes[pair].size());
-    route_data_.insert(route_data_.end(), routes[pair].begin(),
-                       routes[pair].end());
+    route_hops_[pair] = static_cast<std::uint32_t>(r.size());
+    diameter_hops_ = std::max<std::size_t>(diameter_hops_, r.size());
+    route_data_.insert(route_data_.end(), r.begin(), r.end());
+    if (r.empty()) continue;
+    TimeMs latency = 0.0;
+    LinkId bottleneck = r[0];
+    for (const LinkId l : r) {
+      latency += latency_ms(l);
+      if (bandwidth_gbps(l) < bandwidth_gbps(bottleneck)) bottleneck = l;
+    }
+    route_latency_ms_[pair] = latency;
+    route_bandwidth_gbps_[pair] = bandwidth_gbps(bottleneck);
+    route_bottleneck_[pair] = bottleneck;
   }
 }
 
-Topology::Route Topology::route(ProcId from, ProcId to) const {
+std::size_t Topology::pair_index(ProcId from, ProcId to) const {
   if (from >= proc_count_ || to >= proc_count_)
     throw std::out_of_range("Topology: processor id out of range");
-  const std::size_t pair = static_cast<std::size_t>(from) * proc_count_ + to;
-  if (route_hops_.empty()) return Route{};  // ideal: no tables at all
+  return static_cast<std::size_t>(from) * proc_count_ + to;
+}
+
+Topology::Route Topology::route(ProcId from, ProcId to) const {
+  const std::size_t pair = pair_index(from, to);
   return Route{route_data_.data() + route_begin_[pair], route_hops_[pair]};
 }
 
@@ -482,39 +505,22 @@ std::string Topology::link_name(LinkId link) const {
 }
 
 TimeMs Topology::route_latency_ms(ProcId from, ProcId to) const {
-  const Route r = route(from, to);
-  if (r.empty()) return 0.0;
-  // Uniform per-link latency today; summed per hop so per-link values can
-  // become heterogeneous without touching callers.
-  TimeMs latency = 0.0;
-  for (const LinkId l : r) latency += latency_ms(l);
-  return latency;
+  return route_latency_ms_[pair_index(from, to)];
 }
 
 LinkId Topology::bottleneck_link(ProcId from, ProcId to) const {
-  const Route r = route(from, to);
-  if (r.empty()) return kNoLink;
-  // Same convention as transfer_time_ms: minimum-bandwidth hop, earliest
-  // in traversal order on ties.
-  LinkId best = r[0];
-  for (const LinkId l : r)
-    if (bandwidth_gbps(l) < bandwidth_gbps(best)) best = l;
-  return best;
+  return route_bottleneck_[pair_index(from, to)];
 }
 
 TimeMs Topology::transfer_time_ms(double bytes, ProcId from, ProcId to) const {
-  if (bytes < 0.0)
-    throw std::invalid_argument("Topology: negative byte count");
-  const Route r = route(from, to);
-  if (r.empty()) return 0.0;
-  TimeMs latency = 0.0;
-  double bottleneck = bandwidth_gbps(r[0]);
-  for (const LinkId l : r) {
-    latency += latency_ms(l);
-    bottleneck = std::min(bottleneck, bandwidth_gbps(l));
-  }
+  if (!std::isfinite(bytes) || bytes < 0.0)
+    throw std::invalid_argument(
+        "Topology: byte count must be finite and >= 0");
+  const std::size_t pair = pair_index(from, to);
+  if (route_hops_[pair] == 0) return 0.0;
   // GB/s == bytes/ns; ms = bytes / (rate_GBps * 1e6).
-  return latency + bytes / (bottleneck * 1e6);
+  return route_latency_ms_[pair] +
+         bytes / (route_bandwidth_gbps_[pair] * 1e6);
 }
 
 }  // namespace apt::net

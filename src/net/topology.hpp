@@ -87,8 +87,9 @@ struct TopologySpec {
   /// "fattree2". Round-trips through parse_topology_spec().
   std::string label() const;
 
-  /// Throws std::invalid_argument on negative knobs or malformed shape
-  /// parameters (zero socket/ring size, zero mesh dimension, arity < 2).
+  /// Throws std::invalid_argument on negative or non-finite knobs or
+  /// malformed shape parameters (zero socket/ring size, zero mesh
+  /// dimension, arity < 2).
   void validate() const;
 };
 
@@ -157,18 +158,20 @@ class Topology {
   std::string link_name(LinkId link) const;
 
   /// Head latency of the from -> to route: the sum over its hops (0 when
-  /// local).
+  /// local). Precomputed per pair.
   TimeMs route_latency_ms(ProcId from, ProcId to) const;
 
   /// The from -> to route's bottleneck link: the minimum-bandwidth hop,
   /// earliest in traversal order on ties — the link transfer_time_ms
   /// prices the payload against. kNoLink when the pair is local.
+  /// Precomputed per pair.
   LinkId bottleneck_link(ProcId from, ProcId to) const;
 
   /// Uncontended transfer estimate: route head latency + bytes over the
   /// route's bottleneck bandwidth, 0 when the pair is local. The figure
   /// policies plan with; actual transfers can only be slower (max-min fair
-  /// sharing under contention).
+  /// sharing under contention). Throws std::invalid_argument on a negative
+  /// or non-finite byte count.
   TimeMs transfer_time_ms(double bytes, ProcId from, ProcId to) const;
 
  private:
@@ -177,6 +180,8 @@ class Topology {
   void build_mesh();
   void build_fattree();
   void flatten_routes(std::vector<std::vector<LinkId>> routes);
+  /// from * P + to; throws std::out_of_range on an unknown processor.
+  std::size_t pair_index(ProcId from, ProcId to) const;
 
   TopologySpec spec_;
   std::size_t proc_count_ = 0;
@@ -187,6 +192,9 @@ class Topology {
   std::vector<std::uint32_t> route_begin_;  ///< [from * P + to] into data
   std::vector<std::uint32_t> route_hops_;   ///< [from * P + to]
   std::vector<LinkId> route_data_;          ///< flattened route links
+  std::vector<TimeMs> route_latency_ms_;    ///< [pair] head latency
+  std::vector<double> route_bandwidth_gbps_;  ///< [pair] bottleneck rate
+  std::vector<LinkId> route_bottleneck_;    ///< [pair] bottleneck link
 };
 
 }  // namespace apt::net

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -44,13 +45,17 @@ TransferManager::TransferManager(const Topology& topology)
         "TransferManager: an ideal topology has no links to simulate");
   const std::size_t links = topology_.link_count();
   link_flows_.resize(links);
+  link_cap_.resize(links);
+  for (std::size_t l = 0; l < links; ++l)
+    link_cap_[l] = topology_.bandwidth_gbps(static_cast<LinkId>(l)) * 1e6;
+  occupied_links_.reserve(links);
   solve_cap_.assign(links, 0.0);
   solve_unfrozen_.assign(links, 0);
+  fill_links_.reserve(links);
+  drain_memo_.resize(links);
   link_mark_.assign(links, 0);
   dirty_links_.reserve(16);
   solve_links_.reserve(16);
-  closure_stack_.reserve(16);
-  link_active_count_.assign(links, 0);
   link_busy_since_.assign(links, 0.0);
   link_busy_ms_.assign(links, 0.0);
   link_busy_in_window_ms_.assign(links, 0.0);
@@ -62,9 +67,9 @@ TransferManager::TransferManager(const Topology& topology)
 }
 
 void TransferManager::set_window_start(TimeMs start) {
-  if (start < 0.0)
+  if (!std::isfinite(start) || start < 0.0)
     throw std::invalid_argument(
-        "TransferManager: window start must be >= 0");
+        "TransferManager: window start must be finite and >= 0");
   if (started_count_ > 0)
     throw std::logic_error(
         "TransferManager: the observation window must be set before the "
@@ -74,11 +79,12 @@ void TransferManager::set_window_start(TimeMs start) {
 
 void TransferManager::start(std::uint64_t tag, double bytes, ProcId from,
                             ProcId to, TimeMs at_time) {
-  if (bytes < 0.0)
-    throw std::invalid_argument("TransferManager: negative byte count");
-  if (at_time < now_)
+  if (!std::isfinite(bytes) || bytes < 0.0)
     throw std::invalid_argument(
-        "TransferManager: messages cannot start in the past");
+        "TransferManager: byte count must be finite and >= 0");
+  if (!std::isfinite(at_time) || at_time < now_)
+    throw std::invalid_argument(
+        "TransferManager: messages start at a finite time, never in the past");
   const Topology::Route route = topology_.route(from, to);
   if (route.empty())
     throw std::invalid_argument(
@@ -134,7 +140,12 @@ void TransferManager::activate(std::size_t slot, TimeMs at) {
     const LinkId l = m.path[hop];
     m.link_pos[hop] = link_flows_[l].size();
     link_flows_[l].push_back(slot);
-    if (link_active_count_[l]++ == 0) link_busy_since_[l] = at;
+    if (link_flows_[l].size() == 1) {
+      link_busy_since_[l] = at;
+      occupied_links_.insert(std::lower_bound(occupied_links_.begin(),
+                                              occupied_links_.end(), l),
+                             l);
+    }
   }
   mark_dirty(m.path);
   ++active_flow_count_;
@@ -162,10 +173,12 @@ void TransferManager::deliver(std::size_t slot, TimeMs at,
         }
       }
     }
-    if (--link_active_count_[l] == 0) {
+    if (flows.empty()) {
       link_busy_ms_[l] += at - link_busy_since_[l];
       const TimeMs from = std::max(link_busy_since_[l], window_start_);
       if (at > from) link_busy_in_window_ms_[l] += at - from;
+      occupied_links_.erase(std::lower_bound(occupied_links_.begin(),
+                                             occupied_links_.end(), l));
     }
     link_delivered_bytes_[l] += m.bytes;
     ++link_delivered_counts_[l];
@@ -218,13 +231,13 @@ void TransferManager::mark_dirty(const std::vector<LinkId>& path) {
 /// saturation level, remove their share, repeat. A flow's rate is the
 /// level of its bottleneck link; on a single link this is exactly the
 /// equal split bandwidth / n. Runs at every membership event. This is the
-/// dispatcher: small fabrics and FullAlways mode run the full solve;
-/// otherwise the link<->flow component around the dirty links is closed
-/// and, unless it swallowed most of the active flows (fallback), the
-/// filling is restricted to that component. Iteration order is fixed
-/// either way (ascending link id, then the link's flow list), so the
-/// arithmetic is deterministic — and, per the header's component-
-/// independence argument, bit-identical between the two paths.
+/// dispatcher: small solves and FullAlways mode fill over every occupied
+/// link; otherwise the link<->flow component around the dirty links is
+/// closed and, unless it swallowed most of the active flows (fallback),
+/// the filling is restricted to that component. fill() fixes the
+/// iteration order either way (ascending link id, then the link's flow
+/// list), so the arithmetic is deterministic — and, per the header's
+/// component-independence argument, bit-identical between the two paths.
 void TransferManager::resolve_rates(TimeMs at) {
   ++solve_round_;
   if (active_flow_count_ == 0) {
@@ -239,52 +252,41 @@ void TransferManager::resolve_rates(TimeMs at) {
   const auto solve_start = profile_
                                ? std::chrono::steady_clock::now()
                                : std::chrono::steady_clock::time_point{};
-  if (solve_mode_ == SolveMode::FullAlways ||
-      active_flow_count_ < kSmallSolve) {
-    dirty_links_.clear();
-    resolve_rates_full(at);
-    ++solve_stats_.full_solves;
-    solve_stats_.flows_resolved += active_flow_count_;
-    if (profile_)
-      profile_->record(obs::Timer::kTmSolveFull, ms_since(solve_start));
-    return;
-  }
-
-  // Close the component: every link reachable from a dirty link through
-  // shared flows, and every flow on those links. Marks are stamped with
-  // mark_round_ so the arrays never need clearing.
-  ++mark_round_;
-  if (flow_mark_.size() < messages_.size())
-    flow_mark_.resize(messages_.size(), 0);
-  closure_stack_.clear();
-  solve_links_.clear();
-  auto push_link = [this](LinkId l) {
-    if (link_mark_[l] == mark_round_) return;
-    link_mark_[l] = mark_round_;
-    if (!link_flows_[l].empty()) {
-      closure_stack_.push_back(l);
-      solve_links_.push_back(l);
-    }
-  };
-  for (const LinkId l : dirty_links_) push_link(l);
-  dirty_links_.clear();
+  bool full = solve_mode_ == SolveMode::FullAlways ||
+              active_flow_count_ < kSmallSolve;
   std::size_t component_flows = 0;
-  bool fallback = false;
-  for (std::size_t i = 0; i < closure_stack_.size() && !fallback; ++i) {
-    for (const std::size_t slot : link_flows_[closure_stack_[i]]) {
-      if (flow_mark_[slot] == mark_round_) continue;
-      flow_mark_[slot] = mark_round_;
-      ++component_flows;
-      for (const LinkId hop : messages_[slot].path) push_link(hop);
+  if (!full) {
+    // Close the component: every link reachable from a dirty link through
+    // shared flows, and every flow on those links. Marks are stamped with
+    // mark_round_ so the arrays never need clearing.
+    ++mark_round_;
+    if (flow_mark_.size() < messages_.size())
+      flow_mark_.resize(messages_.size(), 0);
+    solve_links_.clear();
+    auto push_link = [this](LinkId l) {
+      if (link_mark_[l] == mark_round_) return;
+      link_mark_[l] = mark_round_;
+      if (!link_flows_[l].empty()) solve_links_.push_back(l);
+    };
+    for (const LinkId l : dirty_links_) push_link(l);
+    // solve_links_ doubles as the closure's work list.
+    for (std::size_t i = 0; i < solve_links_.size() && !full; ++i) {
+      for (const std::size_t slot : link_flows_[solve_links_[i]]) {
+        if (flow_mark_[slot] == mark_round_) continue;
+        flow_mark_[slot] = mark_round_;
+        ++component_flows;
+        for (const LinkId hop : messages_[slot].path) push_link(hop);
+      }
+      // Once the component holds most of the flows the restricted fill
+      // costs as much as the full one — stop closing and fall back.
+      if (component_flows * 2 > active_flow_count_) full = true;
     }
-    // Once the component holds most of the flows the restricted fill
-    // costs as much as the full one — stop closing and fall back.
-    if (component_flows * 2 > active_flow_count_) fallback = true;
+    if (full) ++solve_stats_.fallback_solves;
   }
-  if (fallback) {
-    resolve_rates_full(at);
+  dirty_links_.clear();
+  if (full) {
+    fill(occupied_links_, active_flow_count_, at);
     ++solve_stats_.full_solves;
-    ++solve_stats_.fallback_solves;
     solve_stats_.flows_resolved += active_flow_count_;
     if (profile_)
       profile_->record(obs::Timer::kTmSolveFull, ms_since(solve_start));
@@ -292,36 +294,7 @@ void TransferManager::resolve_rates(TimeMs at) {
   }
 
   std::sort(solve_links_.begin(), solve_links_.end());
-  std::size_t unfrozen_total = component_flows;
-  for (const LinkId l : solve_links_) {
-    solve_cap_[l] = topology_.bandwidth_gbps(l) * 1e6;
-    solve_unfrozen_[l] = link_flows_[l].size();
-  }
-  while (unfrozen_total > 0) {
-    double level = kInf;
-    for (const LinkId l : solve_links_) {
-      if (solve_unfrozen_[l] == 0) continue;
-      level = std::min(
-          level, solve_cap_[l] / static_cast<double>(solve_unfrozen_[l]));
-    }
-    if (!(level > 0.0)) level = 1e-6;
-    for (const LinkId l : solve_links_) {
-      if (solve_unfrozen_[l] == 0) continue;
-      if (solve_cap_[l] / static_cast<double>(solve_unfrozen_[l]) > level)
-        continue;
-      for (const std::size_t slot : link_flows_[l]) {
-        Message& m = messages_[slot];
-        if (m.solve_round == solve_round_) continue;  // frozen already
-        for (const LinkId hop : m.path) {
-          solve_cap_[hop] -= level;
-          if (solve_cap_[hop] < 0.0) solve_cap_[hop] = 0.0;
-          --solve_unfrozen_[hop];
-        }
-        freeze_flow(slot, level, at);
-        --unfrozen_total;
-      }
-    }
-  }
+  fill(solve_links_, component_flows, at);
   ++solve_stats_.incremental_solves;
   solve_stats_.flows_resolved += component_flows;
   // Recorded before the debug cross-check: the verify pass is a test
@@ -333,20 +306,23 @@ void TransferManager::resolve_rates(TimeMs at) {
 #endif
 }
 
-/// The legacy whole-fabric solve. Untouched arithmetic: every golden value
-/// in the test suite was produced by exactly this loop.
-void TransferManager::resolve_rates_full(TimeMs at) {
-  std::size_t unfrozen_total = active_flow_count_;
-  const std::size_t links = link_flows_.size();
-  for (std::size_t l = 0; l < links; ++l) {
-    if (link_flows_[l].empty()) continue;
-    solve_cap_[l] = topology_.bandwidth_gbps(static_cast<LinkId>(l)) * 1e6;
+/// The one filling loop. `links` lists, ascending, every occupied link the
+/// `flows` flows to re-level traverse; each round drops the links whose
+/// flows are all frozen, so a round costs the links still in play.
+void TransferManager::fill(const std::vector<LinkId>& links,
+                           std::size_t flows, TimeMs at) {
+  fill_links_.assign(links.begin(), links.end());
+  for (const LinkId l : fill_links_) {
+    APT_ASSERT(!link_flows_[l].empty(), "fill list holds idle link %u", l);
+    solve_cap_[l] = link_cap_[l];
     solve_unfrozen_[l] = link_flows_[l].size();
   }
-  while (unfrozen_total > 0) {
+  while (flows > 0) {
+    if (profile_)
+      profile_->add(obs::Counter::kTmLinksScanned, fill_links_.size());
     double level = kInf;
-    for (std::size_t l = 0; l < links; ++l) {
-      if (link_flows_[l].empty() || solve_unfrozen_[l] == 0) continue;
+    for (const LinkId l : fill_links_) {
+      if (solve_unfrozen_[l] == 0) continue;
       level = std::min(
           level, solve_cap_[l] / static_cast<double>(solve_unfrozen_[l]));
     }
@@ -356,13 +332,17 @@ void TransferManager::resolve_rates_full(TimeMs at) {
     // pass below matches with <=, so a drift-flattened link (ratio 0 <
     // floored level) still freezes and the loop always terminates.
     if (!(level > 0.0)) level = 1e-6;
-    for (std::size_t l = 0; l < links; ++l) {
-      if (link_flows_[l].empty() || solve_unfrozen_[l] == 0) continue;
+    std::size_t kept = 0;
+    for (const LinkId l : fill_links_) {
+      // A link emptied by an earlier freeze this round is dropped.
+      if (solve_unfrozen_[l] == 0) continue;
       // The argmin links compare exactly equal; drifted-below ones (see
       // the floor above, or caps nudged by an earlier freeze this round)
       // must freeze too or the round could freeze nothing.
-      if (solve_cap_[l] / static_cast<double>(solve_unfrozen_[l]) > level)
+      if (solve_cap_[l] / static_cast<double>(solve_unfrozen_[l]) > level) {
+        fill_links_[kept++] = l;
         continue;
+      }
       for (const std::size_t slot : link_flows_[l]) {
         Message& m = messages_[slot];
         if (m.solve_round == solve_round_) continue;  // frozen already
@@ -372,9 +352,10 @@ void TransferManager::resolve_rates_full(TimeMs at) {
           --solve_unfrozen_[hop];
         }
         freeze_flow(slot, level, at);
-        --unfrozen_total;
+        --flows;
       }
     }
+    fill_links_.resize(kept);
   }
 }
 
@@ -390,7 +371,10 @@ void TransferManager::verify_incremental_solve(TimeMs at) {
       before.emplace_back(slot, messages_[slot].rate_ms);
   }
   ++solve_round_;
-  resolve_rates_full(at);
+  obs::Profile* const profile = profile_;  // the check is not solver work
+  profile_ = nullptr;
+  fill(occupied_links_, active_flow_count_, at);
+  profile_ = profile;
   for (const auto& [slot, rate] : before) {
     APT_ASSERT(messages_[slot].rate_ms == rate,
                "incremental max-min solve diverged from the full solve: "
@@ -402,16 +386,22 @@ void TransferManager::verify_incremental_solve(TimeMs at) {
 #endif
 
 TimeMs TransferManager::link_drain_ms(LinkId link) const {
-  TimeMs drain = 0.0;
-  for (const std::size_t slot : link_flows_.at(link)) {
-    const Message& m = messages_[slot];
-    if (!(m.rate_ms > 0.0)) continue;
-    // The same piecewise-linear projection freeze_flow pushed on the heap;
-    // clamped because a ripe-within-tolerance flow can project at now_.
-    const TimeMs remaining_ms = m.anchor_ms + m.remaining / m.rate_ms - now_;
-    if (remaining_ms > drain) drain = remaining_ms;
+  const std::vector<std::size_t>& flows = link_flows_.at(link);
+  DrainMemo& memo = drain_memo_[link];
+  if (memo.round != solve_round_) {
+    memo.round = solve_round_;
+    memo.until = -kInf;
+    for (const std::size_t slot : flows) {
+      const Message& m = messages_[slot];
+      if (!(m.rate_ms > 0.0)) continue;
+      // The same piecewise-linear projection freeze_flow pushed on the
+      // heap.
+      memo.until = std::max(memo.until, m.anchor_ms + m.remaining / m.rate_ms);
+    }
   }
-  return drain;
+  // Clamped because a ripe-within-tolerance flow can project at now_.
+  const TimeMs drain = memo.until - now_;
+  return drain > 0.0 ? drain : 0.0;
 }
 
 std::vector<Delivery> TransferManager::advance_to(TimeMs t) {
@@ -421,8 +411,9 @@ std::vector<Delivery> TransferManager::advance_to(TimeMs t) {
 }
 
 void TransferManager::advance_to(TimeMs t, std::vector<Delivery>& out) {
-  if (t < now_)
-    throw std::invalid_argument("TransferManager: time must not go backwards");
+  if (!(t >= now_))  // NaN fails too
+    throw std::invalid_argument(
+        "TransferManager: time must not go backwards or be NaN");
   out.clear();
   for (;;) {
     const TimeMs e = next_event_ms();

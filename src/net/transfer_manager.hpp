@@ -30,8 +30,10 @@
 // order either way, the incremental rates are bit-identical to a full
 // re-solve — debug builds assert this after every incremental solve. When
 // the component closure swallows most of the active flows the solver falls
-// back to the plain full solve (same arithmetic, no closure overhead), and
-// SolveStats counts both paths for observability.
+// back to the full solve, which fills over the ascending list of occupied
+// links (kept current at each link's 0 <-> 1 occupancy transition), so
+// neither path's cost grows with idle links. One filling loop serves both,
+// and SolveStats counts the two paths for observability.
 //
 // Determinism: message ids/tags are caller-supplied and deliveries at one
 // instant are reported in ascending tag order; the rate solver iterates
@@ -111,9 +113,10 @@ class TransferManager {
   /// Schedules a message of `bytes` from -> to, entering its route at
   /// `at_time` + the route's head latency. `at_time` may lie in the future
   /// — the activation is itself a progress event. The pair must not be
-  /// local (std::invalid_argument) and `at_time` must not precede the last
-  /// advance_to() instant. `tag` is returned verbatim with the delivery;
-  /// callers use it to find the waiting kernel.
+  /// local, `bytes` and `at_time` must be finite, and `at_time` must not
+  /// precede the last advance_to() instant (std::invalid_argument). `tag`
+  /// is returned verbatim with the delivery; callers use it to find the
+  /// waiting kernel.
   void start(std::uint64_t tag, double bytes, ProcId from, ProcId to,
              TimeMs at_time);
 
@@ -124,8 +127,9 @@ class TransferManager {
   /// when idle). The engines merge this into their event clocks.
   TimeMs next_event_ms() const;
 
-  /// Advances the shared-progress simulation to `t` (>= the previous call),
-  /// returning every message delivered at or before `t`, ascending by tag.
+  /// Advances the shared-progress simulation to `t` (>= the previous call,
+  /// not NaN), returning every message delivered at or before `t`,
+  /// ascending by tag.
   std::vector<Delivery> advance_to(TimeMs t);
 
   /// Allocation-free variant for the engine hot loops: clears `out` and
@@ -155,7 +159,9 @@ class TransferManager {
   /// (anchor + remaining/rate − now, the exact projection the delivery heap
   /// holds). 0 for an idle link. Messages still inside their route head
   /// latency (scheduled but not yet activated) are not counted — they exist
-  /// only within that latency window and hold no link share yet.
+  /// only within that latency window and hold no link share yet. The
+  /// latest projected finish is memoized per link until the next solve
+  /// (x − now rounds monotonically in x, so the value is unchanged).
   TimeMs link_drain_ms(LinkId link) const;
 
   /// Active (draining) messages currently occupying `link`.
@@ -239,8 +245,7 @@ class TransferManager {
   void deliver(std::size_t slot, TimeMs at, std::vector<Delivery>& out);
   void mark_dirty(const std::vector<LinkId>& path);
   void resolve_rates(TimeMs at);
-  void resolve_rates_full(TimeMs at);
-  void resolve_rates_incremental(TimeMs at);
+  void fill(const std::vector<LinkId>& links, std::size_t flows, TimeMs at);
   void freeze_flow(std::size_t slot, double rate, TimeMs at);
 #ifndef NDEBUG
   void verify_incremental_solve(TimeMs at);
@@ -256,10 +261,23 @@ class TransferManager {
                                     ///< (mutable: lazy pruning from const
                                     ///< next_event_ms)
 
-  // Rate-solver scratch, sized once ([link]).
+  std::vector<double> link_cap_;        ///< [link] capacity in bytes/ms
+  std::vector<LinkId> occupied_links_;  ///< links carrying flows, ascending
+
+  // Rate-solver scratch, sized once ([link]); fill() drops saturated links
+  // from fill_links_ round by round.
   std::vector<double> solve_cap_;
   std::vector<std::size_t> solve_unfrozen_;
+  std::vector<LinkId> fill_links_;
   std::uint64_t solve_round_ = 0;
+
+  /// link_drain_ms memo: the latest projected finish, valid while `round`
+  /// is solve_round_ (rates, anchors and remainders change only in solves).
+  struct DrainMemo {
+    TimeMs until = 0.0;
+    std::uint64_t round = 0;
+  };
+  mutable std::vector<DrainMemo> drain_memo_;
 
   // Incremental-solver state. dirty_links_ collects the links whose
   // membership changed since the last solve; the mark arrays (stamped by
@@ -272,12 +290,10 @@ class TransferManager {
   std::vector<std::uint64_t> flow_mark_;   ///< [slot] closure stamp
   std::uint64_t mark_round_ = 0;
   std::vector<LinkId> solve_links_;        ///< dirty component, ascending
-  std::vector<LinkId> closure_stack_;
   SolveStats solve_stats_;
   obs::Profile* profile_ = nullptr;  ///< optional solver wall-clock timing
 
   // Busy intervals fold as link occupancy transitions 0 <-> >0.
-  std::vector<std::size_t> link_active_count_;
   std::vector<TimeMs> link_busy_since_;
   std::vector<TimeMs> link_busy_ms_;
   std::vector<TimeMs> link_busy_in_window_ms_;

@@ -24,6 +24,8 @@ const char* to_string(Counter counter) noexcept {
       return "arrivals";
     case Counter::kRetirements:
       return "retirements";
+    case Counter::kTmLinksScanned:
+      return "tm_links_scanned";
     case Counter::kCount:
       break;
   }

@@ -38,6 +38,9 @@ enum class Counter : std::size_t {
   kTransfersStarted,  ///< fabric messages created
   kArrivals,          ///< stream admissions
   kRetirements,       ///< stream retirements
+  /// Links entering each round of the TransferManager's max-min filling
+  /// loop, summed over rounds and solves.
+  kTmLinksScanned,
   kCount
 };
 

@@ -1,5 +1,6 @@
 #include "sim/system.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace apt::sim {
@@ -57,8 +58,10 @@ System::System(SystemConfig config)
                 config_.link_rate_gbps) {
   if (config_.processors.empty())
     throw std::invalid_argument("System: need at least one processor");
-  if (!(config_.bytes_per_element > 0.0))
-    throw std::invalid_argument("System: bytes_per_element must be positive");
+  if (!(config_.bytes_per_element > 0.0) ||
+      std::isinf(config_.bytes_per_element))
+    throw std::invalid_argument(
+        "System: bytes_per_element must be finite and positive");
   if (config_.decision_overhead_ms < 0.0 || config_.dispatch_overhead_ms < 0.0)
     throw std::invalid_argument("System: overheads must be non-negative");
   for (std::size_t i = 0; i < lut::kNumProcTypes; ++i) {

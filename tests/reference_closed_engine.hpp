@@ -3,7 +3,9 @@
 // Everything below the class declaration is the old sim::Engine::Context
 // and sim::Engine::run word for word; the equivalence suite
 // (test_engine_reference_equivalence) and the single-arrival stream tests
-// assert the shipped engine reproduces it bit for bit.
+// assert the shipped engine reproduces it bit for bit. Its comm phase runs
+// on the frozen TransferManager (reference_transfer_manager.hpp), so the
+// whole reference stays frozen while the shipped solver changes.
 #pragma once
 
 #include <algorithm>
@@ -18,7 +20,6 @@
 #include <vector>
 
 #include "dag/graph.hpp"
-#include "net/transfer_manager.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/cost_model.hpp"
@@ -29,6 +30,8 @@
 #include "sim/system.hpp"
 #include "util/contracts.hpp"
 #include "util/rolling_quantile.hpp"
+
+#include "reference_transfer_manager.hpp"
 
 namespace apt::sim::reference {
 
@@ -936,7 +939,7 @@ class ReferenceClosedEngine::Context final : public SchedulerContext {
   /// Observability sinks (null = disabled; see EngineOptions).
   obs::TraceSink* const sink_;
   obs::Profile* const profile_;
-  std::optional<net::TransferManager> tm_;
+  std::optional<test::ReferenceTransferManager> tm_;
   /// Message log in creation order; index == TransferManager tag.
   std::vector<TransferRecord> transfer_records_;
   std::vector<net::Delivery> deliveries_;  ///< advance_to out-buffer, reused

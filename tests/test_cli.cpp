@@ -434,6 +434,25 @@ TEST(Cli, RunRejectsMalformedTopologyShapes) {
   }
 }
 
+TEST(Cli, NonFiniteLinkKnobsFailInsteadOfHanging) {
+  // A NaN or infinite --latency used to hang both engines (no message
+  // ever activated), and a NaN --bandwidth fell back to the default rate.
+  for (const std::string knob :
+       {"--latency nan", "--latency inf", "--bandwidth nan"}) {
+    EXPECT_NE(run_cli("stream --family type1 --rate 0.005 --max-apps 4 "
+                      "--duration 0 --warmup 0 --topology mesh:2x2 "
+                      "--policies apt:4 " +
+                      knob),
+              0)
+        << knob;
+    EXPECT_NE(run_cli("run --policy apt:4 --type 1 --kernels 10 --seed 1 "
+                      "--topology mesh:2x2 " +
+                      knob),
+              0)
+        << knob;
+  }
+}
+
 TEST(Cli, RunWithRoutedTopologiesReportsMultiHopLinks) {
   // ring / mesh / fattree end to end through `run`: the per-link report
   // must appear, and the routed fabrics must show multi-hop routes.

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace apt::net {
@@ -129,6 +131,21 @@ TEST(Topology, RejectsBadConfigurations) {
   const Topology topo(parse_topology_spec("bus"), 2, 4.0);
   EXPECT_THROW(topo.link(2, 0), std::out_of_range);
   EXPECT_THROW(topo.bandwidth_gbps(1), std::out_of_range);
+  // Non-finite knobs: NaN slips past a plain `< 0` test. A NaN bandwidth
+  // used to fall back to the default rate, and a NaN or infinite latency
+  // never let a message activate.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    TopologySpec latency = parse_topology_spec("mesh:2x2");
+    latency.latency_ms = bad;
+    EXPECT_THROW(Topology(latency, 4, 4.0), std::invalid_argument) << bad;
+    TopologySpec bandwidth = parse_topology_spec("mesh:2x2");
+    bandwidth.bandwidth_gbps = bad;
+    EXPECT_THROW(Topology(bandwidth, 4, 4.0), std::invalid_argument) << bad;
+    EXPECT_THROW(topo.transfer_time_ms(bad, 0, 1), std::invalid_argument)
+        << bad;
+  }
 }
 
 // --- routed kinds: ring / mesh / fattree -------------------------------------
@@ -303,6 +320,63 @@ TEST(Topology, BottleneckLinkFollowsTheTransferTimeConvention) {
   // Ideal topologies have no links at all.
   const Topology ideal(TopologySpec{}, 4, 4.0);
   EXPECT_EQ(ideal.bottleneck_link(0, 1), kNoLink);
+}
+
+// The per-pair latency and bottleneck tables must equal, bit for bit, the
+// per-hop loops they replaced, which this test keeps as its reference:
+// latency summed hop by hop in route order from 0, the earliest
+// minimum-bandwidth hop, and latency + bytes over its rate.
+TEST(Topology, PairTablesMatchThePerHopLoopsBitwise) {
+  struct Shape {
+    const char* spec;
+    std::size_t procs;
+  };
+  const Shape shapes[] = {{"bus", 4},      {"crossbar", 4},  {"hier:2", 4},
+                          {"ring", 4},     {"ring:6", 4},    {"mesh:3x4", 12},
+                          {"fattree:2", 8}, {"fattree:3", 9}};
+  for (const Shape& shape : shapes) {
+    TopologySpec spec = parse_topology_spec(shape.spec);
+    spec.bandwidth_gbps = 1.0;
+    spec.latency_ms = 0.1;  // 0.1 + 0.1 + 0.1 != 0.3: the hop order shows
+    const Topology topo(spec, shape.procs, 1.0);
+    const auto procs = static_cast<ProcId>(shape.procs);
+    for (ProcId from = 0; from < procs; ++from) {
+      for (ProcId to = 0; to < procs; ++to) {
+        const Topology::Route r = topo.route(from, to);
+        TimeMs latency = 0.0;
+        LinkId best = kNoLink;
+        double bottleneck = 0.0;
+        if (!r.empty()) {
+          best = r[0];
+          bottleneck = topo.bandwidth_gbps(r[0]);
+          for (const LinkId l : r) {
+            latency += topo.latency_ms(l);
+            bottleneck = std::min(bottleneck, topo.bandwidth_gbps(l));
+            if (topo.bandwidth_gbps(l) < topo.bandwidth_gbps(best)) best = l;
+          }
+        }
+        EXPECT_EQ(topo.route_latency_ms(from, to), latency)
+            << shape.spec << " " << from << "->" << to;
+        EXPECT_EQ(topo.bottleneck_link(from, to), best)
+            << shape.spec << " " << from << "->" << to;
+        for (const double bytes : {0.0, 1.0, 4e6, 3.3e9}) {
+          const TimeMs expected =
+              r.empty() ? 0.0 : latency + bytes / (bottleneck * 1e6);
+          EXPECT_EQ(topo.transfer_time_ms(bytes, from, to), expected)
+              << shape.spec << " " << from << "->" << to << " " << bytes;
+        }
+      }
+    }
+    // Local pairs are free and have no bottleneck.
+    EXPECT_EQ(topo.route_latency_ms(1, 1), 0.0) << shape.spec;
+    EXPECT_EQ(topo.bottleneck_link(1, 1), kNoLink) << shape.spec;
+    EXPECT_EQ(topo.transfer_time_ms(4e6, 1, 1), 0.0) << shape.spec;
+    // The lookups keep the range check and the byte-count check.
+    EXPECT_THROW(topo.route_latency_ms(procs, 0), std::out_of_range);
+    EXPECT_THROW(topo.bottleneck_link(0, procs), std::out_of_range);
+    EXPECT_THROW(topo.transfer_time_ms(1.0, procs, 0), std::out_of_range);
+    EXPECT_THROW(topo.transfer_time_ms(-1.0, 0, 1), std::invalid_argument);
+  }
 }
 
 TEST(Topology, RoutedTransferEstimateUsesPathLatencyAndBottleneck) {

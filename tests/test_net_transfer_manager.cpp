@@ -113,6 +113,17 @@ TEST(TransferManager, RejectsLocalPairsAndTimeTravel) {
   TransferManager tm(topo);
   EXPECT_THROW(tm.start(0, 1.0, 1, 1, 0.0), std::invalid_argument);
   EXPECT_THROW(tm.start(0, -1.0, 0, 1, 0.0), std::invalid_argument);
+  // Non-finite inputs: an infinite message used to deliver 0.1 ms after
+  // its start, and a NaN start or clock left the fabric busy forever.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf}) {
+    EXPECT_THROW(tm.start(0, bad, 0, 1, 0.0), std::invalid_argument) << bad;
+    EXPECT_THROW(tm.start(0, 1.0, 0, 1, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(tm.set_window_start(bad), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(tm.advance_to(nan), std::invalid_argument);
+  EXPECT_FALSE(tm.busy());  // nothing rejected was queued
   tm.advance_to(5.0);
   EXPECT_THROW(tm.start(0, 1.0, 0, 1, 4.0), std::invalid_argument);
   EXPECT_THROW(tm.advance_to(4.0), std::invalid_argument);

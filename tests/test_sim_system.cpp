@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace apt::sim {
 namespace {
 
@@ -85,6 +87,8 @@ TEST(System, RejectsBadConfig) {
 
   SystemConfig bad_bytes = SystemConfig::paper_default();
   bad_bytes.bytes_per_element = 0.0;
+  EXPECT_THROW(System{bad_bytes}, std::invalid_argument);
+  bad_bytes.bytes_per_element = std::numeric_limits<double>::infinity();
   EXPECT_THROW(System{bad_bytes}, std::invalid_argument);
 
   SystemConfig bad_overhead = SystemConfig::paper_default();

@@ -2,10 +2,13 @@
 // net::TransferManager — the streaming hot-path optimisation must be
 // invisible in every simulated quantity:
 //
-//  * randomized routed scenarios (ring/mesh/fattree x 120 seeds) drive two
-//    managers in lockstep — one pinned to SolveMode::FullAlways, one on the
-//    default incremental path — and every event time, delivery timeline,
-//    and per-link total must match BITWISE;
+//  * randomized scenarios (routed and single-hop shapes x 40 seeds) drive
+//    the shipped manager in both solve modes and the frozen reference
+//    (reference_transfer_manager.hpp) in both modes in lockstep; every
+//    event time, delivery, link drain, per-link total, and SolveStats
+//    counter must match BITWISE;
+//  * the filling loop's work stays flat in the fabric size
+//    (obs::Counter::kTmLinksScanned);
 //  * the stream engine under contention produces identical TransferRecord
 //    timelines and StreamMetrics either way, at 10x the densest sustained
 //    bench rate;
@@ -15,10 +18,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/policy_factory.hpp"
@@ -26,6 +32,8 @@
 #include "lut/lookup_table.hpp"
 #include "lut/paper_data.hpp"
 #include "net/topology.hpp"
+#include "obs/profile.hpp"
+#include "reference_transfer_manager.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/metrics.hpp"
@@ -36,12 +44,14 @@
 namespace apt {
 namespace {
 
-/// Restores the process-wide default solve mode on scope exit, so a failing
-/// assertion cannot leak FullAlways into later tests.
+/// Restores the process-wide default solve modes on scope exit, so a
+/// failing assertion cannot leak FullAlways into later tests.
 struct SolveModeGuard {
   ~SolveModeGuard() {
     net::TransferManager::set_default_solve_mode(
         net::TransferManager::SolveMode::Auto);
+    test::ReferenceTransferManager::set_default_solve_mode(
+        test::ReferenceTransferManager::SolveMode::Auto);
   }
 };
 
@@ -53,43 +63,179 @@ net::Topology routed_topology(const std::string& spec_str,
   return net::Topology(spec, procs, 1.0);
 }
 
-/// Drives `full` and `inc` through the identical event sequence up to
-/// `until`, asserting bitwise-equal event times and delivery timelines.
-void drain_lockstep(net::TransferManager& full, net::TransferManager& inc,
-                    net::TimeMs until) {
-  for (;;) {
-    const net::TimeMs e = inc.next_event_ms();
-    ASSERT_EQ(e, full.next_event_ms());  // bitwise
-    if (std::isinf(e) || e > until) break;
-    const auto di = inc.advance_to(e);
-    const auto df = full.advance_to(e);
-    ASSERT_EQ(di.size(), df.size());
-    for (std::size_t i = 0; i < di.size(); ++i) {
-      EXPECT_EQ(di[i].tag, df[i].tag);
-      EXPECT_EQ(di[i].delivered_ms, df[i].delivered_ms);  // bitwise
-    }
-  }
+/// A manager of type `Tm` built in `mode` (the mode is a process-wide
+/// default picked up at construction).
+template <typename Tm>
+std::unique_ptr<Tm> make_manager(const net::Topology& topo,
+                                 typename Tm::SolveMode mode) {
+  Tm::set_default_solve_mode(mode);
+  auto tm = std::make_unique<Tm>(topo);
+  Tm::set_default_solve_mode(Tm::SolveMode::Auto);
+  return tm;
 }
 
-TEST(TmIncremental, RandomizedRoutedScenariosMatchFullSolveBitwise) {
+void expect_same_stats(const net::SolveStats& a, const net::SolveStats& b,
+                       const std::string& where) {
+  EXPECT_EQ(a.full_solves, b.full_solves) << where;
+  EXPECT_EQ(a.incremental_solves, b.incremental_solves) << where;
+  EXPECT_EQ(a.fallback_solves, b.fallback_solves) << where;
+  EXPECT_EQ(a.flows_resolved, b.flows_resolved) << where;
+  EXPECT_EQ(a.flows_active, b.flows_active) << where;
+}
+
+/// The shipped manager in Auto and FullAlways mode next to the frozen
+/// reference in both modes, all fed one event sequence. Rates are
+/// bit-identical across all four, so every simulated quantity must match;
+/// the solver counters match within each mode.
+class Lockstep {
+ public:
+  using Tm = net::TransferManager;
+  using Ref = test::ReferenceTransferManager;
+
+  explicit Lockstep(const net::Topology& topo)
+      : links_(topo.link_count()),
+        inc_(make_manager<Tm>(topo, Tm::SolveMode::Auto)),
+        full_(make_manager<Tm>(topo, Tm::SolveMode::FullAlways)),
+        ref_inc_(make_manager<Ref>(topo, Ref::SolveMode::Auto)),
+        ref_full_(make_manager<Ref>(topo, Ref::SolveMode::FullAlways)) {}
+
+  const Tm& inc() const { return *inc_; }
+  const Tm& full() const { return *full_; }
+
+  void set_window_start(net::TimeMs start) {
+    inc_->set_window_start(start);
+    full_->set_window_start(start);
+    ref_inc_->set_window_start(start);
+    ref_full_->set_window_start(start);
+  }
+
+  void start(std::uint64_t tag, double bytes, net::ProcId from,
+             net::ProcId to, net::TimeMs at) {
+    inc_->start(tag, bytes, from, to, at);
+    full_->start(tag, bytes, from, to, at);
+    ref_inc_->start(tag, bytes, from, to, at);
+    ref_full_->start(tag, bytes, from, to, at);
+  }
+
+  /// Next event instant, after checking all four agree on it.
+  net::TimeMs next_event_ms() const {
+    const net::TimeMs e = ref_inc_->next_event_ms();
+    EXPECT_EQ(inc_->next_event_ms(), e);  // bitwise
+    EXPECT_EQ(full_->next_event_ms(), e);
+    EXPECT_EQ(ref_full_->next_event_ms(), e);
+    return e;
+  }
+
+  /// Advances all four to `t` and compares the deliveries and the state
+  /// they leave behind; returns the number of deliveries.
+  std::size_t advance_to(net::TimeMs t) {
+    ref_inc_->advance_to(t, expected_);
+    ref_full_->advance_to(t, got_);
+    expect_same_deliveries("reference FullAlways");
+    inc_->advance_to(t, got_);
+    expect_same_deliveries("Auto");
+    full_->advance_to(t, got_);
+    expect_same_deliveries("FullAlways");
+    expect_same_state();
+    return expected_.size();
+  }
+
+  /// Runs every event up to `until` (inclusive), stopping halfway between
+  /// consecutive instants as well: time that moves without a membership
+  /// event must leave the memoized drains exact.
+  void run_until(net::TimeMs until) {
+    for (;;) {
+      const net::TimeMs e = next_event_ms();
+      if (std::isinf(e) || e > until) break;
+      advance_to(e);
+      const net::TimeMs horizon = std::min(next_event_ms(), until);
+      if (std::isinf(horizon)) continue;
+      const net::TimeMs mid = e + (horizon - e) * 0.5;
+      if (mid > e && mid < horizon) {
+        EXPECT_EQ(advance_to(mid), 0u);
+      }
+    }
+    if (std::isfinite(until)) {
+      EXPECT_EQ(advance_to(until), 0u);
+    }
+  }
+
+ private:
+  void expect_same_deliveries(const char* who) {
+    ASSERT_EQ(got_.size(), expected_.size()) << who;
+    for (std::size_t i = 0; i < got_.size(); ++i) {
+      EXPECT_EQ(got_[i].tag, expected_[i].tag) << who;
+      EXPECT_EQ(got_[i].bytes, expected_[i].bytes) << who;
+      EXPECT_EQ(got_[i].hops, expected_[i].hops) << who;
+      EXPECT_EQ(got_[i].delivered_ms, expected_[i].delivered_ms) << who;
+    }
+  }
+
+  template <typename A>
+  void expect_same_links(const A& tm, const char* who) const {
+    EXPECT_EQ(tm.busy(), ref_inc_->busy()) << who;
+    EXPECT_EQ(tm.live_count(), ref_inc_->live_count()) << who;
+    EXPECT_EQ(tm.started_count(), ref_inc_->started_count()) << who;
+    EXPECT_EQ(tm.delivered_count(), ref_inc_->delivered_count()) << who;
+    for (net::LinkId l = 0; l < links_; ++l) {
+      const net::TimeMs drain = ref_inc_->link_drain_ms(l);
+      EXPECT_EQ(tm.link_drain_ms(l), drain) << who << " link " << l;
+      // A second read at the same instant hits the memo.
+      EXPECT_EQ(tm.link_drain_ms(l), drain) << who << " link " << l;
+      EXPECT_EQ(tm.link_flow_count(l), ref_inc_->link_flow_count(l))
+          << who << " link " << l;
+    }
+    EXPECT_EQ(tm.link_busy_ms(), ref_inc_->link_busy_ms()) << who;
+    EXPECT_EQ(tm.link_busy_in_window_ms(), ref_inc_->link_busy_in_window_ms())
+        << who;
+    EXPECT_EQ(tm.link_delivered_bytes(), ref_inc_->link_delivered_bytes())
+        << who;
+    EXPECT_EQ(tm.link_bytes_in_window(), ref_inc_->link_bytes_in_window())
+        << who;
+    EXPECT_EQ(tm.link_delivered_counts(), ref_inc_->link_delivered_counts())
+        << who;
+    EXPECT_EQ(tm.link_counts_in_window(), ref_inc_->link_counts_in_window())
+        << who;
+    EXPECT_EQ(tm.link_hops_in_window(), ref_inc_->link_hops_in_window())
+        << who;
+  }
+
+  void expect_same_state() const {
+    expect_same_links(*ref_full_, "reference FullAlways");
+    expect_same_links(*inc_, "Auto");
+    expect_same_links(*full_, "FullAlways");
+    expect_same_stats(inc_->solve_stats(), ref_inc_->solve_stats(), "Auto");
+    expect_same_stats(full_->solve_stats(), ref_full_->solve_stats(),
+                      "FullAlways");
+  }
+
+  std::size_t links_;
+  std::unique_ptr<Tm> inc_;
+  std::unique_ptr<Tm> full_;
+  std::unique_ptr<Ref> ref_inc_;
+  std::unique_ptr<Ref> ref_full_;
+  std::vector<net::Delivery> expected_;
+  std::vector<net::Delivery> got_;
+};
+
+TEST(TmIncremental, RandomizedScenariosMatchTheFrozenSolverBitwise) {
   const SolveModeGuard guard;
   struct Shape {
     const char* spec;
     net::ProcId procs;
   };
+  // The routed kinds, the fabric-mesh shape, and the single-hop kinds.
   const std::vector<Shape> shapes = {
-      {"ring:6", 6}, {"mesh:3x3", 9}, {"fattree:2", 8}};
+      {"ring:6", 6},   {"mesh:3x3", 9}, {"mesh:3x4", 12}, {"fattree:2", 8},
+      {"crossbar", 4}, {"bus", 4},      {"hier:2", 6}};
   std::uint64_t incremental_total = 0;
   for (const Shape& shape : shapes) {
     const net::Topology topo = routed_topology(shape.spec, shape.procs);
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE(std::string(shape.spec) + " seed " + std::to_string(seed));
       util::Rng rng(0xD1517 * seed + shape.procs);
-      net::TransferManager::set_default_solve_mode(
-          net::TransferManager::SolveMode::FullAlways);
-      net::TransferManager full(topo);
-      net::TransferManager::set_default_solve_mode(
-          net::TransferManager::SolveMode::Auto);
-      net::TransferManager inc(topo);
+      Lockstep fabric(topo);
+      fabric.set_window_start(2.0);  // exercise the *_in_window totals
 
       // 20-60 messages with clustered starts: enough simultaneous flows to
       // cross the small-solve floor and exercise the restricted filling.
@@ -102,44 +248,63 @@ TEST(TmIncremental, RandomizedRoutedScenariosMatchFullSolveBitwise) {
         auto to = static_cast<net::ProcId>(rng.uniform_u64(shape.procs));
         if (to == from) to = (to + 1) % shape.procs;
         const double bytes = rng.uniform_real(1e4, 5e6);
-        drain_lockstep(full, inc, at);
-        const auto df = full.advance_to(at);
-        const auto di = inc.advance_to(at);
-        ASSERT_EQ(di.size(), df.size());
-        full.start(m, bytes, from, to, at);
-        inc.start(m, bytes, from, to, at);
+        fabric.run_until(at);
+        if (topo.is_local(from, to)) continue;  // hier: same socket
+        fabric.start(m, bytes, from, to, at);
       }
-      while (inc.busy()) {
-        ASSERT_TRUE(full.busy());
-        drain_lockstep(full, inc,
-                       std::numeric_limits<net::TimeMs>::infinity());
-      }
-      EXPECT_FALSE(full.busy());
-      // Cumulative per-link accounting must agree bitwise too.
-      const auto& busy_f = full.link_busy_ms();
-      const auto& busy_i = inc.link_busy_ms();
-      ASSERT_EQ(busy_f.size(), busy_i.size());
-      for (std::size_t l = 0; l < busy_f.size(); ++l)
-        EXPECT_EQ(busy_f[l], busy_i[l]);
-      const auto& bytes_f = full.link_delivered_bytes();
-      const auto& bytes_i = inc.link_delivered_bytes();
-      for (std::size_t l = 0; l < bytes_f.size(); ++l)
-        EXPECT_EQ(bytes_f[l], bytes_i[l]);
+      fabric.run_until(std::numeric_limits<net::TimeMs>::infinity());
+      EXPECT_FALSE(fabric.inc().busy());
+      if (::testing::Test::HasFailure()) return;
 
       // full_solves already includes the fallbacks, so full + incremental
       // partitions the membership events.
-      EXPECT_EQ(inc.solve_stats().incremental_solves +
-                    inc.solve_stats().full_solves,
-                full.solve_stats().full_solves);
-      EXPECT_LE(inc.solve_stats().fallback_solves,
-                inc.solve_stats().full_solves);
-      EXPECT_EQ(full.solve_stats().incremental_solves, 0u);
-      incremental_total += inc.solve_stats().incremental_solves;
+      const net::SolveStats& inc = fabric.inc().solve_stats();
+      const net::SolveStats& full = fabric.full().solve_stats();
+      EXPECT_EQ(inc.incremental_solves + inc.full_solves, full.full_solves);
+      EXPECT_LE(inc.fallback_solves, inc.full_solves);
+      EXPECT_EQ(full.incremental_solves, 0u);
+      incremental_total += inc.incremental_solves;
     }
   }
   // The suite must actually exercise the incremental path, not fall back
   // to full solves throughout.
   EXPECT_GT(incremental_total, 0u);
+}
+
+// Solver work must follow the flows, not the fabric: the same three
+// messages in row 0 of a 2x4 mesh (20 links) and of an 8x8 mesh (224
+// links) must send exactly the same links through the filling rounds.
+// A: P0->P1 (2e6 B) and C: P0->P2 (4e6 B) share the first eastbound link,
+// B: P1->P2 (6e6 B) and C the second. At 1e6 B/ms both links level at
+// 5e5 B/ms: A lands at 4 ms; C and B then level at 5e5 on the second link
+// (the first still carries C), so C lands at 8 ms; B alone finishes at
+// 10 ms. The three solves scan 2 + 2 + 1 occupied links.
+TEST(TmIncremental, FillingWorkIsFlatInTheFabricSize) {
+  std::vector<std::uint64_t> scanned;
+  for (const auto& [spec, procs] :
+       {std::pair<const char*, net::ProcId>{"mesh:2x4", 8},
+        std::pair<const char*, net::ProcId>{"mesh:8x8", 64}}) {
+    const net::Topology topo = [&] {
+      net::TopologySpec s = net::parse_topology_spec(spec);
+      s.bandwidth_gbps = 1.0;
+      return net::Topology(s, procs, 1.0);
+    }();
+    obs::Profile profile;
+    net::TransferManager tm(topo);
+    tm.set_profile(&profile);
+    tm.start(0, 2e6, 0, 1, 0.0);
+    tm.start(1, 6e6, 1, 2, 0.0);
+    tm.start(2, 4e6, 0, 2, 0.0);
+    std::vector<net::TimeMs> delivered(3, 0.0);
+    while (tm.busy())
+      for (const net::Delivery& d : tm.advance_to(tm.next_event_ms()))
+        delivered[d.tag] = d.delivered_ms;
+    EXPECT_EQ(delivered, (std::vector<net::TimeMs>{4.0, 10.0, 8.0})) << spec;
+    EXPECT_EQ(tm.solve_stats().full_solves, 3u) << spec;
+    scanned.push_back(profile.count(obs::Counter::kTmLinksScanned));
+  }
+  EXPECT_EQ(scanned[0], scanned[1]);
+  EXPECT_EQ(scanned[0], 5u);
 }
 
 TEST(TmIncremental, SolveStatsCountersStayConsistent) {
