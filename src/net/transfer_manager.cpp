@@ -89,6 +89,11 @@ void TransferManager::start(std::uint64_t tag, double bytes, ProcId from,
   if (route.empty())
     throw std::invalid_argument(
         "TransferManager: the processor pair is local — no message needed");
+  // A huge but finite route latency can still overflow the sum.
+  const TimeMs activates_ms = at_time + topology_.route_latency_ms(from, to);
+  if (!std::isfinite(activates_ms))
+    throw std::invalid_argument(
+        "TransferManager: the message's activation instant overflows");
 
   std::size_t slot;
   if (!free_slots_.empty()) {
@@ -106,7 +111,7 @@ void TransferManager::start(std::uint64_t tag, double bytes, ProcId from,
   m.remaining = bytes;
   m.rate_ms = 0.0;
   m.anchor_ms = at_time;
-  m.activates_ms = at_time + topology_.route_latency_ms(from, to);
+  m.activates_ms = activates_ms;
   m.solve_round = 0;
   m.active = false;
   m.path.assign(route.begin(), route.end());
@@ -417,7 +422,9 @@ void TransferManager::advance_to(TimeMs t, std::vector<Delivery>& out) {
   out.clear();
   for (;;) {
     const TimeMs e = next_event_ms();
-    if (!(e <= t)) break;
+    // An idle fabric reports +inf, which advance_to(+inf) must not take
+    // for an event.
+    if (!(e <= t) || e == kInf) break;
     bool membership_changed = false;
     prune_stale_projections();
     while (!projections_.empty() && projections_.top().time <= e) {

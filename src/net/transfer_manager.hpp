@@ -113,8 +113,9 @@ class TransferManager {
   /// Schedules a message of `bytes` from -> to, entering its route at
   /// `at_time` + the route's head latency. `at_time` may lie in the future
   /// — the activation is itself a progress event. The pair must not be
-  /// local, `bytes` and `at_time` must be finite, and `at_time` must not
-  /// precede the last advance_to() instant (std::invalid_argument). `tag`
+  /// local, `bytes`, `at_time` and the activation instant must be finite,
+  /// and `at_time` must not precede the last advance_to() instant
+  /// (std::invalid_argument). `tag`
   /// is returned verbatim with the delivery; callers use it to find the
   /// waiting kernel.
   void start(std::uint64_t tag, double bytes, ProcId from, ProcId to,
@@ -128,8 +129,8 @@ class TransferManager {
   TimeMs next_event_ms() const;
 
   /// Advances the shared-progress simulation to `t` (>= the previous call,
-  /// not NaN), returning every message delivered at or before `t`,
-  /// ascending by tag.
+  /// not NaN, possibly +inf), returning every message delivered at or
+  /// before `t`, ascending by tag.
   std::vector<Delivery> advance_to(TimeMs t);
 
   /// Allocation-free variant for the engine hot loops: clears `out` and

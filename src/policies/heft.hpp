@@ -7,6 +7,9 @@
 // (w̄ = mean execution time over processors, c̄ = mean communication cost
 // over distinct processor pairs), then each task is placed on the processor
 // minimising its earliest finish time using insertion-based slot search.
+//
+// Ranks and placement read one dense cost table (sim::dense_cost_model):
+// the closed run's own, or one built from the cost model handed in.
 #pragma once
 
 #include <vector>

@@ -12,15 +12,19 @@ bool served_before(const Entry& a, const Entry& b) {
 }
 
 /// Heap order: std::push_heap/pop_heap keep the entry served first in front.
-template <typename Entry>
-bool served_after(const Entry& a, const Entry& b) {
-  return served_before(b, a);
-}
+/// A function object, so the heap operations inline the comparison.
+struct ServedAfter {
+  template <typename Entry>
+  bool operator()(const Entry& a, const Entry& b) const {
+    return served_before(b, a);
+  }
+};
 
 }  // namespace
 
 void ReadyIndex::reset(std::size_t proc_count) {
   buckets_.assign(proc_count, {});
+  heaps_.assign(proc_count, {});
   live_seq_.clear();
   set_aside_.clear();
   filed_ = 0;
@@ -39,23 +43,31 @@ void ReadyIndex::close(dag::NodeId node) {
 }
 
 void ReadyIndex::push(sim::ProcId proc, const Entry& entry, bool ranked) {
-  std::deque<Entry>& bucket = buckets_[proc];
-  bucket.push_back(entry);
-  if (ranked)
-    std::push_heap(bucket.begin(), bucket.end(), served_after<Entry>);
+  if (ranked) {
+    std::vector<Entry>& heap = heaps_[proc];
+    heap.push_back(entry);
+    std::push_heap(heap.begin(), heap.end(), ServedAfter{});
+  } else {
+    buckets_[proc].push_back(entry);
+  }
 }
 
 void ReadyIndex::pop(sim::ProcId proc, bool ranked) {
-  std::deque<Entry>& bucket = buckets_[proc];
   if (ranked) {
-    std::pop_heap(bucket.begin(), bucket.end(), served_after<Entry>);
-    bucket.pop_back();
+    std::vector<Entry>& heap = heaps_[proc];
+    std::pop_heap(heap.begin(), heap.end(), ServedAfter{});
+    heap.pop_back();
   } else {
-    bucket.pop_front();
+    buckets_[proc].pop_front();
   }
 }
 
 const ReadyIndex::Entry* ReadyIndex::head(sim::ProcId proc, bool ranked) {
+  if (ranked) {
+    const std::vector<Entry>& heap = heaps_[proc];
+    while (!heap.empty() && !live(heap.front())) pop(proc, ranked);
+    return heap.empty() ? nullptr : &heap.front();
+  }
   const std::deque<Entry>& bucket = buckets_[proc];
   while (!bucket.empty() && !live(bucket.front())) pop(proc, ranked);
   return bucket.empty() ? nullptr : &bucket.front();

@@ -22,7 +22,8 @@
 // The order is FIFO, or (priority, ready order) when the pass is given a
 // priority: highest priority first, ready order among equal priorities,
 // which is a stable sort of the ready set by priority. FIFO buckets are
-// deques in filing order; prioritized buckets are binary heaps.
+// deques in filing order; prioritized buckets are binary heaps, each in one
+// contiguous vector.
 //
 // New kernels come from SchedulerContext::ready_from(), so a pass reads only
 // the kernels that became ready since the last one. That relies on the
@@ -124,10 +125,12 @@ class ReadyIndex {
   bool live(const Entry& e) const { return live_seq_[e.node] == e.seq; }
 
   /// One bucket per processor, its front the next entry to serve: a FIFO
-  /// deque, or a binary heap when ranked. Committed kernels stay as dead
-  /// entries until they reach the front; `live_seq_` tells them apart, also
-  /// after a stream engine reuses the node id for a later kernel.
+  /// deque in `buckets_`, or a binary heap in `heaps_` when ranked.
+  /// Committed kernels stay as dead entries until they reach the front;
+  /// `live_seq_` tells them apart, also after a stream engine reuses the
+  /// node id for a later kernel.
   std::vector<std::deque<Entry>> buckets_;
+  std::vector<std::vector<Entry>> heaps_;
   std::vector<std::uint64_t> live_seq_;  ///< [node] live entries' seq
   /// Entries a pass took off the front of a bucket for a rejected visit,
   /// in the order it took them.

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "sim/policy.hpp"
+#include "sim/precomputed_cost_model.hpp"
 
 namespace apt::policies {
 
@@ -59,6 +60,10 @@ class StaticPolicyBase : public sim::Policy {
   StaticPlan plan_;
   std::vector<std::vector<dag::NodeId>> order_;  // per proc, planned order
   std::vector<std::size_t> next_;                // cursor per proc
+  /// [node] ready and not yet released. Filled from ready_from(), the way
+  /// ReadyIndex files kernels, so a pass never reads the whole ready set.
+  std::vector<char> ready_;
+  std::size_t seen_ = 0;  ///< flagged kernels: the ready set's first seen_
 };
 
 // --- List-scheduling machinery ------------------------------------------------
@@ -83,6 +88,12 @@ using ProcScore = std::function<double(dag::NodeId node, sim::ProcId proc,
 /// minimising `score` using insertion-based ESTs with prefetched transfers.
 StaticPlan list_schedule(const dag::Dag& dag, const sim::System& system,
                          const sim::CostModel& cost,
+                         const std::vector<double>& priority,
+                         const ProcScore& score);
+
+/// The same scheduler reading a dense table that covers `dag`.
+StaticPlan list_schedule(const dag::Dag& dag,
+                         const sim::PrecomputedCostModel& dense,
                          const std::vector<double>& priority,
                          const ProcScore& score);
 

@@ -11,31 +11,6 @@ void CostModel::exec_row_ms(const dag::Dag& dag, dag::NodeId node,
     out[i] = exec_time_ms(dag, node, procs[i]);
 }
 
-TimeMs CostModel::average_transfer_time_ms(const dag::Dag& dag,
-                                           dag::NodeId src, dag::NodeId dst,
-                                           const System& system) const {
-  const auto& procs = system.processors();
-  if (procs.size() < 2) return 0.0;
-  double sum = 0.0;
-  std::size_t pairs = 0;
-  for (const Processor& from : procs) {
-    for (const Processor& to : procs) {
-      if (from.id == to.id) continue;
-      sum += transfer_time_ms(dag, src, dst, from, to);
-      ++pairs;
-    }
-  }
-  return sum / static_cast<double>(pairs);
-}
-
-TimeMs CostModel::average_exec_time_ms(const dag::Dag& dag, dag::NodeId node,
-                                       const System& system) const {
-  const auto& procs = system.processors();
-  double sum = 0.0;
-  for (const Processor& p : procs) sum += exec_time_ms(dag, node, p);
-  return sum / static_cast<double>(procs.size());
-}
-
 LutCostModel::LutCostModel(lut::LookupTable table, const System& system,
                            bool strict)
     : table_(std::move(table)),

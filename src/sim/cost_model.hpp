@@ -51,16 +51,6 @@ class CostModel {
   virtual TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
                                   dag::NodeId dst, const Processor& from,
                                   const Processor& to) const = 0;
-
-  /// Mean of transfer_time_ms over all ordered pairs of *distinct*
-  /// processors — the average communication cost c̄(i,j) used by the HEFT
-  /// and PEFT rank computations. Returns 0 on single-processor systems.
-  TimeMs average_transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
-                                  dag::NodeId dst, const System& system) const;
-
-  /// Mean of exec_time_ms over all processors — w̄(i) in HEFT's rank_u.
-  TimeMs average_exec_time_ms(const dag::Dag& dag, dag::NodeId node,
-                              const System& system) const;
 };
 
 /// The paper's cost model (lookup table + PCIe links).

@@ -21,10 +21,10 @@ SimResult Engine::run(Policy& policy) {
   options_.hedging.validate();
   // Densify the cost model once per run unless the caller already did. The
   // dense model answers by the DAG's address, which the closed run borrows.
-  const auto* pre = dynamic_cast<const PrecomputedCostModel*>(&cost_);
   std::optional<PrecomputedCostModel> local;
-  if (pre == nullptr) pre = &local.emplace(dag_, system_, cost_);
-  return stream::detail::run_closed(dag_, system_, *pre, options_, policy);
+  return stream::detail::run_closed(
+      dag_, system_, dense_cost_model(dag_, system_, cost_, local), options_,
+      policy);
 }
 
 }  // namespace apt::sim

@@ -1,5 +1,7 @@
 #include "sim/precomputed_cost_model.hpp"
 
+#include <algorithm>
+
 namespace apt::sim {
 
 PrecomputedCostModel::PrecomputedCostModel(const dag::Dag& dag,
@@ -40,6 +42,19 @@ TimeMs PrecomputedCostModel::exec_time_ms(const dag::Dag& dag,
   return exec_[node * proc_count_ + proc.id];
 }
 
+void PrecomputedCostModel::exec_row_ms(const dag::Dag& dag, dag::NodeId node,
+                                       const std::vector<Processor>& procs,
+                                       TimeMs* out) const {
+  if (&dag != dag_ || node >= dag_->node_count())
+    return base_.exec_row_ms(dag, node, procs, out);
+  const TimeMs* row = exec_row(node);
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    out[i] = procs[i].id < proc_count_
+                 ? row[procs[i].id]
+                 : base_.exec_time_ms(dag, node, procs[i]);
+  }
+}
+
 TimeMs PrecomputedCostModel::transfer_time_ms(const dag::Dag& dag,
                                               dag::NodeId src, dag::NodeId dst,
                                               const Processor& from,
@@ -48,15 +63,29 @@ TimeMs PrecomputedCostModel::transfer_time_ms(const dag::Dag& dag,
       to.id >= proc_count_)
     return base_.transfer_time_ms(dag, src, dst, from, to);
   const auto& succs = dag_->successors(src);
-  for (std::size_t k = 0; k < succs.size(); ++k) {
-    if (succs[k] == dst) {
-      return transfer_[(edge_offset_[src] + k) * proc_count_ * proc_count_ +
-                       from.id * proc_count_ + to.id];
-    }
-  }
+  const auto edge = std::find(succs.begin(), succs.end(), dst);
   // Not an edge of the precomputed dag (e.g. a hypothetical pair a policy
   // probes): answer from the base model.
-  return base_.transfer_time_ms(dag, src, dst, from, to);
+  if (edge == succs.end())
+    return base_.transfer_time_ms(dag, src, dst, from, to);
+  const auto k = static_cast<std::size_t>(edge - succs.begin());
+  return out_edge_transfers(src, k)[from.id * proc_count_ + to.id];
+}
+
+std::size_t PrecomputedCostModel::out_edge_index(dag::NodeId src,
+                                                 dag::NodeId dst) const {
+  const auto& succs = dag_->successors(src);
+  return static_cast<std::size_t>(
+      std::find(succs.begin(), succs.end(), dst) - succs.begin());
+}
+
+const PrecomputedCostModel& dense_cost_model(
+    const dag::Dag& dag, const System& system, const CostModel& cost,
+    std::optional<PrecomputedCostModel>& storage) {
+  const auto* dense = dynamic_cast<const PrecomputedCostModel*>(&cost);
+  if (dense != nullptr && dense->covers(dag, system.proc_count()))
+    return *dense;
+  return storage.emplace(dag, system, cost);
 }
 
 }  // namespace apt::sim

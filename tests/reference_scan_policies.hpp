@@ -2,7 +2,9 @@
 // ready set, the way both policies ran before policies::ReadyIndex, and
 // APT-Ranked as the sorted scan it ran before it moved onto the index. The
 // scans below are the old on_event bodies word for word; the equivalence
-// suite asserts the indexed policies reproduce them bit for bit.
+// suite asserts the indexed policies reproduce them bit for bit. Ranks come
+// from the frozen planners (reference_static_planners.hpp), so the
+// references stay frozen while the shipped planners change.
 #pragma once
 
 #include <algorithm>
@@ -12,9 +14,10 @@
 #include <vector>
 
 #include "core/apt.hpp"
-#include "policies/heft.hpp"
 #include "policies/selection.hpp"
 #include "sim/policy.hpp"
+
+#include "reference_static_planners.hpp"
 
 namespace apt::test {
 
@@ -139,7 +142,7 @@ class ReferenceAptRanked final : public sim::Policy {
 
   void prepare(const dag::Dag& dag, const sim::System& system,
                const sim::CostModel& cost) override {
-    rank_ = policies::heft_upward_ranks(dag, system, cost);
+    rank_ = policies::reference::heft_upward_ranks(dag, system, cost);
   }
 
   void on_event(sim::SchedulerContext& ctx) override {

@@ -320,9 +320,11 @@ TEST(Cli, StreamIsBitIdenticalAcrossJobCounts) {
 TEST(Cli, CsvMatchesTheGoldens) {
   // Three frozen stream grids: noise off on the ideal paper platform, the
   // contended mesh:2x2 fabric, and noise with straggler hedging (both
-  // slices; apps are recycled while replicas race). Then a closed sweep,
-  // the one golden that covers APT-Ranked, next to APT, MET and HEFT on
-  // the ideal and bus fabrics. A diff means a simulated bit moved; if
+  // slices; apps are recycled while replicas race). Then two closed
+  // sweeps: APT-Ranked next to APT, MET and HEFT on the ideal and bus
+  // fabrics, and the static planners (HEFT, PEFT, APT-Ranked) on the
+  // routed ring and mesh:2x2 fabrics, where they plan from a densified
+  // topology-priced cost model. A diff means a simulated bit moved; if
   // that is intended, regenerate with `aptsim <flags> --csv <golden>`.
   const struct {
     const char* golden;
@@ -343,6 +345,10 @@ TEST(Cli, CsvMatchesTheGoldens) {
        "sweep --family type1,type2,layered --graphs 3 --kernels 46,157 "
        "--policies apt-ranked:1,apt-ranked:4,apt-ranked:1e6,apt:4,met,heft "
        "--topology ideal,bus --jobs 1"},
+      {"sweep_static.csv",
+       "sweep --family type1,type2,layered --graphs 3 --kernels 46,157 "
+       "--policies heft,peft,apt-ranked:4 --topology ideal,ring,mesh:2x2 "
+       "--jobs 1"},
   };
   for (const auto& c : cases) {
     const std::string csv = ::testing::TempDir() + "/aptsim_" + c.golden;
@@ -451,6 +457,15 @@ TEST(Cli, NonFiniteLinkKnobsFailInsteadOfHanging) {
               0)
         << knob;
   }
+  // A finite latency so large that a two-hop message's activation instant
+  // overflows to +inf hung both engines too.
+  EXPECT_NE(run_cli("stream --family type1 --rate 0.005 --max-apps 4 "
+                    "--duration 0 --warmup 0 --topology mesh:2x2 "
+                    "--policies apt:4 --latency 1e308"),
+            0);
+  EXPECT_NE(run_cli("run --policy met --type 1 --kernels 24 --seed 3 "
+                    "--topology mesh:2x2 --latency 1e308"),
+            0);
 }
 
 TEST(Cli, RunWithRoutedTopologiesReportsMultiHopLinks) {

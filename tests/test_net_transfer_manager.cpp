@@ -142,6 +142,20 @@ Topology line_topology(double gbps, double latency_ms = 0.0) {
   return Topology(spec, 3, gbps);
 }
 
+TEST(TransferManager, HugeLatencyIsRejectedAndIdleAdvanceToInfReturns) {
+  // Each hop's latency is finite, but the two-hop route's head latency
+  // overflows: the message would never activate, and the engine's clock
+  // would reach +inf.
+  const Topology topo = line_topology(4.0, /*latency_ms=*/1e308);
+  TransferManager tm(topo);
+  EXPECT_THROW(tm.start(0, 1.0, 0, 2, 0.0), std::invalid_argument);
+  EXPECT_FALSE(tm.busy());
+  // An idle fabric has no event pending, so advancing to +inf returns.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(tm.next_event_ms(), inf);
+  EXPECT_TRUE(tm.advance_to(inf).empty());
+}
+
 // Hand-computed water-filling, 3 messages over 2 links: A (0 -> 2, 8e6)
 // shares link M0,0>M0,1 with B (0 -> 1, 4e6) and link M0,1>M0,2 with C
 // (1 -> 2, 4e6). Both links fill at 4e6/2 = 2e6 bytes/ms, so every

@@ -26,7 +26,6 @@
 #include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
 #include "net/topology.hpp"
-#include "policies/heft.hpp"
 #include "policies/ready_index.hpp"
 #include "reference_scan_policies.hpp"
 #include "sim/engine.hpp"
@@ -319,7 +318,7 @@ class IndexedPicky final : public sim::Policy {
   void prepare(const dag::Dag& dag, const sim::System& system,
                const sim::CostModel& cost) override {
     index_.reset(system.proc_count());
-    rank_ = policies::heft_upward_ranks(dag, system, cost);
+    rank_ = policies::reference::heft_upward_ranks(dag, system, cost);
   }
   void on_event(sim::SchedulerContext& ctx) override {
     const auto admits = [](dag::NodeId, sim::ProcId) { return true; };
@@ -347,7 +346,7 @@ class ScannedPicky final : public sim::Policy {
   bool is_dynamic() const override { return true; }
   void prepare(const dag::Dag& dag, const sim::System& system,
                const sim::CostModel& cost) override {
-    rank_ = policies::heft_upward_ranks(dag, system, cost);
+    rank_ = policies::reference::heft_upward_ranks(dag, system, cost);
   }
   void on_event(sim::SchedulerContext& ctx) override {
     std::vector<dag::NodeId> ready = ctx.ready();

@@ -8,6 +8,7 @@
 #include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
 #include "scenario/scenario.hpp"
+#include "sim/precomputed_cost_model.hpp"
 #include "sim/validate.hpp"
 #include "test_helpers.hpp"
 
@@ -279,12 +280,15 @@ TEST(MatrixCostModel, OutOfRangeQueriesThrow) {
   EXPECT_THROW(cost.exec_time_ms(d, 1, sys.processor(0)), std::out_of_range);
 }
 
+// The HEFT/PEFT means w̄ and c̄ read the dense table (PrecomputedCostModel).
+
 TEST(CostModelAverages, MeanExecOverProcessors) {
   const System sys = test::generic_system(3);
   MatrixCostModel cost({{14.0, 16.0, 9.0}});
   dag::Dag d;
   d.add_node("t1", 1);
-  EXPECT_DOUBLE_EQ(cost.average_exec_time_ms(d, 0, sys), 13.0);
+  const PrecomputedCostModel dense(d, sys, cost);
+  EXPECT_DOUBLE_EQ(dense.mean_exec_ms(0), 13.0);
 }
 
 TEST(CostModelAverages, MeanCommOverDistinctPairs) {
@@ -295,8 +299,9 @@ TEST(CostModelAverages, MeanCommOverDistinctPairs) {
   d.add_node("b", 1);
   d.add_edge(0, 1);
   cost.set_comm_cost(0, 1, 18.0);
+  const PrecomputedCostModel dense(d, sys, cost);
   // All six ordered distinct pairs cost 18 -> mean 18 (same-proc excluded).
-  EXPECT_DOUBLE_EQ(cost.average_transfer_time_ms(d, 0, 1, sys), 18.0);
+  EXPECT_DOUBLE_EQ(dense.mean_transfer_ms(0, 0), 18.0);
 }
 
 TEST(CostModelAverages, SingleProcessorCommIsZero) {
@@ -307,7 +312,8 @@ TEST(CostModelAverages, SingleProcessorCommIsZero) {
   d.add_node("b", 1);
   d.add_edge(0, 1);
   cost.set_comm_cost(0, 1, 18.0);
-  EXPECT_DOUBLE_EQ(cost.average_transfer_time_ms(d, 0, 1, sys), 0.0);
+  const PrecomputedCostModel dense(d, sys, cost);
+  EXPECT_DOUBLE_EQ(dense.mean_transfer_ms(0, 0), 0.0);
 }
 
 }  // namespace

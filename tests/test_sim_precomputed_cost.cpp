@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/policy_factory.hpp"
 #include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
@@ -34,15 +37,74 @@ TEST(PrecomputedCostModel, MatchesLutModelOnEveryNodeProcAndEdge) {
   }
 }
 
-TEST(PrecomputedCostModel, AveragesMatchBaseHelpers) {
+TEST(PrecomputedCostModel, MeansMatchTheBaseSummedInProcessorOrder) {
   const dag::Dag graph = dag::paper_graph(dag::DfgType::Type1, 0);
   const System system = test::paper_system();
   const LutCostModel base(lut::paper_lookup_table(), system);
   const PrecomputedCostModel fast(graph, system, base);
+  const auto& procs = system.processors();
   for (dag::NodeId n = 0; n < graph.node_count(); ++n) {
-    EXPECT_EQ(fast.average_exec_time_ms(graph, n, system),
-              base.average_exec_time_ms(graph, n, system));
+    double exec_sum = 0.0;
+    for (const Processor& p : procs)
+      exec_sum += base.exec_time_ms(graph, n, p);
+    EXPECT_EQ(fast.mean_exec_ms(n),
+              exec_sum / static_cast<double>(procs.size()));
+    const auto& succs = graph.successors(n);
+    for (std::size_t k = 0; k < succs.size(); ++k) {
+      double comm_sum = 0.0;
+      for (const Processor& from : procs) {
+        for (const Processor& to : procs) {
+          if (from.id != to.id)
+            comm_sum += base.transfer_time_ms(graph, n, succs[k], from, to);
+        }
+      }
+      EXPECT_EQ(fast.mean_transfer_ms(n, k),
+                comm_sum / static_cast<double>(procs.size() *
+                                               (procs.size() - 1)));
+    }
   }
+}
+
+TEST(PrecomputedCostModel, ExecRowCopiesTheStoredRow) {
+  const dag::Dag graph = dag::paper_graph(dag::DfgType::Type2, 2);
+  const System system = test::paper_system();
+  const LutCostModel base(lut::paper_lookup_table(), system);
+  const PrecomputedCostModel fast(graph, system, base);
+  std::vector<TimeMs> row(system.proc_count());
+  for (dag::NodeId n = 0; n < graph.node_count(); ++n) {
+    fast.exec_row_ms(graph, n, system.processors(), row.data());
+    for (const Processor& p : system.processors()) {
+      EXPECT_EQ(row[p.id], base.exec_time_ms(graph, n, p));
+      EXPECT_EQ(row[p.id], fast.exec_row(n)[p.id]);
+    }
+  }
+}
+
+TEST(PrecomputedCostModel, DenseHelperReusesOnlyATableThatCoversTheRun) {
+  const dag::Dag graph = dag::paper_graph(dag::DfgType::Type1, 0);
+  const dag::Dag copy = graph;  // equal content, another object
+  const System system = test::paper_system();
+  const LutCostModel base(lut::paper_lookup_table(), system);
+  const PrecomputedCostModel fast(graph, system, base);
+
+  std::optional<PrecomputedCostModel> storage;
+  EXPECT_EQ(&dense_cost_model(graph, system, fast, storage), &fast);
+  EXPECT_FALSE(storage.has_value());
+  // Another dag object, another processor count, or a model that is not
+  // dense: a new table over the given model.
+  const PrecomputedCostModel* built = &dense_cost_model(copy, system, fast,
+                                                        storage);
+  ASSERT_TRUE(storage.has_value());
+  EXPECT_EQ(built, &*storage);
+  EXPECT_TRUE(storage->covers(copy, system.proc_count()));
+  EXPECT_EQ(&storage->base(), &fast);
+  const System narrower = test::generic_system(2);
+  built = &dense_cost_model(graph, narrower, fast, storage);
+  EXPECT_EQ(built, &*storage);
+  EXPECT_TRUE(storage->covers(graph, 2));
+  built = &dense_cost_model(graph, system, base, storage);
+  EXPECT_EQ(built, &*storage);
+  EXPECT_EQ(&storage->base(), &base);
 }
 
 TEST(PrecomputedCostModel, MatchesMatrixModelIncludingNonEdgePairs) {
