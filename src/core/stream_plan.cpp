@@ -1,6 +1,7 @@
 #include "core/stream_plan.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "core/policy_factory.hpp"
@@ -58,8 +59,12 @@ std::vector<std::string> StreamPlan::validate() const {
       !(horizon_ms > 0.0))
     throw std::invalid_argument(
         "StreamPlan: set max_apps or horizon_ms to bound the run");
-  if (warmup_ms < 0.0)
-    throw std::invalid_argument("StreamPlan: warmup must be >= 0");
+  // The horizon first: the CLI derives the default warmup from it.
+  if (!std::isfinite(horizon_ms) || horizon_ms < 0.0)
+    throw std::invalid_argument(
+        "StreamPlan: horizon must be finite and >= 0");
+  if (!std::isfinite(warmup_ms) || warmup_ms < 0.0)
+    throw std::invalid_argument("StreamPlan: warmup must be finite and >= 0");
   noise.validate();
   hedging.validate();
   for (const std::string& name : families)

@@ -102,9 +102,12 @@ void TransferManager::start(std::uint64_t tag, double bytes, ProcId from,
   } else {
     slot = messages_.size();
     messages_.emplace_back();
+    projection_pos_.push_back(kNotProjected);
   }
-  // Slots are reused: every field is reassigned except `stamp`, which must
-  // keep growing so heap projections of the previous occupant stay stale.
+  // Slots are reused: every field is reassigned. The previous occupant's
+  // delivery popped its projection, so the slot enters the heap afresh.
+  APT_ASSERT(projection_pos_[slot] == kNotProjected,
+             "slot %zu reused while still projected", slot);
   Message& m = messages_[slot];
   m.tag = tag;
   m.bytes = bytes;
@@ -116,25 +119,82 @@ void TransferManager::start(std::uint64_t tag, double bytes, ProcId from,
   m.active = false;
   m.path.assign(route.begin(), route.end());
   m.link_pos.assign(m.path.size(), 0);
-  activations_.push(HeapEntry{m.activates_ms, slot, m.stamp});
+  activations_.push(Activation{m.activates_ms, slot});
   ++live_count_;
   ++started_count_;
 }
 
-void TransferManager::prune_stale_projections() const {
-  while (!projections_.empty()) {
-    const HeapEntry& top = projections_.top();
-    if (messages_[top.slot].stamp == top.stamp) return;
-    projections_.pop();
+TimeMs TransferManager::next_event_ms() const {
+  TimeMs t = kInf;
+  if (!activations_.empty()) t = activations_.top().time;
+  if (!projections_.empty()) t = std::min(t, projections_.front().finish);
+  return t;
+}
+
+/// Moves the node at `pos` toward the root past every later parent.
+void TransferManager::sift_up(std::size_t pos) {
+  const Projection node = projections_[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    const Projection& above = projections_[parent];
+    if (!(node < above)) break;
+    projections_[pos] = above;
+    projection_pos_[above.slot] = pos;
+    pos = parent;
+  }
+  projections_[pos] = node;
+  projection_pos_[node.slot] = pos;
+}
+
+/// Moves the node at `pos` toward the leaves past every earlier child.
+void TransferManager::sift_down(std::size_t pos) {
+  const Projection node = projections_[pos];
+  const std::size_t n = projections_.size();
+  for (;;) {
+    std::size_t child = 2 * pos + 1;
+    if (child >= n) break;
+    if (child + 1 < n && projections_[child + 1] < projections_[child])
+      ++child;
+    const Projection& below = projections_[child];
+    if (!(below < node)) break;
+    projections_[pos] = below;
+    projection_pos_[below.slot] = pos;
+    pos = child;
+  }
+  projections_[pos] = node;
+  projection_pos_[node.slot] = pos;
+}
+
+/// Inserts `slot`'s projected finish, or re-keys its node in place.
+void TransferManager::project(std::size_t slot, TimeMs finish) {
+  std::size_t pos = projection_pos_[slot];
+  if (pos == kNotProjected) {
+    pos = projections_.size();
+    projections_.push_back(Projection{finish, slot});
+    sift_up(pos);
+    return;
+  }
+  const TimeMs before = projections_[pos].finish;
+  projections_[pos].finish = finish;
+  if (finish < before) {
+    sift_up(pos);
+  } else {
+    sift_down(pos);
   }
 }
 
-TimeMs TransferManager::next_event_ms() const {
-  prune_stale_projections();
-  TimeMs t = kInf;
-  if (!activations_.empty()) t = activations_.top().time;
-  if (!projections_.empty()) t = std::min(t, projections_.top().time);
-  return t;
+/// Removes the earliest projection and returns its slot.
+std::size_t TransferManager::pop_projection() {
+  if (profile_) profile_->add(obs::Counter::kTmProjectionsPopped);
+  const std::size_t slot = projections_.front().slot;
+  projection_pos_[slot] = kNotProjected;
+  const Projection last = projections_.back();
+  projections_.pop_back();
+  if (!projections_.empty()) {
+    projections_.front() = last;
+    sift_down(0);
+  }
+  return slot;
 }
 
 void TransferManager::activate(std::size_t slot, TimeMs at) {
@@ -195,7 +255,6 @@ void TransferManager::deliver(std::size_t slot, TimeMs at,
   }
   mark_dirty(m.path);
   out.push_back(Delivery{m.tag, m.bytes, m.path.size(), at});
-  ++m.stamp;  // any leftover projection of this slot is now stale
   m.active = false;
   free_slots_.push_back(slot);
   --active_flow_count_;
@@ -224,7 +283,7 @@ void TransferManager::freeze_flow(std::size_t slot, double rate, TimeMs at) {
     finish = at + m.remaining / rate;
     if (!(finish > at)) finish = at;
   }
-  projections_.push(HeapEntry{finish, slot, ++m.stamp});
+  project(slot, finish);
 }
 
 void TransferManager::mark_dirty(const std::vector<LinkId>& path) {
@@ -262,7 +321,7 @@ void TransferManager::resolve_rates(TimeMs at) {
   std::size_t component_flows = 0;
   if (!full) {
     // Close the component: every link reachable from a dirty link through
-    // shared flows, and every flow on those links. Marks are stamped with
+    // shared flows, and every flow on those links. Marks carry
     // mark_round_ so the arrays never need clearing.
     ++mark_round_;
     if (flow_mark_.size() < messages_.size())
@@ -426,18 +485,14 @@ void TransferManager::advance_to(TimeMs t, std::vector<Delivery>& out) {
     // for an event.
     if (!(e <= t) || e == kInf) break;
     bool membership_changed = false;
-    prune_stale_projections();
-    while (!projections_.empty() && projections_.top().time <= e) {
-      const HeapEntry entry = projections_.top();
-      projections_.pop();
-      deliver(entry.slot, e, out);
+    while (!projections_.empty() && projections_.front().finish <= e) {
+      deliver(pop_projection(), e, out);
       membership_changed = true;
-      prune_stale_projections();
     }
     while (!activations_.empty() && activations_.top().time <= e) {
-      const HeapEntry entry = activations_.top();
+      const std::size_t slot = activations_.top().slot;
       activations_.pop();
-      activate(entry.slot, e);
+      activate(slot, e);
       membership_changed = true;
     }
     if (membership_changed) resolve_rates(e);

@@ -13,11 +13,12 @@
 // while the whole simulation stays discrete.
 //
 // Event lookup is heap-backed: pending activations sit in one min-heap and
-// projected completions in another (stale projections are invalidated by a
-// per-message stamp and discarded lazily), so next_event_ms() costs
-// amortized O(log n) instead of scanning every active message, and time
-// only advances message state at membership events — an engine event that
-// fires between two transfer events no longer touches the fabric at all.
+// projected completions in an indexed binary min-heap that holds exactly
+// one entry per draining message, keyed by (projected finish, slot). A
+// rate change re-keys the message's entry in place, a delivery pops it, so
+// next_event_ms() is a read of the two heap tops, and time only advances
+// message state at membership events — an engine event that fires between
+// two transfer events no longer touches the fabric at all.
 //
 // The rate solver is *incremental*: a membership event (a message joining
 // or leaving the fabric) can only move the saturation level of links
@@ -142,10 +143,11 @@ class TransferManager {
   /// Cumulative rate-solver counters for this manager (never reset).
   const SolveStats& solve_stats() const noexcept { return solve_stats_; }
 
-  /// Attaches a hot-path profile (src/obs) that the rate solver stamps
-  /// with its full/incremental wall-clock split. Null (the default)
-  /// disables the clock reads entirely; simulation results are unaffected
-  /// either way. The profile must outlive the manager.
+  /// Attaches a hot-path profile (src/obs) that the manager feeds with
+  /// its solver's full/incremental wall-clock split and its work counters.
+  /// Null (the default) disables the clock reads entirely; simulation
+  /// results are unaffected either way. The profile must outlive the
+  /// manager.
   void set_profile(obs::Profile* profile) noexcept { profile_ = profile; }
 
   // --- backlog prediction (the policy-facing estimation surface) -------------
@@ -219,29 +221,43 @@ class TransferManager {
     double rate_ms = 0.0;   ///< bytes per ms under the current allocation
     TimeMs anchor_ms = 0.0;  ///< instant `remaining` refers to
     TimeMs activates_ms = 0.0;  ///< joins the route here (start + latency)
-    std::uint64_t stamp = 0;    ///< invalidates superseded heap projections
     std::uint64_t solve_round = 0;  ///< frozen marker of the rate solver
     bool active = false;
     std::vector<LinkId> path;         ///< route links (reused with the slot)
     std::vector<std::size_t> link_pos;  ///< position in link_flows_[path[i]]
   };
 
-  /// Min-heap entry; `stamp` must match the slot's message for the entry
-  /// to still be meaningful (projections are superseded, never erased).
-  struct HeapEntry {
+  /// A pending message's activation; each start() pushes exactly one.
+  struct Activation {
     TimeMs time;
     std::size_t slot;
-    std::uint64_t stamp;
 
-    bool operator>(const HeapEntry& other) const noexcept {
+    bool operator>(const Activation& other) const noexcept {
       return time > other.time;
     }
   };
-  using EventHeap =
-      std::priority_queue<HeapEntry, std::vector<HeapEntry>,
-                          std::greater<HeapEntry>>;
+  using ActivationHeap =
+      std::priority_queue<Activation, std::vector<Activation>,
+                          std::greater<Activation>>;
 
-  void prune_stale_projections() const;
+  /// A draining message's projected finish: one node of projections_.
+  struct Projection {
+    TimeMs finish;
+    std::size_t slot;
+
+    /// Heap order: earliest finish first, ties by slot, so the pop order
+    /// never depends on the heap's shape.
+    bool operator<(const Projection& other) const noexcept {
+      return finish < other.finish ||
+             (finish == other.finish && slot < other.slot);
+    }
+  };
+  static constexpr std::size_t kNotProjected = static_cast<std::size_t>(-1);
+
+  void project(std::size_t slot, TimeMs finish);
+  std::size_t pop_projection();
+  void sift_up(std::size_t pos);
+  void sift_down(std::size_t pos);
   void activate(std::size_t slot, TimeMs at);
   void deliver(std::size_t slot, TimeMs at, std::vector<Delivery>& out);
   void mark_dirty(const std::vector<LinkId>& path);
@@ -257,10 +273,12 @@ class TransferManager {
   std::vector<std::size_t> free_slots_;
   std::vector<std::vector<std::size_t>> link_flows_;  ///< [link] -> slots
 
-  EventHeap activations_;           ///< pending messages by activation time
-  mutable EventHeap projections_;   ///< active messages by projected finish
-                                    ///< (mutable: lazy pruning from const
-                                    ///< next_event_ms)
+  ActivationHeap activations_;  ///< pending messages by activation time
+  /// Indexed binary min-heap over the draining messages, ordered by
+  /// (finish, slot); projection_pos_[slot] is the slot's node index, or
+  /// kNotProjected while the slot is pending or free.
+  std::vector<Projection> projections_;
+  std::vector<std::size_t> projection_pos_;
 
   std::vector<double> link_cap_;        ///< [link] capacity in bytes/ms
   std::vector<LinkId> occupied_links_;  ///< links carrying flows, ascending
@@ -281,14 +299,14 @@ class TransferManager {
   mutable std::vector<DrainMemo> drain_memo_;
 
   // Incremental-solver state. dirty_links_ collects the links whose
-  // membership changed since the last solve; the mark arrays (stamped by
+  // membership changed since the last solve; the mark arrays (tagged with
   // mark_round_ so they never need clearing) track which links/flows the
   // component closure has absorbed; solve_links_ is the sorted dirty
   // component the restricted filling runs over.
   SolveMode solve_mode_;
   std::vector<LinkId> dirty_links_;
-  std::vector<std::uint64_t> link_mark_;   ///< [link] closure stamp
-  std::vector<std::uint64_t> flow_mark_;   ///< [slot] closure stamp
+  std::vector<std::uint64_t> link_mark_;   ///< [link] closure round
+  std::vector<std::uint64_t> flow_mark_;   ///< [slot] closure round
   std::uint64_t mark_round_ = 0;
   std::vector<LinkId> solve_links_;        ///< dirty component, ascending
   SolveStats solve_stats_;

@@ -26,6 +26,8 @@ const char* to_string(Counter counter) noexcept {
       return "retirements";
     case Counter::kTmLinksScanned:
       return "tm_links_scanned";
+    case Counter::kTmProjectionsPopped:
+      return "tm_projections_popped";
     case Counter::kCount:
       break;
   }

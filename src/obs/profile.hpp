@@ -41,6 +41,9 @@ enum class Counter : std::size_t {
   /// Links entering each round of the TransferManager's max-min filling
   /// loop, summed over rounds and solves.
   kTmLinksScanned,
+  /// Nodes popped off the TransferManager's delivery heap; one per
+  /// delivered message, since the heap never holds a superseded entry.
+  kTmProjectionsPopped,
   kCount
 };
 

@@ -15,22 +15,24 @@ constexpr std::uint64_t kNoiseSeedSalt = 0x5707CA571CA11D1EULL;
 
 }  // namespace
 
+// Every check is written so that NaN fails it.
 void NoiseSpec::validate() const {
-  if (sigma < 0.0)
-    throw std::invalid_argument("NoiseSpec: sigma must be >= 0");
-  if (heavy_tail_prob < 0.0 || heavy_tail_prob > 1.0)
+  if (!std::isfinite(sigma) || sigma < 0.0)
+    throw std::invalid_argument("NoiseSpec: sigma must be finite and >= 0");
+  if (!(heavy_tail_prob >= 0.0 && heavy_tail_prob <= 1.0))
     throw std::invalid_argument(
         "NoiseSpec: heavy_tail_prob must be in [0,1]");
-  if (heavy_tail_multiplier < 1.0)
+  if (!std::isfinite(heavy_tail_multiplier) || heavy_tail_multiplier < 1.0)
     throw std::invalid_argument(
-        "NoiseSpec: heavy_tail_multiplier must be >= 1");
+        "NoiseSpec: heavy_tail_multiplier must be finite and >= 1");
 }
 
 void HedgeSpec::validate() const {
-  if (quantile < 0.0 || quantile > 1.0)
+  if (!(quantile >= 0.0 && quantile <= 1.0))
     throw std::invalid_argument("HedgeSpec: quantile must be in [0,1]");
-  if (threshold_factor < 1.0)
-    throw std::invalid_argument("HedgeSpec: threshold_factor must be >= 1");
+  if (!std::isfinite(threshold_factor) || threshold_factor < 1.0)
+    throw std::invalid_argument(
+        "HedgeSpec: threshold_factor must be finite and >= 1");
   if (window == 0)
     throw std::invalid_argument("HedgeSpec: window must be >= 1");
 }

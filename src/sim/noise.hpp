@@ -57,8 +57,9 @@ struct NoiseSpec {
            (heavy_tail_prob > 0.0 && heavy_tail_multiplier != 1.0);
   }
 
-  /// Throws std::invalid_argument on a negative sigma, a probability
-  /// outside [0,1], or a multiplier < 1.
+  /// Throws std::invalid_argument on a negative or non-finite sigma, a
+  /// probability outside [0,1] (NaN included), or a multiplier that is
+  /// < 1 or non-finite.
   void validate() const;
 };
 
@@ -98,8 +99,8 @@ struct HedgeSpec {
   /// RollingQuantile window capacity (bounds hedging memory).
   std::size_t window = 256;
 
-  /// Throws std::invalid_argument on quantile outside [0,1],
-  /// threshold_factor < 1, or a zero window.
+  /// Throws std::invalid_argument on quantile outside [0,1] (NaN
+  /// included), threshold_factor < 1 or non-finite, or a zero window.
   void validate() const;
 };
 

@@ -1,6 +1,7 @@
 #include "stream/stream_engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <limits>
 #include <map>
@@ -27,9 +28,10 @@ void StreamOptions::validate() const {
     throw std::invalid_argument(
         "StreamOptions: an endless arrival process needs max_apps or "
         "horizon_ms to bound the run");
-  if (warmup_ms < 0.0 || horizon_ms < 0.0)
+  if (!std::isfinite(warmup_ms) || warmup_ms < 0.0 ||
+      !std::isfinite(horizon_ms) || horizon_ms < 0.0)
     throw std::invalid_argument(
-        "StreamOptions: warmup/horizon must be >= 0");
+        "StreamOptions: warmup/horizon must be finite and >= 0");
   if (max_live_apps == 0)
     throw std::invalid_argument("StreamOptions: max_live_apps must be >= 1");
   noise.validate();
@@ -351,6 +353,7 @@ class EventCore final : public sim::SchedulerContext {
     ns.enqueued_at = now_;
     proc_state_.at(proc).queue.push_back({slot, exec_time_ms(slot, proc)});
     idle_dirty_ = true;
+    drain_due_ = true;
     // The destination is fixed, so contended input data starts moving now
     // and may prefetch while the kernel waits in the queue.
     if (contended_)
@@ -714,10 +717,30 @@ class EventCore final : public sim::SchedulerContext {
       const App& app = app_of(slot);
       ns.record.noise_mult =
           sim::noise_multiplier(options_.noise, app.index, slot - app.base, 0);
+      ns.record.exec_ms = realized_exec_ms(nominal, ns.record.noise_mult);
     } else {
       ns.record.noise_mult = 1.0;
+      ns.record.exec_ms = nominal;
     }
-    ns.record.exec_ms = nominal * ns.record.noise_mult;
+  }
+
+  /// nominal × mult, refusing what a valid NoiseSpec can still realize: a
+  /// multiplier that underflows to 0 (huge sigma), which would let kernels
+  /// beat their own lower bound, or a duration that overflows (huge tail
+  /// multiplier), which no event loop can reach.
+  sim::TimeMs realized_exec_ms(sim::TimeMs nominal, double mult) const {
+    if (!(std::isfinite(mult) && mult > 0.0))
+      throw std::invalid_argument(
+          std::string(who()) +
+          ": a noise multiplier realized outside (0, inf) — sigma or the "
+          "tail multiplier is too large");
+    const sim::TimeMs exec_ms = nominal * mult;
+    if (!std::isfinite(exec_ms))
+      throw std::invalid_argument(
+          std::string(who()) +
+          ": a realized execution time is not finite — the noise "
+          "multiplier overflows it");
+    return exec_ms;
   }
 
   /// Starts `slot` on the idle processor `proc` at the current time.
@@ -755,9 +778,14 @@ class EventCore final : public sim::SchedulerContext {
   }
 
   /// Pops queue heads onto idle processors. (Profiled as its own phase;
-  /// the calls from advance_to_next_event nest inside that timer.)
+  /// the calls from advance_to_next_event nest inside that timer.) Every
+  /// drain leaves no processor both free and queued, and only a completion
+  /// (which frees a processor) or an enqueue (which fills a queue) can
+  /// undo that, so the scan is skipped when neither happened since.
   void drain_queues() {
     obs::ScopedTimer timer(profile_, obs::Timer::kDrainQueues);
+    if (!drain_due_) return;
+    drain_due_ = false;
     for (sim::ProcId p = 0; p < proc_state_.size(); ++p) {
       ProcState& ps = proc_state_[p];
       if (ps.running.has_value() || ps.queue.empty()) continue;
@@ -906,7 +934,7 @@ class EventCore final : public sim::SchedulerContext {
                           ? sim::noise_multiplier(options_.noise, app.index,
                                                   slot - app.base, 1)
                           : 1.0;
-    hs.replica_exec_ms = nominal * hs.replica_mult;
+    hs.replica_exec_ms = realized_exec_ms(nominal, hs.replica_mult);
     hs.replica_finish = hs.replica_exec_start + hs.replica_exec_ms;
     hs.replica_outstanding = true;
     hs.hedge_idx = app.hedges.size();
@@ -1104,6 +1132,9 @@ class EventCore final : public sim::SchedulerContext {
     ProcState& ps = proc_state_[ns.record.proc];
     ps.running.reset();
     idle_dirty_ = true;
+    // Also covers the processor a cancelled hedge race loser freed: both
+    // race outcomes end here.
+    drain_due_ = true;
     ps.exec_history.push_back(ns.record.exec_ms);
     if (ps.exec_history.size() > kHistoryCap) ps.exec_history.pop_front();
     // Feed the hedging threshold: the winner's noise multiplier IS the
@@ -1378,6 +1409,8 @@ class EventCore final : public sim::SchedulerContext {
   /// Cached available set, rebuilt on demand after processor-state changes.
   mutable std::vector<sim::ProcId> idle_cache_;
   mutable bool idle_dirty_ = true;
+  /// A processor may be free with a non-empty queue: drain_queues() scans.
+  bool drain_due_ = false;
 
   EventQueue events_;    ///< kernel completions, replica races, hedge checks
   EventQueue releases_;  ///< future release instants (arrival + offset)

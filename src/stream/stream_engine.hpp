@@ -120,7 +120,8 @@ struct StreamOptions {
   obs::TraceSink* sink = nullptr;
   obs::Profile* profile = nullptr;
 
-  /// Throws std::invalid_argument when the spec is unbounded or malformed.
+  /// Throws std::invalid_argument when the spec is unbounded or malformed
+  /// (a non-finite warmup or horizon included).
   void validate() const;
 };
 

@@ -65,6 +65,8 @@ double parse_double(const std::string& s) {
   double v = 0.0;
   try {
     v = std::stod(t, &pos);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("parse_double: out of range: '" + s + "'");
   } catch (const std::exception&) {
     throw std::invalid_argument("parse_double: not a number: '" + s + "'");
   }
@@ -80,6 +82,8 @@ std::int64_t parse_int(const std::string& s) {
   std::int64_t v = 0;
   try {
     v = std::stoll(t, &pos);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("parse_int: out of range: '" + s + "'");
   } catch (const std::exception&) {
     throw std::invalid_argument("parse_int: not an integer: '" + s + "'");
   }
@@ -97,6 +101,8 @@ std::uint64_t parse_uint(const std::string& s) {
   std::uint64_t v = 0;
   try {
     v = std::stoull(t, &pos);
+  } catch (const std::out_of_range&) {
+    throw std::invalid_argument("parse_uint: out of range: '" + s + "'");
   } catch (const std::exception&) {
     throw std::invalid_argument("parse_uint: not an integer: '" + s + "'");
   }

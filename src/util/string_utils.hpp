@@ -30,7 +30,9 @@ std::string format_double(double value, int precision = 3);
 /// hand-rolled JSON exporter in the tree).
 std::string json_escape(const std::string& s);
 
-/// Strict full-string parses; throw std::invalid_argument on failure.
+/// Strict full-string parses; throw std::invalid_argument on failure, with
+/// "out of range" in the message when the text is a number the type cannot
+/// hold (a double that overflows or underflows, an integer past 64 bits).
 double parse_double(const std::string& s);
 std::int64_t parse_int(const std::string& s);
 std::uint64_t parse_uint(const std::string& s);

@@ -468,6 +468,28 @@ TEST(Cli, NonFiniteLinkKnobsFailInsteadOfHanging) {
             0);
 }
 
+TEST(Cli, NonFiniteNoiseAndHedgeKnobsFailInsteadOfHanging) {
+  // NaN passes `x < bound` checks: an infinite sigma, a NaN tail
+  // multiplier or a NaN hedge factor hung the stream engine, NaN sigma,
+  // probability, quantile and warmup were accepted silently, a 1e308 tail
+  // multiplier or an infinite hedge factor printed corrupt metrics, sigma
+  // 50 underflowed every multiplier to 0, and an infinite duration ran
+  // until the live-app guard blamed overload.
+  for (const std::string knob :
+       {"--noise-sigma inf", "--tail-prob 0.5 --tail-mult nan",
+        "--hedging on --hedge-factor nan", "--noise-sigma nan",
+        "--tail-prob nan", "--hedging on --hedge-quantile nan",
+        "--warmup nan", "--warmup inf", "--tail-prob 0.5 --tail-mult 1e308",
+        "--hedging on --hedge-factor inf", "--noise-sigma 50",
+        "--duration inf"}) {
+    EXPECT_NE(run_cli("stream --family type1 --rate 0.001 --duration 1000 "
+                      "--policies met " +
+                      knob),
+              0)
+        << knob;
+  }
+}
+
 TEST(Cli, RunWithRoutedTopologiesReportsMultiHopLinks) {
   // ring / mesh / fattree end to end through `run`: the per-link report
   // must appear, and the routed fabrics must show multi-hop routes.

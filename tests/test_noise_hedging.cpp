@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/batch.hpp"
@@ -38,6 +39,12 @@ TEST(NoiseSpec, DisabledByDefaultAndValidates) {
   EXPECT_FALSE(spec.enabled());
 }
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+// NaN passes every `x < bound` test, so each knob must reject it (and
+// infinity) explicitly: an infinite sigma or a NaN tail multiplier hung
+// the event loop, a NaN sigma or probability was accepted silently.
 TEST(NoiseSpec, RejectsMalformedSpecs) {
   sim::NoiseSpec spec;
   spec.sigma = -0.1;
@@ -48,6 +55,18 @@ TEST(NoiseSpec, RejectsMalformedSpecs) {
   spec.heavy_tail_prob = 0.1;
   spec.heavy_tail_multiplier = 0.5;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = sim::NoiseSpec{};
+  spec.heavy_tail_prob = kNaN;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  for (const double bad : {kNaN, kInfinity}) {
+    spec = sim::NoiseSpec{};
+    spec.sigma = bad;
+    EXPECT_THROW(spec.validate(), std::invalid_argument) << bad;
+    spec = sim::NoiseSpec{};
+    spec.heavy_tail_prob = 0.5;
+    spec.heavy_tail_multiplier = bad;
+    EXPECT_THROW(spec.validate(), std::invalid_argument) << bad;
+  }
 }
 
 TEST(HedgeSpec, RejectsMalformedSpecs) {
@@ -55,12 +74,77 @@ TEST(HedgeSpec, RejectsMalformedSpecs) {
   EXPECT_NO_THROW(spec.validate());
   spec.quantile = 1.5;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec.quantile = kNaN;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
   spec.quantile = 0.95;
   spec.threshold_factor = 0.5;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+  for (const double bad : {kNaN, kInfinity}) {
+    spec.threshold_factor = bad;
+    EXPECT_THROW(spec.validate(), std::invalid_argument) << bad;
+  }
   spec.threshold_factor = 1.5;
   spec.window = 0;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
+}
+
+TEST(StreamOptions, RejectsNonFiniteWarmupAndHorizon) {
+  for (const double bad : {kNaN, kInfinity}) {
+    stream::StreamOptions opts;
+    opts.arrivals = stream::ArrivalSpec::poisson(0.001, 1);
+    opts.max_apps = 4;
+    EXPECT_NO_THROW(opts.validate());
+    opts.warmup_ms = bad;
+    EXPECT_THROW(opts.validate(), std::invalid_argument) << bad;
+    opts.warmup_ms = 0.0;
+    opts.horizon_ms = bad;
+    EXPECT_THROW(opts.validate(), std::invalid_argument) << bad;
+
+    core::StreamPlan plan;
+    plan.families = {"type1"};
+    plan.rates_per_ms = {0.001};
+    plan.policy_specs = {"met"};
+    plan.horizon_ms = 1000.0;
+    EXPECT_NO_THROW(plan.validate());
+    plan.warmup_ms = bad;
+    EXPECT_THROW(plan.validate(), std::invalid_argument) << bad;
+    plan.warmup_ms = 0.0;
+    plan.horizon_ms = bad;
+    EXPECT_THROW(plan.validate(), std::invalid_argument) << bad;
+  }
+}
+
+// A spec can validate and still realize garbage: sigma = 50 underflows
+// exp(sigma z - sigma^2/2) to 0 (kernels would beat their lower bound),
+// and a finite 1e308 tail multiplier overflows the execution time to inf.
+// Both engines must refuse the run instead of reporting it.
+TEST(EngineNoise, RealizedMultipliersOutsideZeroToInfinityAreRejected) {
+  const sim::System system = test::paper_system();
+  const sim::LutCostModel cost(lut::paper_lookup_table(), system);
+  const dag::Dag graph = dag::paper_graph(dag::DfgType::Type1, 0);
+  sim::NoiseSpec underflow;
+  underflow.sigma = 50.0;
+  sim::NoiseSpec overflow;
+  overflow.heavy_tail_prob = 1.0;
+  overflow.heavy_tail_multiplier = 1e308;
+  for (const sim::NoiseSpec& noise : {underflow, overflow}) {
+    ASSERT_NO_THROW(noise.validate());
+    sim::EngineOptions options;
+    options.noise = noise;
+    const auto closed_policy = core::make_policy("met");
+    sim::Engine closed(graph, system, cost, options);
+    EXPECT_THROW(closed.run(*closed_policy), std::invalid_argument)
+        << noise.sigma;
+
+    stream::StreamOptions opts;
+    opts.arrivals = stream::ArrivalSpec::trace({0.0});
+    opts.noise = noise;
+    stream::StreamEngine streamed(
+        system, cost, [&](std::size_t) { return graph; }, opts);
+    const auto stream_policy = core::make_policy("met");
+    EXPECT_THROW(streamed.run(*stream_policy), std::invalid_argument)
+        << noise.sigma;
+  }
 }
 
 TEST(NoiseMultiplier, DisabledSpecReturnsExactlyOne) {

@@ -7,8 +7,12 @@
 //    (reference_transfer_manager.hpp) in both modes in lockstep; every
 //    event time, delivery, link drain, per-link total, and SolveStats
 //    counter must match BITWISE;
+//  * hand-built timelines drive the delivery heap through its edge cases
+//    (tied projections, re-keys in both directions, slot reuse) in the
+//    same lockstep;
 //  * the filling loop's work stays flat in the fabric size
-//    (obs::Counter::kTmLinksScanned);
+//    (obs::Counter::kTmLinksScanned), and the delivery heap pops once per
+//    delivered message (obs::Counter::kTmProjectionsPopped);
 //  * the stream engine under contention produces identical TransferRecord
 //    timelines and StreamMetrics either way, at 10x the densest sustained
 //    bench rate;
@@ -101,6 +105,8 @@ class Lockstep {
 
   const Tm& inc() const { return *inc_; }
   const Tm& full() const { return *full_; }
+  /// Every delivery so far, in the order advance_to() reported them.
+  const std::vector<net::Delivery>& delivered() const { return delivered_; }
 
   void set_window_start(net::TimeMs start) {
     inc_->set_window_start(start);
@@ -137,6 +143,7 @@ class Lockstep {
     full_->advance_to(t, got_);
     expect_same_deliveries("FullAlways");
     expect_same_state();
+    delivered_.insert(delivered_.end(), expected_.begin(), expected_.end());
     return expected_.size();
   }
 
@@ -216,6 +223,7 @@ class Lockstep {
   std::unique_ptr<Ref> ref_full_;
   std::vector<net::Delivery> expected_;
   std::vector<net::Delivery> got_;
+  std::vector<net::Delivery> delivered_;
 };
 
 TEST(TmIncremental, RandomizedScenariosMatchTheFrozenSolverBitwise) {
@@ -271,6 +279,102 @@ TEST(TmIncremental, RandomizedScenariosMatchTheFrozenSolverBitwise) {
   EXPECT_GT(incremental_total, 0u);
 }
 
+// --- Delivery-heap edge cases ---------------------------------------------
+//
+// Hand-built timelines on row 0 of a 2x4 mesh (P0 -> P1 and P2 -> P3 are
+// disjoint one-hop routes; 1e6 B/ms links, 0.05 ms head latency), driven
+// in lockstep with the frozen reference: next_event_ms() and every
+// delivery must match bitwise at every instant.
+
+/// (tag, instant) of each delivery, in report order.
+std::vector<std::pair<std::uint64_t, net::TimeMs>> timeline(
+    const std::vector<net::Delivery>& delivered) {
+  std::vector<std::pair<std::uint64_t, net::TimeMs>> out;
+  for (const net::Delivery& d : delivered)
+    out.emplace_back(d.tag, d.delivered_ms);
+  return out;
+}
+
+// Equal messages on disjoint links, and equal messages sharing one link,
+// project the same finish. The heap breaks such ties by slot; the report
+// must still list each instant's deliveries in tag order, so the tags run
+// against the slots here.
+TEST(TmIncremental, TiedProjectionsDeliverAtOneInstantInTagOrder) {
+  const SolveModeGuard guard;
+  const net::Topology topo = routed_topology("mesh:2x4", 8);
+  Lockstep fabric(topo);
+  fabric.start(9, 2e6, 0, 1, 0.0);  // slot 0
+  fabric.start(4, 2e6, 2, 3, 0.0);  // slot 1, same finish, disjoint link
+  fabric.start(7, 1e6, 1, 2, 0.0);  // slot 2 shares P1->P2 with slot 3
+  fabric.start(3, 1e6, 1, 2, 0.0);  // slot 3
+  fabric.run_until(std::numeric_limits<net::TimeMs>::infinity());
+  const auto got = timeline(fabric.delivered());
+  ASSERT_EQ(got.size(), 4u);
+  // 2e6 B alone and 1e6 B at half rate both take 2 ms after activation.
+  for (const auto& [tag, at] : got) EXPECT_EQ(at, got[0].second) << tag;
+  EXPECT_NEAR(got[0].second, 2.05, 1e-9);
+  EXPECT_EQ(got[0].first, 3u);
+  EXPECT_EQ(got[1].first, 4u);
+  EXPECT_EQ(got[2].first, 7u);
+  EXPECT_EQ(got[3].first, 9u);
+  EXPECT_FALSE(fabric.inc().busy());
+}
+
+// A joining flow halves A's rate, so A's projection moves past B's (the
+// heap must sift A down); C's own projection lands behind both, so its
+// insertion cannot repair a skipped sift-down. When A leaves, C's rate
+// doubles and its projection moves ahead of D's, which sits above it (the
+// heap must sift C up).
+//
+//   A: P0->P1 4e6 B at 0, alone until C joins -> projected 4.05, then 7.05
+//   B: P2->P3 5.5e6 B at 0                    -> 5.55
+//   C: P0->P1 1e7 B at 1, shares with A       -> 21.05, then 14.05
+//   D: P2->P3 1e7 B at 6, after B left        -> 16.05
+TEST(TmIncremental, RateChangesReKeyProjectionsBothWays) {
+  const SolveModeGuard guard;
+  const net::Topology topo = routed_topology("mesh:2x4", 8);
+  Lockstep fabric(topo);
+  fabric.start(0, 4e6, 0, 1, 0.0);    // A
+  fabric.start(1, 5.5e6, 2, 3, 0.0);  // B
+  fabric.run_until(1.0);
+  fabric.start(2, 1e7, 0, 1, 1.0);  // C
+  fabric.run_until(6.0);
+  fabric.start(3, 1e7, 2, 3, 6.0);  // D
+  fabric.run_until(std::numeric_limits<net::TimeMs>::infinity());
+  const auto got = timeline(fabric.delivered());
+  ASSERT_EQ(got.size(), 4u);
+  const std::vector<std::uint64_t> order = {1, 0, 2, 3};  // B, A, C, D
+  const std::vector<net::TimeMs> at = {5.55, 7.05, 14.05, 16.05};
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, order[i]) << i;
+    EXPECT_NEAR(got[i].second, at[i], 1e-9) << i;
+  }
+}
+
+// A delivered message frees its slot; the next start() reuses it. The new
+// tenant must enter the heap as a fresh node, not re-key whatever node now
+// sits at its predecessor's old index (B's, after A's pop).
+TEST(TmIncremental, AReusedSlotDoesNotInheritTheOldHeapPosition) {
+  const SolveModeGuard guard;
+  const net::Topology topo = routed_topology("mesh:2x4", 8);
+  Lockstep fabric(topo);
+  fabric.start(0, 1e6, 0, 1, 0.0);  // A, slot 0: delivered at 1.05
+  fabric.start(1, 5e6, 2, 3, 0.0);  // B, slot 1: delivered at 5.05
+  fabric.run_until(2.0);
+  ASSERT_EQ(fabric.delivered().size(), 1u);
+  fabric.start(2, 1e6, 0, 1, 2.0);  // C reuses slot 0: delivered at 3.05
+  fabric.start(3, 3e6, 1, 2, 2.0);  // E, slot 2: delivered at 5.05
+  fabric.run_until(std::numeric_limits<net::TimeMs>::infinity());
+  const auto got = timeline(fabric.delivered());
+  ASSERT_EQ(got.size(), 4u);
+  const std::vector<std::uint64_t> order = {0, 2, 1, 3};
+  const std::vector<net::TimeMs> at = {1.05, 3.05, 5.05, 5.05};
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, order[i]) << i;
+    EXPECT_NEAR(got[i].second, at[i], 1e-9) << i;
+  }
+}
+
 // Solver work must follow the flows, not the fabric: the same three
 // messages in row 0 of a 2x4 mesh (20 links) and of an 8x8 mesh (224
 // links) must send exactly the same links through the filling rounds.
@@ -305,6 +409,35 @@ TEST(TmIncremental, FillingWorkIsFlatInTheFabricSize) {
   }
   EXPECT_EQ(scanned[0], scanned[1]);
   EXPECT_EQ(scanned[0], 5u);
+}
+
+// The delivery heap holds exactly the draining messages: a re-key moves a
+// node, a delivery pops it, and nothing is left to discard. So on a churn
+// run where rates change many times per message, pops equal deliveries.
+// A lazily pruned heap pops every superseded projection too (about 4.9
+// per delivery on the fabric-mesh bench).
+TEST(TmIncremental, DeliveryHeapPopsOncePerMessage) {
+  const net::Topology topo = routed_topology("mesh:3x4", 12);
+  obs::Profile profile;
+  net::TransferManager tm(topo);
+  tm.set_profile(&profile);
+  util::Rng rng(0x9E4F);
+  net::TimeMs at = 0.0;
+  for (std::size_t m = 0; m < 400; ++m) {
+    at += rng.uniform_real(0.01, 0.3);
+    const auto from = static_cast<net::ProcId>(rng.uniform_u64(12));
+    auto to = static_cast<net::ProcId>(rng.uniform_u64(12));
+    if (to == from) to = (to + 1) % 12;
+    tm.advance_to(at);
+    tm.start(m, rng.uniform_real(1e5, 5e6), from, to, at);
+  }
+  while (tm.busy()) tm.advance_to(tm.next_event_ms());
+  EXPECT_EQ(tm.delivered_count(), 400u);
+  EXPECT_EQ(profile.count(obs::Counter::kTmProjectionsPopped),
+            tm.delivered_count());
+  // The churn is real: solves re-leveled several flows per delivery, each
+  // a potential re-key of a live projection.
+  EXPECT_GT(tm.solve_stats().flows_resolved, 3 * tm.delivered_count());
 }
 
 TEST(TmIncremental, SolveStatsCountersStayConsistent) {

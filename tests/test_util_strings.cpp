@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 namespace apt::util {
 namespace {
 
@@ -66,6 +70,45 @@ TEST(ParseUint, RejectsNegativeAndGarbage) {
   EXPECT_EQ(parse_uint("64000000"), 64000000u);
   EXPECT_THROW(parse_uint("-1"), std::invalid_argument);
   EXPECT_THROW(parse_uint("12ab"), std::invalid_argument);
+}
+
+/// The message `parse` throws for `text`, or "" when it parses.
+template <typename Parse>
+std::string parse_error(Parse parse, const std::string& text) {
+  try {
+    parse(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ParseNumbers, OutOfRangeIsNotReportedAsGarbage) {
+  for (const std::string text : {"1e400", "-1e400", "1e-308", "1e-400"}) {
+    const std::string what = parse_error(parse_double, text);
+    EXPECT_NE(what.find("parse_double: out of range"), std::string::npos)
+        << text << ": " << what;
+  }
+  for (const std::string text :
+       {"9223372036854775808", "-9223372036854775809"}) {
+    const std::string what = parse_error(parse_int, text);
+    EXPECT_NE(what.find("parse_int: out of range"), std::string::npos)
+        << text << ": " << what;
+  }
+  for (const std::string text :
+       {"18446744073709551616", "99999999999999999999"}) {
+    const std::string what = parse_error(parse_uint, text);
+    EXPECT_NE(what.find("parse_uint: out of range"), std::string::npos)
+        << text << ": " << what;
+  }
+  // The extremes that fit still parse, and garbage is still garbage.
+  EXPECT_EQ(parse_int("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(parse_uint("18446744073709551615"), UINT64_MAX);
+  EXPECT_DOUBLE_EQ(parse_double("1e308"), 1e308);
+  EXPECT_NE(parse_error(parse_double, "abc").find("not a number"),
+            std::string::npos);
+  EXPECT_NE(parse_error(parse_uint, "x1").find("not an integer"),
+            std::string::npos);
 }
 
 }  // namespace
