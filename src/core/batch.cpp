@@ -194,9 +194,9 @@ namespace {
 
 /// Shared read-only simulation inputs, built once per plan: one system per
 /// (topology, link rate) and one densified cost model per (topology, rate,
-/// graph), so the tasks of every policy column and replication reuse the
-/// same tables instead of re-densifying them (Engine::run detects the
-/// pre-wrapped model and skips its own wrapping pass).
+/// graph), so the static planners of every policy column and replication
+/// reuse the same tables instead of re-densifying them
+/// (sim::dense_cost_model detects the pre-wrapped model).
 struct SharedInputs {
   std::vector<std::vector<sim::System>> systems;           ///< [topo][rate]
   std::vector<std::vector<sim::LutCostModel>> lut_models;  ///< [topo][rate]

@@ -50,9 +50,9 @@ std::vector<std::string> StreamPlan::validate() const {
     stream::ArrivalSpec::trace(trace_arrivals).validate();
   } else {
     for (const double rate : rates_per_ms) {
-      if (!(rate > 0.0))
+      if (!std::isfinite(rate) || !(rate > 0.0))
         throw std::invalid_argument(
-            "StreamPlan: arrival rates must be > 0 apps/ms");
+            "StreamPlan: arrival rates must be finite and > 0 apps/ms");
     }
   }
   if (arrival_kind != stream::ArrivalKind::Trace && max_apps == 0 &&
@@ -123,7 +123,7 @@ StreamBatchResult run_stream_plan(const StreamPlan& plan,
       plan.table.empty() ? paper_fallback : plan.table;
 
   // Shared read-only inputs: one system, one base cost model, one kernel
-  // pool. Each cell densifies the base model per instance on its own.
+  // pool. Each cell's engine resolves every instance from the base model.
   const sim::System system(plan.base_system);
   const sim::LutCostModel base_cost(table, system);
   const dag::KernelPool pool = dag::KernelPool::from_lookup_table(table);

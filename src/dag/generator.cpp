@@ -152,9 +152,9 @@ std::vector<Dag> paper_workload(DfgType type) {
 
 void apply_poisson_arrivals(Dag& dag, double mean_interarrival_ms,
                             std::uint64_t seed) {
-  if (!(mean_interarrival_ms > 0.0))
+  if (!std::isfinite(mean_interarrival_ms) || !(mean_interarrival_ms > 0.0))
     throw std::invalid_argument(
-        "apply_poisson_arrivals: mean inter-arrival must be positive");
+        "apply_poisson_arrivals: mean gap must be finite and positive");
   // Seed contract (shared with stream::ArrivalProcess): the k-th gap is the
   // k-th exponential_interval_ms draw of util::Rng(seed), consumed in
   // ascending entry-node-id order — one uniform per entry, nothing else

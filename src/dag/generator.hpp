@@ -135,7 +135,8 @@ Dag make_cholesky(const std::vector<Node>& series);
 /// entry kernels receive exponentially distributed inter-arrival gaps with
 /// the given mean (a Poisson arrival process), in ascending node-id order.
 /// Non-entry kernels keep release 0 (they are gated by their
-/// dependencies). Deterministic per seed; mean must be positive.
+/// dependencies). Deterministic per seed; mean must be finite and
+/// positive, and a gap sum that overflows throws like any infinite release.
 ///
 /// Seed contract: the k-th gap is the k-th util::exponential_interval_ms
 /// draw of util::Rng(seed) — one uniform01() per entry node, consumed in

@@ -1,6 +1,7 @@
 #include "dag/graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <stdexcept>
@@ -13,8 +14,9 @@ NodeId Dag::add_node(std::string kernel, std::uint64_t data_size,
                      double release_ms) {
   if (kernel.empty())
     throw std::invalid_argument("Dag::add_node: empty kernel name");
-  if (release_ms < 0.0)
-    throw std::invalid_argument("Dag::add_node: negative release time");
+  if (!std::isfinite(release_ms) || release_ms < 0.0)
+    throw std::invalid_argument(
+        "Dag::add_node: release time must be finite and >= 0");
   if (nodes_.size() >= static_cast<std::size_t>(kInvalidNode))
     throw std::length_error("Dag::add_node: node limit exceeded");
   nodes_.push_back(
@@ -31,8 +33,9 @@ NodeId Dag::add_node(const Node& node) {
 void Dag::set_release_ms(NodeId id, double release_ms) {
   if (id >= nodes_.size())
     throw std::invalid_argument("Dag::set_release_ms: unknown node id");
-  if (release_ms < 0.0)
-    throw std::invalid_argument("Dag::set_release_ms: negative release time");
+  if (!std::isfinite(release_ms) || release_ms < 0.0)
+    throw std::invalid_argument(
+        "Dag::set_release_ms: release time must be finite and >= 0");
   nodes_[id].release_ms = release_ms;
 }
 

@@ -38,13 +38,15 @@ class Dag {
   Dag() = default;
 
   /// Adds a node and returns its id (ids are dense, insertion-ordered).
-  /// Throws std::invalid_argument on empty kernel names or negative
-  /// release times.
+  /// Throws std::invalid_argument on empty kernel names or release times
+  /// that are negative or not finite.
   NodeId add_node(std::string kernel, std::uint64_t data_size,
                   double release_ms = 0.0);
   NodeId add_node(const Node& node);
 
   /// Sets a node's release time after construction (workload shapers).
+  /// Throws std::invalid_argument on an unknown id or a release time that
+  /// is negative or not finite.
   void set_release_ms(NodeId id, double release_ms);
 
   /// Adds a dependency edge src -> dst.

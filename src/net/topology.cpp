@@ -508,6 +508,10 @@ TimeMs Topology::route_latency_ms(ProcId from, ProcId to) const {
   return route_latency_ms_[pair_index(from, to)];
 }
 
+double Topology::route_bandwidth_gbps(ProcId from, ProcId to) const {
+  return route_bandwidth_gbps_[pair_index(from, to)];
+}
+
 LinkId Topology::bottleneck_link(ProcId from, ProcId to) const {
   return route_bottleneck_[pair_index(from, to)];
 }

@@ -161,6 +161,11 @@ class Topology {
   /// local). Precomputed per pair.
   TimeMs route_latency_ms(ProcId from, ProcId to) const;
 
+  /// Bandwidth of the from -> to route's bottleneck link, the rate
+  /// transfer_time_ms divides the payload by (meaningless when local).
+  /// Precomputed per pair.
+  double route_bandwidth_gbps(ProcId from, ProcId to) const;
+
   /// The from -> to route's bottleneck link: the minimum-bandwidth hop,
   /// earliest in traversal order on ties — the link transfer_time_ms
   /// prices the payload against. kNoLink when the pair is local.

@@ -1,8 +1,31 @@
 #include "sim/cost_model.hpp"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace apt::sim {
+
+namespace {
+
+/// A local pair's price: any finite weight moves in 0 ms.
+constexpr PairPrice kLocalPrice{0.0, std::numeric_limits<double>::infinity()};
+
+/// Pair tables over `procs` with `price(from, to)` for every pair of
+/// distinct processors and the local price on the diagonal.
+template <typename Price>
+PairTables make_pair_tables(const std::vector<Processor>& procs, Price price) {
+  PairTables tables;
+  tables.proc_count = procs.size();
+  tables.prices.reserve(procs.size() * procs.size());
+  for (const Processor& from : procs) {
+    for (const Processor& to : procs)
+      tables.prices.push_back(from.id == to.id ? kLocalPrice : price(from, to));
+  }
+  return tables;
+}
+
+}  // namespace
 
 void CostModel::exec_row_ms(const dag::Dag& dag, dag::NodeId node,
                             const std::vector<Processor>& procs,
@@ -47,10 +70,24 @@ void LutCostModel::exec_row_ms(const dag::Dag& dag, dag::NodeId node,
 TimeMs LutCostModel::transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
                                       dag::NodeId dst, const Processor& from,
                                       const Processor& to) const {
-  (void)dst;  // the producing node's output size determines the payload
   if (from.id == to.id) return 0.0;
-  return interconnect_.transfer_time_ms(
-      edge_payload_bytes(dag, src, bytes_per_element_), from.id, to.id);
+  const double bytes = edge_weight(dag, src, dst);
+  return interconnect_.transfer_time_ms(bytes, from.id, to.id);
+}
+
+double LutCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,
+                                 dag::NodeId dst) const {
+  (void)dst;  // the producing node's output size determines the payload
+  return edge_payload_bytes(dag, src, bytes_per_element_);
+}
+
+PairTables LutCostModel::pair_tables(
+    const std::vector<Processor>& procs) const {
+  // Interconnect::transfer_time_ms divides the bytes by rate_GBps * 1e6.
+  const auto price = [this](const Processor& from, const Processor& to) {
+    return PairPrice{0.0, interconnect_.rate_gbps(from.id, to.id) * 1e6};
+  };
+  return make_pair_tables(procs, price);
 }
 
 TopologyCostModel::TopologyCostModel(const CostModel& base,
@@ -66,11 +103,27 @@ TimeMs TopologyCostModel::transfer_time_ms(const dag::Dag& dag,
                                            dag::NodeId src, dag::NodeId dst,
                                            const Processor& from,
                                            const Processor& to) const {
-  (void)dst;  // the producing node's output size determines the payload
   if (from.id == to.id) return 0.0;
-  return system_.topology().transfer_time_ms(
-      edge_payload_bytes(dag, src, system_.config().bytes_per_element),
-      from.id, to.id);
+  const double bytes = edge_weight(dag, src, dst);
+  return system_.topology().transfer_time_ms(bytes, from.id, to.id);
+}
+
+double TopologyCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,
+                                      dag::NodeId dst) const {
+  (void)dst;  // the producing node's output size determines the payload
+  return edge_payload_bytes(dag, src, system_.config().bytes_per_element);
+}
+
+PairTables TopologyCostModel::pair_tables(
+    const std::vector<Processor>& procs) const {
+  const net::Topology& topology = system_.topology();
+  // Topology::transfer_time_ms: head latency + bytes / (rate_GBps * 1e6).
+  const auto price = [&topology](const Processor& from, const Processor& to) {
+    if (topology.is_local(from.id, to.id)) return kLocalPrice;
+    const double gbps = topology.route_bandwidth_gbps(from.id, to.id);
+    return PairPrice{topology.route_latency_ms(from.id, to.id), gbps * 1e6};
+  };
+  return make_pair_tables(procs, price);
 }
 
 MatrixCostModel::MatrixCostModel(std::vector<std::vector<TimeMs>> exec)
@@ -88,8 +141,9 @@ MatrixCostModel::MatrixCostModel(std::vector<std::vector<TimeMs>> exec)
 
 void MatrixCostModel::set_comm_cost(dag::NodeId src, dag::NodeId dst,
                                     TimeMs cost) {
-  if (cost < 0.0)
-    throw std::invalid_argument("MatrixCostModel: negative communication cost");
+  if (!std::isfinite(cost) || cost < 0.0)
+    throw std::invalid_argument(
+        "MatrixCostModel: communication cost must be finite and >= 0");
   comm_[{src, dst}] = cost;
 }
 
@@ -108,10 +162,22 @@ TimeMs MatrixCostModel::transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
                                          dag::NodeId dst,
                                          const Processor& from,
                                          const Processor& to) const {
-  (void)dag;
   if (from.id == to.id) return 0.0;
+  return edge_weight(dag, src, dst);
+}
+
+double MatrixCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,
+                                    dag::NodeId dst) const {
+  (void)dag;
   const auto it = comm_.find({src, dst});
   return it == comm_.end() ? 0.0 : it->second;
+}
+
+PairTables MatrixCostModel::pair_tables(
+    const std::vector<Processor>& procs) const {
+  return make_pair_tables(procs, [](const Processor&, const Processor&) {
+    return PairPrice{0.0, 1.0};
+  });
 }
 
 }  // namespace apt::sim

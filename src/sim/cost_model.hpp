@@ -8,8 +8,16 @@
 //  * MatrixCostModel — explicit per-node/per-processor computation matrix and
 //    per-edge communication costs, as used in the HEFT/PEFT literature
 //    examples (enables golden tests against published schedules).
+//
+// Every model prices an edge as a weight moved between a processor pair:
+// transfer_time_ms(dag, src, dst, from, to) equals
+// pair_tables(procs).transfer_ms(edge_weight(dag, src, dst), from, to), bit
+// for bit. The event core resolves the weights once per instance at
+// admission and the tables once per run, so its per-kernel transfer reads
+// are a table lookup; policies and planners keep the per-edge call.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <vector>
 
@@ -20,14 +28,35 @@
 namespace apt::sim {
 
 /// Payload of the edge out of `src`: the producer's output, data_size
-/// elements at `bytes_per_element` bytes each. The one formula the cost
-/// models, both engines, and the validator's capacity math must share —
-/// message sizes and transfer estimates would silently desynchronize if
-/// any of them computed it differently.
+/// elements at `bytes_per_element` bytes each. The one formula the
+/// payload-priced cost models share: the event core takes both its
+/// transfer prices and its fabric message sizes from their edge_weight, so
+/// the two would silently desynchronize if the models computed it
+/// differently.
 inline double edge_payload_bytes(const dag::Dag& dag, dag::NodeId src,
                                  double bytes_per_element) {
   return static_cast<double>(dag.node(src).data_size) * bytes_per_element;
 }
+
+/// One processor pair's transfer price: moving a weight `w` costs
+/// latency_ms + w / rate.
+struct PairPrice {
+  TimeMs latency_ms = 0.0;
+  double rate = 0.0;  ///< weight per ms (bytes/ms for payload weights)
+};
+
+/// A run's transfer prices over P processors, indexed [from * P + to]. A
+/// local pair (same processor, or a route with no links) is latency 0 and
+/// rate +inf, so any finite weight moves in 0 ms.
+struct PairTables {
+  std::size_t proc_count = 0;
+  std::vector<PairPrice> prices;
+
+  TimeMs transfer_ms(double weight, ProcId from, ProcId to) const noexcept {
+    const PairPrice& p = prices[from * proc_count + to];
+    return p.latency_ms + weight / p.rate;
+  }
+};
 
 /// Abstract interface consumed by every policy and by the engine.
 class CostModel {
@@ -51,6 +80,18 @@ class CostModel {
   virtual TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
                                   dag::NodeId dst, const Processor& from,
                                   const Processor& to) const = 0;
+
+  /// The weight of edge src -> dst that pair_tables() prices: the
+  /// producer's payload bytes (edge_payload_bytes) for every model but
+  /// MatrixCostModel, whose weight is the edge's own communication cost.
+  virtual double edge_weight(const dag::Dag& dag, dag::NodeId src,
+                             dag::NodeId dst) const = 0;
+
+  /// The transfer prices between every ordered pair of `procs` (indexed by
+  /// position): for every edge and pair,
+  /// `transfer_time_ms(dag, src, dst, procs[f], procs[t])` ==
+  /// `pair_tables(procs).transfer_ms(edge_weight(dag, src, dst), f, t)`.
+  virtual PairTables pair_tables(const std::vector<Processor>& procs) const = 0;
 };
 
 /// The paper's cost model (lookup table + PCIe links).
@@ -74,6 +115,10 @@ class LutCostModel final : public CostModel {
   TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
                           dag::NodeId dst, const Processor& from,
                           const Processor& to) const override;
+  double edge_weight(const dag::Dag& dag, dag::NodeId src,
+                     dag::NodeId dst) const override;
+  /// Latency 0 and the interconnect's rate in bytes/ms.
+  PairTables pair_tables(const std::vector<Processor>& procs) const override;
 
   const lut::LookupTable& table() const noexcept { return table_; }
 
@@ -102,6 +147,10 @@ class TopologyCostModel final : public CostModel {
   TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
                           dag::NodeId dst, const Processor& from,
                           const Processor& to) const override;
+  double edge_weight(const dag::Dag& dag, dag::NodeId src,
+                     dag::NodeId dst) const override;
+  /// Each route's head latency and bottleneck rate in bytes/ms.
+  PairTables pair_tables(const std::vector<Processor>& procs) const override;
 
   const CostModel& base() const noexcept { return base_; }
 
@@ -119,7 +168,8 @@ class MatrixCostModel final : public CostModel {
 
   /// Sets the single inter-processor communication cost of edge src -> dst
   /// (applied whenever from != to; 0 otherwise) — the model of the HEFT
-  /// paper's Figure 2 example.
+  /// paper's Figure 2 example. Throws std::invalid_argument unless `cost`
+  /// is finite and >= 0.
   void set_comm_cost(dag::NodeId src, dag::NodeId dst, TimeMs cost);
 
   TimeMs exec_time_ms(const dag::Dag& dag, dag::NodeId node,
@@ -127,6 +177,12 @@ class MatrixCostModel final : public CostModel {
   TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
                           dag::NodeId dst, const Processor& from,
                           const Processor& to) const override;
+  /// The edge's communication cost (0 when unset).
+  double edge_weight(const dag::Dag& dag, dag::NodeId src,
+                     dag::NodeId dst) const override;
+  /// Latency 0 and rate 1 between distinct processors: the weight is the
+  /// cost itself.
+  PairTables pair_tables(const std::vector<Processor>& procs) const override;
 
  private:
   std::vector<std::vector<TimeMs>> exec_;

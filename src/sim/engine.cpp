@@ -1,9 +1,7 @@
 #include "sim/engine.hpp"
 
-#include <optional>
 #include <utility>
 
-#include "sim/precomputed_cost_model.hpp"
 #include "stream/closed_run.hpp"
 
 namespace apt::sim {
@@ -19,12 +17,10 @@ Engine::Engine(const dag::Dag& dag, const System& system,
 SimResult Engine::run(Policy& policy) {
   options_.noise.validate();
   options_.hedging.validate();
-  // Densify the cost model once per run unless the caller already did. The
-  // dense model answers by the DAG's address, which the closed run borrows.
-  std::optional<PrecomputedCostModel> local;
-  return stream::detail::run_closed(
-      dag_, system_, dense_cost_model(dag_, system_, cost_, local), options_,
-      policy);
+  // No dense table here: the core copies exec rows and prices transfers
+  // from pair tables, and the static planners densify for themselves
+  // (sim::dense_cost_model reuses a table the caller already built).
+  return stream::detail::run_closed(dag_, system_, cost_, options_, policy);
 }
 
 }  // namespace apt::sim

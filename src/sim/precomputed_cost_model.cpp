@@ -72,6 +72,16 @@ TimeMs PrecomputedCostModel::transfer_time_ms(const dag::Dag& dag,
   return out_edge_transfers(src, k)[from.id * proc_count_ + to.id];
 }
 
+double PrecomputedCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,
+                                         dag::NodeId dst) const {
+  return base_.edge_weight(dag, src, dst);
+}
+
+PairTables PrecomputedCostModel::pair_tables(
+    const std::vector<Processor>& procs) const {
+  return base_.pair_tables(procs);
+}
+
 std::size_t PrecomputedCostModel::out_edge_index(dag::NodeId src,
                                                  dag::NodeId dst) const {
   const auto& succs = dag_->successors(src);

@@ -13,10 +13,12 @@
 // Queries about a *different* dag (or out-of-range processors) fall back to
 // the base model, so the adapter can be handed to code that mixes graphs.
 //
-// The closed engine's admission copies each exec row (exec_row_ms). The
-// static planners read the tables directly: dense_cost_model() finds or
-// builds the table for a run, and exec_row() / out_edge_transfers() expose
-// its rows without a virtual call or an edge search per query.
+// The static planners (HEFT, PEFT, APT-Ranked's ranks) read the tables
+// directly: dense_cost_model() finds or builds the table for a run, and
+// exec_row() / out_edge_transfers() expose its rows without a virtual call
+// or an edge search per query. The event core needs no dense table: it
+// copies exec rows at admission and prices transfers from the base model's
+// pair tables, which this adapter passes through.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +48,10 @@ class PrecomputedCostModel final : public CostModel {
   TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
                           dag::NodeId dst, const Processor& from,
                           const Processor& to) const override;
+  /// The base model's: the dense transfer tables hold its prices.
+  double edge_weight(const dag::Dag& dag, dag::NodeId src,
+                     dag::NodeId dst) const override;
+  PairTables pair_tables(const std::vector<Processor>& procs) const override;
 
   const CostModel& base() const noexcept { return base_; }
 

@@ -1,5 +1,6 @@
 #include "stream/arrival.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "util/string_utils.hpp"
@@ -57,16 +58,18 @@ void ArrivalSpec::validate() const {
   if (kind == ArrivalKind::Trace) {
     sim::TimeMs prev = 0.0;
     for (const sim::TimeMs t : arrival_times_ms) {
-      if (t < prev)
+      // A NaN instant passes `t < prev` and would stall the clock; an
+      // infinite one never arrives.
+      if (!std::isfinite(t) || t < prev)
         throw std::invalid_argument(
-            "ArrivalSpec: trace times must be non-decreasing and >= 0");
+            "ArrivalSpec: trace times must be finite, sorted and >= 0");
       prev = t;
     }
     return;
   }
-  if (!(rate_per_ms > 0.0))
+  if (!std::isfinite(rate_per_ms) || !(rate_per_ms > 0.0))
     throw std::invalid_argument(
-        "ArrivalSpec: arrival rate must be > 0 applications/ms");
+        "ArrivalSpec: arrival rate must be finite and > 0 applications/ms");
 }
 
 ArrivalProcess::ArrivalProcess(ArrivalSpec spec)

@@ -58,8 +58,9 @@ struct ArrivalSpec {
   static ArrivalSpec deterministic(double rate_per_ms);
   static ArrivalSpec trace(std::vector<sim::TimeMs> arrival_times_ms);
 
-  /// Throws std::invalid_argument on a non-positive rate or an unsorted /
-  /// negative trace.
+  /// Throws std::invalid_argument on a rate that is not finite and
+  /// positive, or a trace instant that is not finite, negative, or out of
+  /// order.
   void validate() const;
 };
 

@@ -13,11 +13,12 @@ namespace apt::stream::detail {
 
 /// Closed-mode run of the event core: `dag` is the only instance, admitted
 /// at t = 0 as arrival 0 and borrowed, not copied. `cost` is the base model
-/// whose rows fill the exec slabs (sim::Engine hands a dense model for
-/// `dag`). Static policies are allowed and SchedulerContext::dag() returns
-/// `dag`. Every kernel, transfer, and hedge record lands in the result; no
-/// lifecycle instant, arrival/retirement count, lower bound, or stream
-/// metric is produced. Calls policy.prepare() even for an empty DAG.
+/// whose rows fill the exec slabs and whose pair tables price transfers
+/// (sim::Engine hands its own model through). Static policies are allowed
+/// and SchedulerContext::dag() returns `dag`. Every kernel, transfer, and
+/// hedge record lands in the result; no lifecycle instant,
+/// arrival/retirement count, lower bound, or stream metric is produced.
+/// Calls policy.prepare() even for an empty DAG.
 sim::SimResult run_closed(const dag::Dag& dag, const sim::System& system,
                           const sim::CostModel& cost,
                           const sim::EngineOptions& options,

@@ -76,9 +76,71 @@ struct Event {
 using EventQueue =
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>>;
 
+/// First-fit allocator of index ranges over a growing array: a request
+/// takes the lowest-based free range that fits (deterministic), else a new
+/// range at the end. Ranges merge on release, so a steady-state stream of
+/// same-sized requests recycles one range forever and the array stays
+/// proportional to the live backlog.
+class RangeAllocator {
+ public:
+  /// Base of a free range of `n` indices; end() grows when none fits.
+  std::uint32_t allocate(std::size_t n) {
+    if (n == 0) return 0;
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->second < n) continue;
+      const std::uint32_t base = it->first;
+      const std::size_t len = it->second;
+      free_.erase(it);
+      if (len > n) free_.emplace(base + static_cast<std::uint32_t>(n), len - n);
+      return base;
+    }
+    if (n >= kLimit - end_)
+      throw std::length_error("StreamEngine: too many live kernels or edges");
+    const std::uint32_t base = static_cast<std::uint32_t>(end_);
+    end_ += n;
+    return base;
+  }
+
+  void release(std::uint32_t base, std::size_t n) {
+    if (n == 0) return;
+    auto [it, inserted] = free_.emplace(base, n);
+    (void)inserted;
+    // Merge with the successor range, then with the predecessor.
+    auto next = std::next(it);
+    if (next != free_.end() &&
+        it->first + static_cast<std::uint32_t>(it->second) == next->first) {
+      it->second += next->second;
+      free_.erase(next);
+    }
+    if (it != free_.begin()) {
+      auto prev = std::prev(it);
+      if (prev->first + static_cast<std::uint32_t>(prev->second) == it->first) {
+        prev->second += it->second;
+        free_.erase(it);
+      }
+    }
+  }
+
+  /// One past the highest index ever handed out: the array size needed.
+  std::size_t end() const noexcept { return end_; }
+
+ private:
+  static constexpr std::size_t kLimit = dag::kInvalidNode;
+  std::map<std::uint32_t, std::size_t> free_;  ///< base -> length, merged
+  std::size_t end_ = 0;
+};
+
 /// The event core: all mutable state of one run, and the SchedulerContext
 /// the policy schedules against. Per-node arrays are indexed by global slot
 /// id; a retired instance's slot range returns to the free-range allocator.
+///
+/// Admission copies everything the lifecycle needs out of an instance's
+/// graph: exec rows, slot-indexed predecessor/successor ranges (CSR) with
+/// each in-edge's weight, and release offsets. From then on no kernel path
+/// reads the dag::Dag or calls the cost model: an edge's transfer time is
+/// one read of the run's pair tables (CostModel::pair_tables). An open run
+/// therefore drops each graph at admission unless a recorded schedule or a
+/// trace sink's kernel names need it later.
 ///
 /// An open run (StreamEngine::run) admits instances from a DagSource as the
 /// arrival process delivers them. A closed run (sim::Engine::run, through
@@ -104,6 +166,7 @@ class EventCore final : public sim::SchedulerContext {
         hedging_(options.hedging.enabled),
         proc_count_(system.proc_count()),
         hedge_window_(options.hedging.window),
+        keep_dags_(options.record_schedules || options.sink != nullptr),
         sink_(options.sink),
         profile_(options.profile),
         proc_state_(system.proc_count()) {
@@ -125,6 +188,7 @@ class EventCore final : public sim::SchedulerContext {
       // makes HEFT/PEFT EFT estimates topology-aware.
       cost_ = &topo_cost_.emplace(base_cost_, system_);
     }
+    prices_ = cost_->pair_tables(system.processors());
     observation_.warmup_ms = options.warmup_ms;
     observation_.busy_in_window_ms.assign(system.proc_count(), 0.0);
     observation_.kernels_in_window.assign(system.proc_count(), 0);
@@ -270,44 +334,44 @@ class EventCore final : public sim::SchedulerContext {
     return min_proc_slab_[slot];
   }
 
+  // Transfer queries walk the slot's predecessor range and price each edge
+  // from the pair tables: no graph, no virtual call, no edge search.
   sim::TimeMs input_transfer_ms(dag::NodeId slot,
                                 sim::ProcId proc) const override {
-    const App& app = app_of(slot);
-    const dag::Dag& dag = app.dag();
-    const dag::NodeId local = slot - app.base;
-    const sim::Processor& to = system_.processor(proc);
+    APT_ASSERT(node_state_[slot].app != kNoApp && proc < proc_count_,
+               "retired slot %u or unknown processor %u", slot, proc);
+    const Adjacency& adj = adjacency_[slot];
     sim::TimeMs worst = 0.0;
-    for (const dag::NodeId pred : dag.predecessors(local)) {
-      const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
+    for (std::uint32_t e = adj.pred_begin; e != adj.pred_end; ++e) {
+      const dag::NodeId pred = pred_slot_[e];
+      const sim::ScheduledKernel& rec = node_state_[pred].record;
       // Internal invariant (not policy-misuse validation): ready slots
       // only surface once every predecessor was scheduled.
       APT_ASSERT(rec.proc != sim::kInvalidProc,
                  "predecessor %u of slot %u not yet scheduled", pred, slot);
-      worst = std::max(worst,
-                       cost_->transfer_time_ms(dag, pred, local,
-                                               system_.processor(rec.proc),
-                                               to));
+      const double weight = pred_weight_[e];
+      worst = std::max(worst, prices_.transfer_ms(weight, rec.proc, proc));
     }
     return worst;
   }
 
   sim::TransferEstimate transfer_estimate(dag::NodeId slot,
                                           sim::ProcId proc) const override {
+    APT_ASSERT(node_state_[slot].app != kNoApp && proc < proc_count_,
+               "retired slot %u or unknown processor %u", slot, proc);
     sim::TransferEstimate est;
     est.noise = options_.noise;
-    const App& app = app_of(slot);
-    const dag::Dag& dag = app.dag();
-    const dag::NodeId local = slot - app.base;
-    const sim::Processor& to = system_.processor(proc);
+    const Adjacency& adj = adjacency_[slot];
     sim::ProcId worst_from = proc;  // local: contributes no link
-    for (const dag::NodeId pred : dag.predecessors(local)) {
-      const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
+    for (std::uint32_t e = adj.pred_begin; e != adj.pred_end; ++e) {
+      const dag::NodeId pred = pred_slot_[e];
+      const sim::ScheduledKernel& rec = node_state_[pred].record;
       APT_ASSERT(rec.proc != sim::kInvalidProc,
                  "predecessor %u of slot %u not yet scheduled", pred, slot);
-      // Same call, same order, same maximum as input_transfer_ms above —
+      // Same price, same order, same maximum as input_transfer_ms above —
       // stall_ms stays bit-identical to the legacy scalar.
-      const sim::TimeMs edge = cost_->transfer_time_ms(
-          dag, pred, local, system_.processor(rec.proc), to);
+      const double weight = pred_weight_[e];
+      const sim::TimeMs edge = prices_.transfer_ms(weight, rec.proc, proc);
       if (edge > est.stall_ms) {
         est.stall_ms = edge;
         worst_from = rec.proc;
@@ -433,10 +497,14 @@ class EventCore final : public sim::SchedulerContext {
     sim::TimeMs arrival_ms = 0.0;
     /// A closed run's graph, borrowed for the run; null in open runs.
     const dag::Dag* borrowed = nullptr;
-    /// An open run's graph; retire() moves it into the recorded schedule.
+    /// An open run's graph, kept past admission only when keep_dags_;
+    /// retire() moves it into the recorded schedule.
     dag::Dag owned;
     sim::TimeMs lower_bound_ms = 0.0;      ///< isolated makespan bound
     dag::NodeId base = dag::kInvalidNode;  ///< first global slot
+    std::size_t kernels = 0;               ///< slots from base
+    std::uint32_t edge_base = 0;           ///< first entry in the edge slabs
+    std::size_t edges = 0;                 ///< edge-slab entries from there
     std::size_t remaining = 0;             ///< kernels not yet completed
     /// Completed/in-flight link messages, local node ids, absolute times.
     /// Only populated when StreamOptions::record_schedules (memory stays
@@ -447,7 +515,17 @@ class EventCore final : public sim::SchedulerContext {
     /// it — but only retained into the outcome under record_schedules.
     std::vector<sim::HedgeRecord> hedges;
 
+    /// Read only at admission and by trace spans.
     const dag::Dag& dag() const { return borrowed ? *borrowed : owned; }
+  };
+
+  /// A slot's predecessor and successor entries in the edge slabs,
+  /// [begin, end) each, in Dag::predecessors / Dag::successors order.
+  struct Adjacency {
+    std::uint32_t pred_begin = 0;
+    std::uint32_t pred_end = 0;
+    std::uint32_t succ_begin = 0;
+    std::uint32_t succ_end = 0;
   };
 
   /// Entry point name for error messages.
@@ -461,50 +539,37 @@ class EventCore final : public sim::SchedulerContext {
     return apps_[a];
   }
 
-  // --- slot-range allocator -------------------------------------------------
+  // --- slot and edge ranges ------------------------------------------------
 
-  /// First-fit over the retired ranges (lowest base wins — deterministic),
-  /// growing the arrays when nothing fits. Ranges merge on release, so a
-  /// steady-state stream of same-sized instances recycles one range
-  /// forever and memory stays proportional to the live backlog.
+  /// A range of `n` slots (first fit, see RangeAllocator), growing every
+  /// slot-indexed array when nothing retired fits.
   dag::NodeId allocate_slots(std::size_t n) {
-    for (auto it = free_ranges_.begin(); it != free_ranges_.end(); ++it) {
-      if (it->second < n) continue;
-      const dag::NodeId base = it->first;
-      const std::size_t len = it->second;
-      free_ranges_.erase(it);
-      if (len > n)
-        free_ranges_.emplace(base + static_cast<dag::NodeId>(n), len - n);
-      return base;
+    const dag::NodeId base = slots_.allocate(n);
+    const std::size_t size = slots_.end();
+    if (size > node_state_.size()) {
+      node_state_.resize(size);
+      if (hedging_) hedge_.resize(size);
+      if (contended_) comm_.resize(size);
+      ready_.resize(size);
+      exec_slab_.resize(size * proc_count_, 0.0);
+      min_exec_slab_.resize(size, 0.0);
+      min_proc_slab_.resize(size, 0);
+      adjacency_.resize(size);
+      release_slab_.resize(size, 0.0);
     }
-    const dag::NodeId base = static_cast<dag::NodeId>(node_state_.size());
-    node_state_.resize(node_state_.size() + n);
-    if (hedging_) hedge_.resize(node_state_.size());
-    if (contended_) comm_.resize(node_state_.size());
-    ready_.resize(node_state_.size());
-    exec_slab_.resize(node_state_.size() * proc_count_, 0.0);
-    min_exec_slab_.resize(node_state_.size(), 0.0);
-    min_proc_slab_.resize(node_state_.size(), 0);
     return base;
   }
 
-  void release_slots(dag::NodeId base, std::size_t n) {
-    auto [it, inserted] = free_ranges_.emplace(base, n);
-    (void)inserted;
-    // Merge with the successor range, then with the predecessor.
-    auto next = std::next(it);
-    if (next != free_ranges_.end() &&
-        it->first + static_cast<dag::NodeId>(it->second) == next->first) {
-      it->second += next->second;
-      free_ranges_.erase(next);
+  /// A range of `n` entries in each edge slab.
+  std::uint32_t allocate_edges(std::size_t n) {
+    const std::uint32_t base = edges_.allocate(n);
+    const std::size_t size = edges_.end();
+    if (size > pred_slot_.size()) {
+      pred_slot_.resize(size);
+      pred_weight_.resize(size);
+      succ_slot_.resize(size);
     }
-    if (it != free_ranges_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->first + static_cast<dag::NodeId>(prev->second) == it->first) {
-        prev->second += it->second;
-        free_ranges_.erase(it);
-      }
-    }
+    return base;
   }
 
   // --- ready-set bookkeeping (sim::ReadySet) ---------------------------------
@@ -635,16 +700,16 @@ class EventCore final : public sim::SchedulerContext {
       throw std::logic_error(std::string(who()) +
                              ": slot has no live application");
     App& app = apps_[ns.app];
-    const dag::Dag& dag = app.dag();
-    const dag::NodeId local = slot - app.base;
+    const Adjacency& adj = adjacency_[slot];
     CommState& cs = comm_[slot];
     cs.data_ready_at = dispatched;
-    for (const dag::NodeId pred : dag.predecessors(local)) {
-      const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
+    for (std::uint32_t e = adj.pred_begin; e != adj.pred_end; ++e) {
+      const sim::ScheduledKernel& rec = node_state_[pred_slot_[e]].record;
       const net::Topology::Route route = topology_.route(rec.proc, proc);
       if (route.empty()) continue;  // same processor, socket, or cell
-      const double bytes = sim::edge_payload_bytes(
-          dag, pred, system_.config().bytes_per_element);
+      // On a contended fabric cost_ is the TopologyCostModel, whose edge
+      // weight is the producer's payload: the message size.
+      const double bytes = pred_weight_[e];
       const std::uint64_t tag = next_transfer_tag_++;
       // A trace sink needs the full message record at delivery time, so
       // tracing also populates the app's transfer log; retire() still
@@ -652,8 +717,8 @@ class EventCore final : public sim::SchedulerContext {
       // by the live backlog.
       if (options_.record_schedules || sink_) {
         sim::TransferRecord record;
-        record.src = pred;
-        record.dst = local;
+        record.src = pred_slot_[e] - app.base;
+        record.dst = slot - app.base;
         record.from = rec.proc;
         record.to = proc;
         record.path.assign(route.begin(), route.end());
@@ -842,18 +907,13 @@ class EventCore final : public sim::SchedulerContext {
       return input_transfer_ms(slot, proc);
     // Prefetched: each edge's data has been moving since the predecessor
     // finished; the kernel only stalls for whatever is still in flight.
-    const App& app = app_of(slot);
-    const dag::Dag& dag = app.dag();
-    const dag::NodeId local = slot - app.base;
-    const sim::Processor& to = system_.processor(proc);
+    const Adjacency& adj = adjacency_[slot];
     sim::TimeMs data_ready = from_time;
-    for (const dag::NodeId pred : dag.predecessors(local)) {
-      const sim::ScheduledKernel& rec = node_state_[app.base + pred].record;
-      const sim::TimeMs arrival =
-          rec.finish_time +
-          cost_->transfer_time_ms(dag, pred, local,
-                                  system_.processor(rec.proc), to);
-      data_ready = std::max(data_ready, arrival);
+    for (std::uint32_t e = adj.pred_begin; e != adj.pred_end; ++e) {
+      const sim::ScheduledKernel& rec = node_state_[pred_slot_[e]].record;
+      const double weight = pred_weight_[e];
+      const sim::TimeMs edge = prices_.transfer_ms(weight, rec.proc, proc);
+      data_ready = std::max(data_ready, rec.finish_time + edge);
     }
     return data_ready - from_time;
   }
@@ -1152,12 +1212,12 @@ class EventCore final : public sim::SchedulerContext {
     if (ns.record.finish_time >= options_.warmup_ms)
       ++observation_.kernels_in_window[ns.record.proc];
 
-    const dag::Dag& dag = app.dag();
-    for (const dag::NodeId succ : dag.successors(slot - app.base)) {
-      const dag::NodeId succ_slot = app.base + succ;
+    const Adjacency& adj = adjacency_[slot];
+    for (std::uint32_t e = adj.succ_begin; e != adj.succ_end; ++e) {
+      const dag::NodeId succ_slot = succ_slot_[e];
       NodeState& ss = node_state_[succ_slot];
       if (--ss.remaining_preds == 0) {
-        const sim::TimeMs release = app.arrival_ms + dag.node(succ).release_ms;
+        const sim::TimeMs release = app.arrival_ms + release_slab_[succ_slot];
         if (release <= now_) {
           mark_ready(succ_slot);
         } else {
@@ -1171,7 +1231,7 @@ class EventCore final : public sim::SchedulerContext {
   /// The instance's full schedule (local node ids, absolute times); moves
   /// its transfer and hedge logs out.
   sim::SimResult take_result(App& app) {
-    const std::size_t n = app.dag().node_count();
+    const std::size_t n = app.kernels;
     sim::SimResult result;
     result.schedule.resize(n);
     for (dag::NodeId local = 0; local < n; ++local) {
@@ -1186,7 +1246,7 @@ class EventCore final : public sim::SchedulerContext {
 
   void retire(std::uint32_t app_slot) {
     App& app = apps_[app_slot];
-    const std::size_t n = app.dag().node_count();
+    const std::size_t n = app.kernels;
     if (closed_) {
       closed_result_ = take_result(app);
     } else {
@@ -1208,7 +1268,9 @@ class EventCore final : public sim::SchedulerContext {
     // instead of reading a retired instance's costs.
     for (dag::NodeId local = 0; local < n; ++local)
       node_state_[app.base + local].app = kNoApp;
-    release_slots(app.base, n);
+    slots_.release(app.base, n);
+    edges_.release(app.edge_base, app.edges);
+    app.owned = dag::Dag{};
     app.transfers.clear();
     app.hedges.clear();
     free_app_slots_.push_back(app_slot);
@@ -1269,9 +1331,10 @@ class EventCore final : public sim::SchedulerContext {
     observation_.live_apps.observe(now_, live_count_);
   }
 
-  /// Gives a non-empty instance an app-table entry and a slot range,
-  /// resolves its costs, and seeds its entry kernels. A closed run places
-  /// its borrowed graph; an open run hands over the `owned` one.
+  /// Gives a non-empty instance an app-table entry and slot and edge
+  /// ranges, copies its costs and structure into them, and seeds its entry
+  /// kernels. A closed run places its borrowed graph; an open run hands
+  /// over the `owned` one, which is dropped here unless keep_dags_.
   void place(std::size_t index, sim::TimeMs arrival_ms, dag::Dag owned) {
     std::uint32_t app_slot;
     if (!free_app_slots_.empty()) {
@@ -1285,16 +1348,21 @@ class EventCore final : public sim::SchedulerContext {
     app.index = index;
     app.arrival_ms = arrival_ms;
     app.borrowed = closed_;
-    app.owned = std::move(owned);
-    const dag::Dag& dag = app.dag();
-    const std::size_t n = dag.node_count();
-    app.remaining = n;
-    app.base = allocate_slots(n);
-    app.transfers.clear();
-    app.hedges.clear();
-    resolve_costs(app);
+    {
+      const dag::Dag& dag = closed_ ? *closed_ : owned;
+      app.kernels = dag.node_count();
+      app.remaining = app.kernels;
+      app.base = allocate_slots(app.kernels);
+      app.edges = dag.edge_count();
+      app.edge_base = allocate_edges(app.edges);
+      app.transfers.clear();
+      app.hedges.clear();
+      resolve_costs(app, dag);
+      write_structure(app, dag);
+    }
+    if (keep_dags_) app.owned = std::move(owned);
 
-    for (dag::NodeId local = 0; local < n; ++local) {
+    for (dag::NodeId local = 0; local < app.kernels; ++local) {
       const dag::NodeId slot = app.base + local;
       NodeState& ns = node_state_[slot];
       const std::uint32_t epoch = ns.epoch + 1;  // retire any dead events
@@ -1302,11 +1370,12 @@ class EventCore final : public sim::SchedulerContext {
       ns.epoch = epoch;
       ns.record.node = local;
       ns.app = app_slot;
-      ns.remaining_preds = static_cast<std::uint32_t>(dag.in_degree(local));
+      const Adjacency& adj = adjacency_[slot];
+      ns.remaining_preds = adj.pred_end - adj.pred_begin;
       if (hedging_) hedge_[slot] = HedgeState{};
       if (contended_) comm_[slot] = CommState{};
       if (ns.remaining_preds == 0) {
-        const sim::TimeMs release = arrival_ms + dag.node(local).release_ms;
+        const sim::TimeMs release = arrival_ms + release_slab_[slot];
         if (release <= now_) {
           mark_ready(slot);
         } else {
@@ -1320,10 +1389,9 @@ class EventCore final : public sim::SchedulerContext {
   /// Fills the per-slot cost slabs of a just-placed instance — one
   /// exec_row_ms per kernel, written straight into its slots, plus the
   /// row's minimum and lowest argmin — then, in open runs, the lower bound
-  /// from those minima. Transfers are priced lazily from cost_model().
-  void resolve_costs(App& app) {
+  /// from those minima.
+  void resolve_costs(App& app, const dag::Dag& dag) {
     const std::vector<sim::Processor>& procs = system_.processors();
-    const dag::Dag& dag = app.dag();
     for (dag::NodeId local = 0; local < dag.node_count(); ++local) {
       const dag::NodeId slot = app.base + local;
       sim::TimeMs* row = exec_slab_.data() + slot * proc_count_;
@@ -1344,6 +1412,31 @@ class EventCore final : public sim::SchedulerContext {
           dag, system_, min_exec_slab_.data() + app.base);
   }
 
+  /// Writes the slot-indexed structure of a just-placed instance: each
+  /// slot's predecessor range (producer slot and the edge's weight under
+  /// cost_, which pair tables price), its successor range, and its release
+  /// offset. Every later structural read comes from these.
+  void write_structure(const App& app, const dag::Dag& dag) {
+    std::uint32_t pred_edge = app.edge_base;
+    std::uint32_t succ_edge = app.edge_base;
+    for (dag::NodeId local = 0; local < app.kernels; ++local) {
+      const dag::NodeId slot = app.base + local;
+      Adjacency& adj = adjacency_[slot];
+      adj.pred_begin = pred_edge;
+      for (const dag::NodeId pred : dag.predecessors(local)) {
+        pred_slot_[pred_edge] = app.base + pred;
+        pred_weight_[pred_edge] = cost_->edge_weight(dag, pred, local);
+        ++pred_edge;
+      }
+      adj.pred_end = pred_edge;
+      adj.succ_begin = succ_edge;
+      for (const dag::NodeId succ : dag.successors(local))
+        succ_slot_[succ_edge++] = app.base + succ;
+      adj.succ_end = succ_edge;
+      release_slab_[slot] = dag.node(local).release_ms;
+    }
+  }
+
   const sim::System& system_;
   const sim::CostModel& base_cost_;
   const DagSource* const source_;  ///< open runs only
@@ -1360,6 +1453,9 @@ class EventCore final : public sim::SchedulerContext {
   /// bounded-memory sample the hedging threshold quantile is drawn from
   /// (platform-wide, across application instances).
   util::RollingQuantile hedge_window_;
+  /// An open run keeps each instance's graph past admission only for a
+  /// recorded schedule or a trace sink's kernel names.
+  const bool keep_dags_;
   /// Observability taps (null = disabled; every use is null-guarded).
   obs::TraceSink* const sink_;
   obs::Profile* const profile_;
@@ -1368,6 +1464,8 @@ class EventCore final : public sim::SchedulerContext {
   /// What policies and transfer stalls price against: topo_cost_ on a
   /// contended fabric, the base model otherwise.
   const sim::CostModel* cost_ = nullptr;
+  /// cost_'s pair tables: every engine-side edge price is one read.
+  sim::PairTables prices_;
   static constexpr std::size_t kNoRecord = static_cast<std::size_t>(-1);
   /// One in-flight message: the waiting kernel's slot and (when schedules
   /// are recorded) the index into its app's transfer log.
@@ -1395,8 +1493,17 @@ class EventCore final : public sim::SchedulerContext {
   std::vector<sim::TimeMs> min_exec_slab_;  ///< [slot] min exec time
   std::vector<sim::ProcId> min_proc_slab_;  ///< [slot] lowest argmin
 
-  /// Retired slot ranges, base -> length, adjacent ranges merged.
-  std::map<dag::NodeId, std::size_t> free_ranges_;
+  // Per-slot structure (CSR, grown with node_state_, refilled per admit).
+  std::vector<Adjacency> adjacency_;       ///< [slot] edge-slab ranges
+  std::vector<sim::TimeMs> release_slab_;  ///< [slot] offset from arrival
+
+  // Edge slabs, one range per live instance.
+  std::vector<dag::NodeId> pred_slot_;  ///< [edge] producer slot
+  std::vector<double> pred_weight_;     ///< [edge] cost_->edge_weight
+  std::vector<dag::NodeId> succ_slot_;  ///< [edge] consumer slot
+
+  RangeAllocator slots_;  ///< slot ranges of the live instances
+  RangeAllocator edges_;  ///< edge-slab ranges of the live instances
 
   std::vector<App> apps_;  ///< reusable instance table (value slots)
   std::vector<std::uint32_t> free_app_slots_;

@@ -20,8 +20,13 @@
 // resolves each kernel's execution costs once, straight into its slots:
 // one CostModel::exec_row_ms (a single lookup-table entry for the paper's
 // model), the row's minimum, and the instance's lower bound from those
-// minima. Transfers are priced lazily from SchedulerContext::cost_model(),
-// the same path in both modes. Instances share no cost state: every
+// minima. It also copies the instance's structure into slot-indexed CSR
+// ranges — predecessors with each in-edge's CostModel::edge_weight,
+// successors — and its release offsets. Transfers are priced from the
+// run's CostModel::pair_tables, the same path in both modes, so no kernel
+// path reads the dag::Dag or calls the cost model, and an open run drops
+// each instance's graph at admission unless record_schedules or a trace
+// sink (kernel names) reads it later. Instances share no cost state: every
 // scenario family draws a fresh kernel series per instance, so a
 // per-shape cache would never hit.
 // A retired instance (all kernels done) releases its slot range back to a
@@ -92,8 +97,10 @@ struct StreamOptions {
   /// Metrics warmup truncation (see sim::compute_stream_metrics).
   sim::TimeMs warmup_ms = 0.0;
 
-  /// Retain every application's full schedule in the outcome (memory grows
-  /// with the run — meant for tests, validation, and short CLI runs).
+  /// Retain every application's full schedule, and so its graph, in the
+  /// outcome (memory grows with the run — meant for tests, validation, and
+  /// short CLI runs). Without it, and without a sink, each instance's
+  /// graph is dropped at admission.
   bool record_schedules = false;
 
   /// Instability guard: the run aborts (std::runtime_error) when this many

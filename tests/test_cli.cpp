@@ -490,6 +490,43 @@ TEST(Cli, NonFiniteNoiseAndHedgeKnobsFailInsteadOfHanging) {
   }
 }
 
+TEST(Cli, NonFiniteArrivalInputsFailInsteadOfHanging) {
+  // Arrival rates and trace instants: --rate inf ran for seconds until the
+  // live-app guard blamed overload, a NaN trace instant hung the stream
+  // engine, and an infinite one printed a row of NaN metrics and exited 0.
+  const std::string dir = ::testing::TempDir();
+  const std::string nan_trace = dir + "/aptsim_trace_nan.txt";
+  const std::string inf_trace = dir + "/aptsim_trace_inf.txt";
+  std::ofstream(nan_trace) << "0\nnan\n5\n";
+  std::ofstream(inf_trace) << "0\ninf\n";
+  EXPECT_NE(run_cli("stream --family type1 --rate inf --duration 1000 "
+                    "--policies met"),
+            0);
+  EXPECT_NE(run_cli("stream --family type1 --arrival trace --trace-file " +
+                    quoted(nan_trace) + " --policies met"),
+            0);
+  EXPECT_NE(run_cli("stream --family type1 --arrival trace --trace-file " +
+                    quoted(inf_trace) + " --duration 0 --policies met"),
+            0);
+
+  // Release offsets: a NaN release in a graph file hung `run`, and an
+  // infinite one, or --arrivals inf, printed an infinite makespan and
+  // exited 0.
+  for (const std::string release : {"nan", "inf"}) {
+    const std::string graph = dir + "/aptsim_release_" + release + ".txt";
+    const std::string first = "node 0 mm 250000 " + release + "\n";
+    std::ofstream(graph) << first << "node 1 mm 250000\nedge 0 1\n";
+    EXPECT_NE(run_cli("run --policy met --graph " + quoted(graph)), 0)
+        << release;
+    std::filesystem::remove(graph);
+  }
+  EXPECT_NE(run_cli("run --policy met --type 1 --kernels 10 --seed 1 "
+                    "--arrivals inf"),
+            0);
+  std::filesystem::remove(nan_trace);
+  std::filesystem::remove(inf_trace);
+}
+
 TEST(Cli, RunWithRoutedTopologiesReportsMultiHopLinks) {
   // ring / mesh / fattree end to end through `run`: the per-link report
   // must appear, and the routed fabrics must show multi-hop routes.

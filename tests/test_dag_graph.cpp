@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_helpers.hpp"
 
 namespace apt::dag {
@@ -35,6 +37,25 @@ TEST(Dag, NodeNamesAreCanonicalised) {
 TEST(Dag, EmptyKernelNameThrows) {
   Dag d;
   EXPECT_THROW(d.add_node("", 1), std::invalid_argument);
+}
+
+TEST(Dag, ReleaseTimesMustBeFiniteAndNonNegative) {
+  // NaN passes a bare `< 0` check: a NaN release hung the engines, and an
+  // infinite one printed an infinite makespan.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Dag d;
+  for (const double bad : {-1.0, nan, inf, -inf}) {
+    EXPECT_THROW(d.add_node("a", 1, bad), std::invalid_argument) << bad;
+    EXPECT_THROW(d.add_node(Node{"a", 1, bad}), std::invalid_argument) << bad;
+  }
+  EXPECT_TRUE(d.empty());
+  d.add_node("a", 1, 2.5);
+  for (const double bad : {-1.0, nan, inf})
+    EXPECT_THROW(d.set_release_ms(0, bad), std::invalid_argument) << bad;
+  EXPECT_EQ(d.node(0).release_ms, 2.5);
+  d.set_release_ms(0, 0.0);
+  EXPECT_EQ(d.node(0).release_ms, 0.0);
 }
 
 TEST(Dag, AddEdgeWiresBothDirections) {

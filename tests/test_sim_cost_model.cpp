@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,84 @@ TEST(CostModelRows, TopologyRowEqualsPerProcessorQueries) {
     const LutCostModel base(c.table, c.system);
     expect_rows_match(TopologyCostModel(base, c.system), c);
   }
+}
+
+/// The bit pattern of a double, so a comparison tells -0 from +0.
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+/// Pair tables times edge weights must reproduce transfer_time_ms bit for
+/// bit on every edge and every ordered processor pair, the local ones
+/// included: the event core prices transfers only this way.
+void expect_pair_tables_match(const CostModel& cost, const System& system,
+                              const dag::Dag& dag, const std::string& name) {
+  const std::vector<Processor>& procs = system.processors();
+  const PairTables tables = cost.pair_tables(procs);
+  ASSERT_EQ(tables.proc_count, procs.size()) << name;
+  ASSERT_EQ(tables.prices.size(), procs.size() * procs.size()) << name;
+  std::size_t edges = 0;
+  std::size_t mismatches = 0;
+  std::string first;
+  for (dag::NodeId src = 0; src < dag.node_count(); ++src) {
+    for (const dag::NodeId dst : dag.successors(src)) {
+      ++edges;
+      const double weight = cost.edge_weight(dag, src, dst);
+      for (const Processor& from : procs) {
+        for (const Processor& to : procs) {
+          const TimeMs table = tables.transfer_ms(weight, from.id, to.id);
+          const TimeMs edge = cost.transfer_time_ms(dag, src, dst, from, to);
+          if (bits(table) == bits(edge)) continue;
+          if (mismatches++ > 0) continue;
+          first = "edge " + std::to_string(src) + "->" + std::to_string(dst);
+          first += ", procs " + std::to_string(from.id);
+          first += "->" + std::to_string(to.id);
+          first += ": " + std::to_string(table) + " != " + std::to_string(edge);
+        }
+      }
+    }
+  }
+  EXPECT_GT(edges, 0u) << name;
+  EXPECT_EQ(mismatches, 0u) << name << ", first " << first;
+}
+
+/// `system`'s platform on `topology` at 1 GB/s with 0.05 ms per hop.
+System on_topology(const System& system, const std::string& topology) {
+  SystemConfig cfg = system.config();
+  cfg.topology = net::parse_topology_spec(topology);
+  cfg.topology.bandwidth_gbps = 1.0;
+  cfg.topology.latency_ms = 0.05;
+  return System(cfg);
+}
+
+TEST(CostModelRows, PairTablesEqualPerEdgeQueries) {
+  for (const RowCase& c : row_cases()) {
+    const LutCostModel lut(c.table, c.system);
+    expect_pair_tables_match(lut, c.system, c.dag, c.name + " lut");
+    expect_pair_tables_match(PrecomputedCostModel(c.dag, c.system, lut),
+                             c.system, c.dag, c.name + " dense lut");
+    // ring:6 has too few positions for the 12-processor platform.
+    for (const std::string topology :
+         {"bus", "crossbar", "hier:2", "ring:6", "mesh:3x4", "fattree:2"}) {
+      if (topology == "ring:6" && c.system.proc_count() > 6) continue;
+      const System system = on_topology(c.system, topology);
+      const LutCostModel base(c.table, system);
+      const TopologyCostModel routed(base, system);
+      const std::string name = c.name + " " + topology;
+      expect_pair_tables_match(routed, system, c.dag, name);
+      expect_pair_tables_match(PrecomputedCostModel(c.dag, system, routed),
+                               system, c.dag, name + " dense");
+    }
+  }
+  // Per-edge costs ride on the weights: latency 0, rate 1 between
+  // distinct processors.
+  const test::TopcuogluExample ex = test::topcuoglu_example();
+  const System generic = test::generic_system(3);
+  expect_pair_tables_match(*ex.cost, generic, ex.dag, "topcuoglu");
+  expect_pair_tables_match(PrecomputedCostModel(ex.dag, generic, *ex.cost),
+                           generic, ex.dag, "topcuoglu dense");
 }
 
 // The best-times overload is what the stream engine feeds from its min-exec
