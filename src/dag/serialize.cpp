@@ -1,8 +1,10 @@
 #include "dag/serialize.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "util/string_utils.hpp"
 
@@ -27,6 +29,44 @@ std::string to_text(const Dag& dag) {
   return out;
 }
 
+namespace {
+
+/// An edge endpoint as written, rejected before narrowing when NodeId
+/// cannot hold it.
+NodeId parse_node_id(const std::string& text) {
+  const std::uint64_t id = util::parse_uint(text);
+  if (id >= kInvalidNode)
+    throw std::invalid_argument("node id " + text + " out of range");
+  return static_cast<NodeId>(id);
+}
+
+/// Applies one directive line, split at spaces, to `dag`.
+void read_directive(const std::vector<std::string>& parts, Dag& dag) {
+  if (parts[0] == "node") {
+    if (parts.size() != 4 && parts.size() != 5)
+      throw std::runtime_error(
+          "expected 'node <id> <kernel> <size> [release_ms]'");
+    if (util::parse_uint(parts[1]) != dag.node_count())
+      throw std::runtime_error("node ids must be dense and ascending");
+    const double release =
+        parts.size() == 5 ? util::parse_double(parts[4]) : 0.0;
+    dag.add_node(parts[2], util::parse_uint(parts[3]), release);
+  } else if (parts[0] == "edge") {
+    if (parts.size() != 3) throw std::runtime_error("expected 'edge <src> <dst>'");
+    dag.add_edge(parse_node_id(parts[1]), parse_node_id(parts[2]));
+  } else {
+    throw std::runtime_error("unknown directive '" + parts[0] + "'");
+  }
+}
+
+template <class Error>
+Error at_line(std::size_t line_no, const std::exception& e) {
+  return Error("Dag::from_text line " + std::to_string(line_no) + ": " +
+               e.what());
+}
+
+}  // namespace
+
 Dag from_text(const std::string& text) {
   Dag dag;
   std::istringstream in(text);
@@ -36,26 +76,14 @@ Dag from_text(const std::string& text) {
     ++line_no;
     const std::string trimmed = util::trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
-    const auto parts = util::split(trimmed, ' ');
-    auto bad = [&](const std::string& why) {
-      return std::runtime_error("Dag::from_text line " +
-                                std::to_string(line_no) + ": " + why);
-    };
-    if (parts[0] == "node") {
-      if (parts.size() != 4 && parts.size() != 5)
-        throw bad("expected 'node <id> <kernel> <size> [release_ms]'");
-      const auto id = util::parse_uint(parts[1]);
-      if (id != dag.node_count())
-        throw bad("node ids must be dense and ascending");
-      const double release =
-          parts.size() == 5 ? util::parse_double(parts[4]) : 0.0;
-      dag.add_node(parts[2], util::parse_uint(parts[3]), release);
-    } else if (parts[0] == "edge") {
-      if (parts.size() != 3) throw bad("expected 'edge <src> <dst>'");
-      dag.add_edge(static_cast<NodeId>(util::parse_uint(parts[1])),
-                   static_cast<NodeId>(util::parse_uint(parts[2])));
-    } else {
-      throw bad("unknown directive '" + parts[0] + "'");
+    try {
+      read_directive(util::split(trimmed, ' '), dag);
+    } catch (const std::invalid_argument& e) {
+      throw at_line<std::invalid_argument>(line_no, e);
+    } catch (const std::logic_error& e) {  // an edge that closes a cycle
+      throw at_line<std::logic_error>(line_no, e);
+    } catch (const std::runtime_error& e) {
+      throw at_line<std::runtime_error>(line_no, e);
     }
   }
   return dag;

@@ -17,7 +17,11 @@ namespace apt::dag {
 
 std::string to_text(const Dag& dag);
 
-/// Parses the text format; throws std::runtime_error on malformed input.
+/// Parses the text format. Every error names its line ("Dag::from_text
+/// line N: ...") and keeps its kind: std::runtime_error for a malformed
+/// line, std::invalid_argument for a bad value (a number that does not
+/// parse, an id out of range or unknown), std::logic_error for an edge that
+/// would close a cycle.
 Dag from_text(const std::string& text);
 
 Dag load_text_file(const std::string& path);

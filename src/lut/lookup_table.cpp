@@ -1,10 +1,12 @@
 #include "lut/lookup_table.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <stdexcept>
 
 #include "util/csv.hpp"
+#include "util/rng.hpp"
 #include "util/string_utils.hpp"
 
 namespace apt::lut {
@@ -17,7 +19,91 @@ ProcType proc_type_from_string(const std::string& name) {
   throw std::invalid_argument("proc_type_from_string: unknown type '" + name + "'");
 }
 
+namespace {
+
+/// Every spelling canonical_kernel_name maps, in the squeezed form it
+/// compares (trimmed, lower-case, no ' ', '-' or '_'): the long names of
+/// the thesis tables and each short name itself.
+struct Alias {
+  std::string_view spelling;
+  std::string_view canonical;
+};
+constexpr Alias kAliases[] = {
+    {"matrixmultiplication", kernels::kMatMul},
+    {"matrixmatrixmultiplication", kernels::kMatMul},
+    {"matmul", kernels::kMatMul},
+    {"mat.mat.multi.", kernels::kMatMul},
+    {"mm", kernels::kMatMul},
+    {"matrixinverse", kernels::kMatInv},
+    {"matrixinversion", kernels::kMatInv},
+    {"mi", kernels::kMatInv},
+    {"choleskydecomposition", kernels::kCholesky},
+    {"choleskydeco.", kernels::kCholesky},
+    {"choleskydecomp.", kernels::kCholesky},
+    {"cholesky", kernels::kCholesky},
+    {"cd", kernels::kCholesky},
+    {"needlemanwunsch", kernels::kNeedlemanWunsch},
+    {"nw", kernels::kNeedlemanWunsch},
+    {"breadthfirstsearch", kernels::kBfs},
+    {"bfs", kernels::kBfs},
+    {"specklereducinganisotropicdiffusion", kernels::kSrad},
+    {"srad", kernels::kSrad},
+    {"gaussianelectrostaticmodel", kernels::kGem},
+    {"gem", kernels::kGem},
+};
+
+/// The length of the shortest spelling that maps to another name: a
+/// shorter squeezed name maps to itself.
+constexpr std::size_t shortest_renaming_alias() {
+  std::size_t shortest = std::string_view::npos;
+  for (const Alias& a : kAliases)
+    if (a.spelling != a.canonical) shortest = std::min(shortest, a.spelling.size());
+  return shortest;
+}
+constexpr std::size_t kShortestRenamingAlias = shortest_renaming_alias();
+
+/// The canonical name a squeezed spelling maps to, or empty if none.
+std::string_view alias_target(std::string_view squeezed) noexcept {
+  for (const Alias& a : kAliases)
+    if (squeezed == a.spelling) return a.canonical;
+  return {};
+}
+
+/// Whether `name` is its own trimmed, lower-cased and squeezed form.
+bool is_squeezed_lower(const std::string& name) noexcept {
+  if (!name.empty() && (std::isspace(static_cast<unsigned char>(name.front())) ||
+                        std::isspace(static_cast<unsigned char>(name.back()))))
+    return false;
+  for (const char c : name) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == ' ' || c == '-' || c == '_' || std::tolower(u) != u) return false;
+  }
+  return true;
+}
+
+/// Hash of a (kernel, size) key: FNV-1a over the name, the size folded
+/// in, then SplitMix64's mix so the low bits index_ masks with depend on
+/// every input bit.
+std::uint64_t key_hash(std::string_view kernel,
+                       std::uint64_t data_size) noexcept {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : kernel) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return util::SplitMix64(h ^ data_size).next();
+}
+
+}  // namespace
+
 std::string canonical_kernel_name(const std::string& name) {
+  // Already canonical (the paper's short names, synthetic "synN", and every
+  // name add_node stored): no copies, and no scan below the shortest alias.
+  if (is_squeezed_lower(name)) {
+    if (name.size() < kShortestRenamingAlias) return name;
+    const std::string_view target = alias_target(name);
+    return target.empty() ? name : std::string(target);
+  }
   std::string n = util::to_lower(util::trim(name));
   // Collapse spaces/hyphens so "Matrix - Matrix Multiplication" variants match.
   std::string squeezed;
@@ -25,21 +111,8 @@ std::string canonical_kernel_name(const std::string& name) {
     if (c == ' ' || c == '-' || c == '_') continue;
     squeezed.push_back(c);
   }
-  if (squeezed == "matrixmultiplication" || squeezed == "matrixmatrixmultiplication" ||
-      squeezed == "matmul" || squeezed == "mat.mat.multi." || squeezed == "mm")
-    return kernels::kMatMul;
-  if (squeezed == "matrixinverse" || squeezed == "matrixinversion" || squeezed == "mi")
-    return kernels::kMatInv;
-  if (squeezed == "choleskydecomposition" || squeezed == "choleskydeco." ||
-      squeezed == "choleskydecomp." || squeezed == "cholesky" || squeezed == "cd")
-    return kernels::kCholesky;
-  if (squeezed == "needlemanwunsch" || squeezed == "nw") return kernels::kNeedlemanWunsch;
-  if (squeezed == "breadthfirstsearch" || squeezed == "bfs") return kernels::kBfs;
-  if (squeezed == "specklereducinganisotropicdiffusion" || squeezed == "srad")
-    return kernels::kSrad;
-  if (squeezed == "gaussianelectrostaticmodel" || squeezed == "gem")
-    return kernels::kGem;
-  return n;
+  const std::string_view target = alias_target(squeezed);
+  return target.empty() ? n : std::string(target);
 }
 
 void LookupTable::add(Entry entry) {
@@ -56,14 +129,31 @@ void LookupTable::add(Entry entry) {
     throw std::invalid_argument("LookupTable::add: duplicate row for kernel '" +
                                 entry.kernel + "' size " +
                                 std::to_string(entry.data_size));
-  index_.emplace(Key{entry.kernel, entry.data_size}, ordered_.size());
   ordered_.push_back(std::move(entry));
+  if (2 * ordered_.size() <= index_.size()) {
+    index_row(ordered_.size() - 1);
+    return;
+  }
+  index_.assign(std::max<std::size_t>(16, 2 * index_.size()), 0);
+  for (std::size_t row = 0; row < ordered_.size(); ++row) index_row(row);
+}
+
+void LookupTable::index_row(std::size_t row) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t s = key_hash(ordered_[row].kernel, ordered_[row].data_size) & mask;
+  while (index_[s] != 0) s = (s + 1) & mask;
+  index_[s] = row + 1;
 }
 
 const Entry* LookupTable::find(std::string_view kernel,
                                std::uint64_t data_size) const noexcept {
-  const auto it = index_.find(std::pair{kernel, data_size});
-  return it == index_.end() ? nullptr : &ordered_[it->second];
+  if (index_.empty()) return nullptr;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t s = key_hash(kernel, data_size) & mask;; s = (s + 1) & mask) {
+    if (index_[s] == 0) return nullptr;
+    const Entry& e = ordered_[index_[s] - 1];
+    if (e.data_size == data_size && e.kernel == kernel) return &e;
+  }
 }
 
 bool LookupTable::contains(const std::string& kernel,

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -83,7 +82,7 @@ class LookupTable {
   /// Data sizes available for a kernel, ascending; empty if unknown kernel.
   std::vector<std::uint64_t> sizes_for(const std::string& kernel) const;
 
-  /// All rows in (kernel, size) order.
+  /// All rows in insertion order.
   const std::vector<Entry>& entries() const noexcept { return ordered_; }
 
   /// CSV round-trip. Columns: kernel,data_size,cpu_ms,gpu_ms,fpga_ms.
@@ -93,18 +92,13 @@ class LookupTable {
   void save_csv_file(const std::string& path) const;
 
  private:
-  /// Orders (name, size) keys; transparent, so find() probes with a
-  /// string_view instead of building a std::string key.
-  struct KeyLess {
-    using is_transparent = void;
-    template <class L, class R>
-    bool operator()(const L& l, const R& r) const noexcept {
-      const int c = std::string_view(l.first).compare(r.first);
-      return c < 0 || (c == 0 && l.second < r.second);
-    }
-  };
-  using Key = std::pair<std::string, std::uint64_t>;
-  std::map<Key, std::size_t, KeyLess> index_;  // -> position in ordered_
+  /// Enters row `row` of ordered_ into index_ (which has a free slot).
+  void index_row(std::size_t row);
+
+  /// Open addressing with linear probing over a power-of-two array, at
+  /// most half full: each slot holds a row of ordered_ plus one, or 0 where
+  /// a probe for an absent (kernel, size) ends.
+  std::vector<std::size_t> index_;
   std::vector<Entry> ordered_;
 };
 

@@ -1,25 +1,28 @@
 // The engines' ready set I: ready, not-yet-committed kernels in arrival
 // (FIFO) order — what SchedulerContext::ready() exposes.
 //
-// The members live in a log in push order. Every log entry carries its own
-// ready sequence number, and the numbers ascend along the log, so erase()
-// finds any member by binary search. An entry is live while its number is
-// still its node's current one. That test is per entry: a stream engine
-// pushes a recycled slot id again while the slot's dead entry may still be
-// in the log.
+// The members live in a log in push order, and each member's node records
+// the log index of its entry (pos_), so erase() finds a member in O(1). An
+// entry is live while its index is still its node's recorded one. That test
+// is per entry: a stream engine pushes a recycled slot id again while the
+// slot's dead entry may still be in the log, and the new entry's index is
+// not the old one's.
 //
 // Removal has two modes, and a set starts in the first:
 //   * Tombstone. erase() marks the entry dead; a dead or erased entry at
 //     the back is dropped outright. The owner calls compact() between
 //     policy passes once compaction_due(), so the squeeze is amortized
-//     over the commits that left the dead entries. tail() reads the back
-//     of the log without compacting: under the ready() contract, the
-//     entries a policy has not seen yet are all live.
+//     over the commits that left the dead entries; it rewrites the index
+//     of every entry it moves. tail() reads the back of the log without
+//     compacting: under the ready() contract, the entries a policy has not
+//     seen yet are all live.
 //   * In place. The first nodes() read compacts and switches the set to
 //     this mode for good: erase() shifts the entries behind the member
-//     down one slot, so nodes() is always exactly the live set. A policy
-//     that reads the whole set keeps paying that shift, and never a
-//     compaction per read.
+//     down one slot, so nodes() is always exactly the live set. A shift
+//     would stale every recorded index behind it, so from the switch on
+//     pos_ holds ascending push numbers instead, and erase() finds a member
+//     by binary search over them. A policy that reads the whole set keeps
+//     paying that shift, and never a compaction per read.
 // Both modes count the entries they move (entries_moved()).
 #pragma once
 
@@ -38,45 +41,38 @@ class ReadySet {
  public:
   /// Makes node ids [0, node_count) insertable. Grows only.
   void resize(std::size_t node_count) {
-    seq_.resize(std::max(seq_.size(), node_count), kDead);
+    pos_.resize(std::max(pos_.size(), node_count), kDead);
   }
 
   /// Appends `node` at the back.
   void push_back(dag::NodeId node) {
-    seq_[node] = next_seq_;
+    pos_[node] = in_place_ ? next_seq_++ : nodes_.size();
     nodes_.push_back(node);
-    if (!in_place_) entry_seq_.push_back(next_seq_);
-    ++next_seq_;
   }
 
   /// Removes the member `node`.
   void erase(dag::NodeId node) {
     if (in_place_) {
       const auto it = std::lower_bound(
-          nodes_.begin(), nodes_.end(), seq_[node],
-          [this](dag::NodeId n, std::uint64_t seq) { return seq_[n] < seq; });
+          nodes_.begin(), nodes_.end(), pos_[node],
+          [this](dag::NodeId n, std::uint64_t seq) { return pos_[n] < seq; });
       APT_ASSERT(it != nodes_.end() && *it == node,
                  "node %u is not in the ready set", node);
       moved_ += static_cast<std::uint64_t>(nodes_.end() - it - 1);
       nodes_.erase(it);
       return;
     }
-    const auto it =
-        std::lower_bound(entry_seq_.begin(), entry_seq_.end(), seq_[node]);
-    APT_ASSERT(it != entry_seq_.end() && *it == seq_[node] &&
-                   nodes_[static_cast<std::size_t>(it - entry_seq_.begin())] ==
-                       node,
+    const std::uint64_t i = pos_[node];
+    APT_ASSERT(i < nodes_.size() && nodes_[i] == node,
                "node %u is not in the ready set", node);
-    seq_[node] = kDead;
-    if (it + 1 != entry_seq_.end()) {
+    pos_[node] = kDead;
+    if (i + 1 != nodes_.size()) {
       ++dead_;
       return;
     }
     nodes_.pop_back();
-    entry_seq_.pop_back();
     while (!nodes_.empty() && !live(nodes_.size() - 1)) {
       nodes_.pop_back();
-      entry_seq_.pop_back();
       --dead_;
     }
   }
@@ -85,9 +81,9 @@ class ReadySet {
   /// the set to in-place removal for good.
   const std::vector<dag::NodeId>& nodes() {
     if (!in_place_) {
-      compact();
+      compact();  // leaves pos_[nodes_[i]] == i: ascending, as push numbers
       in_place_ = true;
-      entry_seq_ = {};
+      next_seq_ = nodes_.size();
     }
     return nodes_;
   }
@@ -116,13 +112,12 @@ class ReadySet {
       if (!live(i)) continue;
       if (out != i) {
         nodes_[out] = nodes_[i];
-        entry_seq_[out] = entry_seq_[i];
+        pos_[nodes_[out]] = out;
         ++moved_;
       }
       ++out;
     }
     nodes_.resize(out);
-    entry_seq_.resize(out);
     dead_ = 0;
     ++compactions_;
   }
@@ -137,13 +132,15 @@ class ReadySet {
   static constexpr std::uint64_t kDead =
       std::numeric_limits<std::uint64_t>::max();
 
-  bool live(std::size_t i) const { return seq_[nodes_[i]] == entry_seq_[i]; }
+  /// Tombstone mode only.
+  bool live(std::size_t i) const { return pos_[nodes_[i]] == i; }
 
-  std::vector<dag::NodeId> nodes_;        ///< the log, FIFO order
-  std::vector<std::uint64_t> entry_seq_;  ///< [entry] seq; tombstone mode
-  std::vector<std::uint64_t> seq_;        ///< [node] live entry's seq
-  std::uint64_t next_seq_ = 0;
-  std::size_t dead_ = 0;  ///< dead entries in the log
+  std::vector<dag::NodeId> nodes_;  ///< the log, FIFO order
+  /// [node] tombstone mode: its live entry's log index, kDead if none. In
+  /// place: its push number, ascending along the log.
+  std::vector<std::uint64_t> pos_;
+  std::uint64_t next_seq_ = 0;  ///< in place: the next push number
+  std::size_t dead_ = 0;        ///< dead entries in the log
   bool in_place_ = false;
   std::uint64_t compactions_ = 0;
   std::uint64_t moved_ = 0;

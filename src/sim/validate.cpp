@@ -327,14 +327,28 @@ std::vector<TimeMs> best_exec_times_ms(const dag::Dag& dag,
 }
 
 /// Longest path through the DAG weighted by `best_ms`, transfers free.
+/// Each node takes the max over its predecessors plus one add, so any
+/// topological order gives the same bits; this one walks Kahn's FIFO
+/// queue, which needs no heap.
 TimeMs longest_best_path_ms(const dag::Dag& dag, const TimeMs* best_ms) {
-  std::vector<TimeMs> longest(dag.node_count(), 0.0);
+  const std::size_t n = dag.node_count();
+  std::vector<TimeMs> longest(n, 0.0);
+  std::vector<std::size_t> preds_left(n);
+  std::vector<dag::NodeId> queue;
+  queue.reserve(n);
+  for (dag::NodeId v = 0; v < n; ++v) {
+    preds_left[v] = dag.in_degree(v);
+    if (preds_left[v] == 0) queue.push_back(v);
+  }
   TimeMs bound = 0.0;
-  for (const dag::NodeId n : dag.topological_order()) {
-    longest[n] += best_ms[n];
-    bound = std::max(bound, longest[n]);
-    for (const dag::NodeId s : dag.successors(n))
-      longest[s] = std::max(longest[s], longest[n]);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const dag::NodeId v = queue[head];
+    longest[v] += best_ms[v];
+    bound = std::max(bound, longest[v]);
+    for (const dag::NodeId s : dag.successors(v)) {
+      longest[s] = std::max(longest[s], longest[v]);
+      if (--preds_left[s] == 0) queue.push_back(s);
+    }
   }
   return bound;
 }

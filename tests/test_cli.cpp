@@ -318,9 +318,11 @@ TEST(Cli, StreamIsBitIdenticalAcrossJobCounts) {
 }
 
 TEST(Cli, CsvMatchesTheGoldens) {
-  // Three frozen stream grids: noise off on the ideal paper platform, the
-  // contended mesh:2x2 fabric, and noise with straggler hedging (both
-  // slices; apps are recycled while replicas race). Then two closed
+  // Four frozen stream grids: noise off on the ideal paper platform, the
+  // contended mesh:2x2 fabric, noise with straggler hedging (both slices;
+  // apps are recycled while replicas race), and a deep ideal burst whose
+  // backlog drives the ready set's tombstone compactions (APT, MET) and
+  // in-place removal (OLB, SPN, AG). Then two closed
   // sweeps: APT-Ranked next to APT, MET and HEFT on the ideal and bus
   // fabrics, and the static planners (HEFT, PEFT, APT-Ranked) on the
   // routed ring and mesh:2x2 fabrics, where they plan from a densified
@@ -341,6 +343,9 @@ TEST(Cli, CsvMatchesTheGoldens) {
        "stream --family layered --kernels 12 --rate 0.0001 --duration 400000 "
        "--jobs 1 --policies apt:4,met --noise-sigma 0.25 --tail-prob 0.05 "
        "--hedging both"},
+      {"stream_burst.csv",
+       "stream --family type1 --rate 0.005 --duration 0 --warmup 0 "
+       "--max-apps 480 --policies apt:4,met,olb,spn,ag --jobs 1"},
       {"sweep_ranked.csv",
        "sweep --family type1,type2,layered --graphs 3 --kernels 46,157 "
        "--policies apt-ranked:1,apt-ranked:4,apt-ranked:1e6,apt:4,met,heft "
@@ -525,6 +530,36 @@ TEST(Cli, NonFiniteArrivalInputsFailInsteadOfHanging) {
             0);
   std::filesystem::remove(nan_trace);
   std::filesystem::remove(inf_trace);
+}
+
+TEST(Cli, RunGraphErrorsNameTheirLine) {
+  // A bad value in a graph file used to surface without its line, and an
+  // edge id past NodeId's range was narrowed onto node 0 and run.
+  const std::string dir = ::testing::TempDir();
+  const std::string graph = dir + "/aptsim_bad_graph.txt";
+  const std::string err = dir + "/aptsim_bad_graph_err.txt";
+  const std::string two_nodes = "node 0 mm 250000\nnode 1 mm 250000\n";
+  const struct {
+    std::string text;
+    std::string error;
+  } cases[] = {
+      {"node 0 mm 250000\nnode 1 mm 250000 abc\n",
+       "line 2: parse_double: not a number: 'abc'"},
+      {two_nodes + "edge 0 7\n", "line 3: Dag::add_edge: unknown node id"},
+      {two_nodes + "edge 4294967296 1\n",
+       "line 3: node id 4294967296 out of range"},
+  };
+  for (const auto& c : cases) {
+    std::ofstream(graph) << c.text;
+    const std::string cmd = std::string(APTSIM_PATH) +
+                            " run --policy met --graph " + quoted(graph) +
+                            " >/dev/null 2> " + quoted(err);
+    EXPECT_NE(std::system(cmd.c_str()), 0) << c.text;
+    EXPECT_NE(slurp(err).find("Dag::from_text " + c.error), std::string::npos)
+        << slurp(err);
+  }
+  std::filesystem::remove(graph);
+  std::filesystem::remove(err);
 }
 
 TEST(Cli, RunWithRoutedTopologiesReportsMultiHopLinks) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 
 #include "dag/generator.hpp"
 #include "test_helpers.hpp"
@@ -48,6 +50,38 @@ TEST(TextFormat, RejectsMalformedLines) {
   EXPECT_THROW(from_text("node 1 nw 100\n"), std::runtime_error);  // sparse id
   EXPECT_THROW(from_text("node 0 nw 100\nedge 0\n"), std::runtime_error);
   EXPECT_THROW(from_text("frobnicate 1 2\n"), std::runtime_error);
+}
+
+// Every error names its line, value errors included, and an id too large
+// for a NodeId is rejected rather than narrowed onto another node.
+TEST(TextFormat, LocatesEveryErrorByLine) {
+  const std::string head = "node 0 mm 250000\n# comment\n";
+  const struct {
+    std::string line;
+    std::string message;
+  } cases[] = {
+      {"node 1 mm 250000 abc", "parse_double: not a number: 'abc'"},
+      {"edge 0 7", "Dag::add_edge: unknown node id"},
+      {"edge 4294967296 1", "node id 4294967296 out of range"},
+      {"edge 0 4294967295", "node id 4294967295 out of range"},
+      {"node 1 mm 250000 nan",
+       "Dag::add_node: release time must be finite and >= 0"},
+      {"node 1 mm x", "parse_uint: not an integer: 'x'"},
+      {"node 1 nw", "expected 'node <id> <kernel> <size> [release_ms]'"},
+      {"edge 0 0", "Dag::add_edge: self edge"},
+  };
+  for (const auto& c : cases) {
+    try {
+      from_text(head + c.line + "\n");
+      ADD_FAILURE() << c.line << ": no error";
+    } catch (const std::exception& e) {
+      EXPECT_EQ(std::string(e.what()), "Dag::from_text line 3: " + c.message)
+          << c.line;
+    }
+  }
+  EXPECT_THROW(from_text(head + "edge 4294967296 1\n"), std::invalid_argument);
+  EXPECT_THROW(from_text(head + "node 1 mm 250000 abc\n"),
+               std::invalid_argument);
 }
 
 TEST(TextFormat, RejectsEdgesThatBreakTheDag) {

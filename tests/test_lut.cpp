@@ -2,10 +2,52 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "lut/paper_data.hpp"
+#include "test_helpers.hpp"
+#include "util/rng.hpp"
+#include "util/string_utils.hpp"
 
 namespace apt::lut {
 namespace {
+
+/// canonical_kernel_name as it was before its fast path for names that are
+/// already canonical, frozen as the reference the fast path must equal.
+std::string frozen_canonical_kernel_name(const std::string& name) {
+  std::string n = util::to_lower(util::trim(name));
+  std::string squeezed;
+  for (char c : n) {
+    if (c == ' ' || c == '-' || c == '_') continue;
+    squeezed.push_back(c);
+  }
+  if (squeezed == "matrixmultiplication" || squeezed == "matrixmatrixmultiplication" ||
+      squeezed == "matmul" || squeezed == "mat.mat.multi." || squeezed == "mm")
+    return kernels::kMatMul;
+  if (squeezed == "matrixinverse" || squeezed == "matrixinversion" || squeezed == "mi")
+    return kernels::kMatInv;
+  if (squeezed == "choleskydecomposition" || squeezed == "choleskydeco." ||
+      squeezed == "choleskydecomp." || squeezed == "cholesky" || squeezed == "cd")
+    return kernels::kCholesky;
+  if (squeezed == "needlemanwunsch" || squeezed == "nw") return kernels::kNeedlemanWunsch;
+  if (squeezed == "breadthfirstsearch" || squeezed == "bfs") return kernels::kBfs;
+  if (squeezed == "specklereducinganisotropicdiffusion" || squeezed == "srad")
+    return kernels::kSrad;
+  if (squeezed == "gaussianelectrostaticmodel" || squeezed == "gem")
+    return kernels::kGem;
+  return n;
+}
+
+/// Every alias, in the squeezed form the mapping compares.
+const char* const kSqueezedAliases[] = {
+    "matrixmultiplication", "matrixmatrixmultiplication", "matmul",
+    "mat.mat.multi.", "mm", "matrixinverse", "matrixinversion", "mi",
+    "choleskydecomposition", "choleskydeco.", "choleskydecomp.", "cholesky",
+    "cd", "needlemanwunsch", "nw", "breadthfirstsearch", "bfs",
+    "specklereducinganisotropicdiffusion", "srad",
+    "gaussianelectrostaticmodel", "gem"};
 
 Entry make_entry(const char* kernel, std::uint64_t size, double c, double g,
                  double f) {
@@ -45,14 +87,9 @@ TEST(KernelNames, CanonicalisesTheThesisSpellings) {
 // name canonicalises to itself: every alias the mapping knows (spaced,
 // squeezed, upper-case) and every unknown name.
 TEST(KernelNames, CanonicalisationIsIdempotent) {
-  const char* const names[] = {
-      // every alias, in the squeezed form the mapping compares
-      "matrixmultiplication", "matrixmatrixmultiplication", "matmul",
-      "mat.mat.multi.", "mm", "matrixinverse", "matrixinversion", "mi",
-      "choleskydecomposition", "choleskydeco.", "choleskydecomp.", "cholesky",
-      "cd", "needlemanwunsch", "nw", "breadthfirstsearch", "bfs",
-      "specklereducinganisotropicdiffusion", "srad",
-      "gaussianelectrostaticmodel", "gem",
+  std::vector<std::string> names(std::begin(kSqueezedAliases),
+                                 std::end(kSqueezedAliases));
+  for (const char* name : {
       // as the thesis tables and users write them
       "Matrix Multiplication", "Matrix-Matrix Multiplication",
       "Mat.Mat. Multi.", "Matrix Inverse", "Matrix Inversion",
@@ -61,12 +98,42 @@ TEST(KernelNames, CanonicalisationIsIdempotent) {
       "Speckle Reducing Anisotropic Diffusion", "Gaussian Electrostatic Model",
       " MM ", "BFS", "SRAD", "GEM",
       // unknown names pass through trimmed and lower-cased
-      "unknown thing", "  Mixed_Case-Name  ", "K", "k", "syn0"};
-  for (const char* name : names) {
+      "unknown thing", "  Mixed_Case-Name  ", "K", "k", "syn0"})
+    names.emplace_back(name);
+  for (const std::string& name : names) {
     const std::string once = canonical_kernel_name(name);
     EXPECT_FALSE(once.empty()) << name;
     EXPECT_EQ(canonical_kernel_name(once), once) << name;
   }
+}
+
+// Names that are already canonical skip the copies and the alias scan;
+// every name must still canonicalise exactly as before.
+TEST(KernelNames, FastPathMatchesTheFrozenCanonicaliser) {
+  std::vector<std::string> names(std::begin(kSqueezedAliases),
+                                 std::end(kSqueezedAliases));
+  const LookupTable paper = paper_lookup_table();
+  for (const Entry& e : paper.entries()) names.push_back(e.kernel);
+  for (int k = 0; k < 150; ++k) names.push_back("syn" + std::to_string(k));
+  // Seeded random ASCII: separators, case, edge whitespace, alias pieces.
+  const std::string pieces[] = {"mat", "mul", "mm", "chol", "esky", "syn",
+                                "Bfs", "gem", ".", " ", "-", "_", "\t", "\x7f",
+                                "\xc3\xa9"};
+  util::Rng rng(2024);
+  for (int i = 0; i < 4000; ++i) {
+    std::string name;
+    const std::uint64_t parts = rng.uniform_u64(6);
+    for (std::uint64_t p = 0; p < parts; ++p) {
+      if (rng.uniform_u64(2) == 0)
+        name += pieces[rng.uniform_u64(std::size(pieces))];
+      else
+        name.push_back(static_cast<char>(rng.uniform_u64(128)));
+    }
+    names.push_back(name);
+  }
+  for (const std::string& name : names)
+    EXPECT_EQ(canonical_kernel_name(name), frozen_canonical_kernel_name(name))
+        << "'" << name << "'";
 }
 
 TEST(LookupTable, FindProbesTheCanonicalNameAsGiven) {
@@ -82,6 +149,39 @@ TEST(LookupTable, FindProbesTheCanonicalNameAsGiven) {
   EXPECT_EQ(t.find("mm", 101), nullptr);
   EXPECT_EQ(t.find("zz", 100), nullptr);
   EXPECT_EQ(LookupTable{}.find("mm", 100), nullptr);
+
+  // The paper's table and the 12-processor synthetic one: every row is
+  // found as stored; a name one character off a row's, the empty name and
+  // size 0 miss; a size next to a row's finds no row of another size.
+  for (const LookupTable& table :
+       {paper_lookup_table(), test::fabric_table()}) {
+    for (const Entry& e : table.entries()) {
+      EXPECT_EQ(table.find(e.kernel, e.data_size), &e)
+          << e.kernel << " " << e.data_size;
+      for (std::uint64_t d = 1; d <= 64; ++d) {
+        for (const std::uint64_t size : {e.data_size + d, e.data_size - d}) {
+          if (table.find(e.kernel, size) == nullptr) continue;
+          EXPECT_EQ(table.find(e.kernel, size)->data_size, size)
+              << e.kernel << " " << size;
+        }
+      }
+      EXPECT_EQ(table.find(e.kernel + "x", e.data_size), nullptr);
+      EXPECT_EQ(table.find(e.kernel.substr(1), e.data_size), nullptr);
+      EXPECT_EQ(table.find("", e.data_size), nullptr);
+      EXPECT_EQ(table.find(e.kernel, 0), nullptr);
+    }
+    EXPECT_EQ(table.find("m", 250000), nullptr);
+    EXPECT_EQ(table.find("mmm", 250000), nullptr);
+    EXPECT_EQ(table.find("", 0), nullptr);
+    EXPECT_EQ(table.find("zz", table.entries().front().data_size), nullptr);
+  }
+  // at() still names the kernel as asked when the probe misses.
+  try {
+    test::fabric_table().at("SYN0", 1);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "LookupTable: no row for kernel 'SYN0' size 1");
+  }
 }
 
 TEST(LookupTable, AddAndExactQuery) {

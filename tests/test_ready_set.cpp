@@ -48,6 +48,13 @@ class Harness {
     check("compact");
   }
 
+  /// A compaction whether or not it is due.
+  void compact() {
+    set_.compact();
+    EXPECT_FALSE(set_.compaction_due());
+    check("forced compact");
+  }
+
   /// A whole-set read: switches the set to in-place removal for good.
   void read_all() {
     EXPECT_EQ(set_.nodes(), model_);
@@ -82,28 +89,50 @@ class Harness {
 };
 
 /// Random pushes and erases over a small pool of slot ids, so ids come back
-/// while their dead entries are still in the log. `switch_at` is the step
-/// of the first whole-set read (0: before the first step; past the end:
-/// never).
+/// while their dead entries are still in the log. Two kinds of step recycle
+/// on purpose: one erases a member and pushes it again behind its own
+/// tombstone, then compacts; the other erases two members, pushes one back,
+/// compacts, and pushes the other, so recycled ids interleave across a
+/// compaction. `switch_at` is the step of the first whole-set read (0:
+/// before the first step; past the end: never).
 void random_walk(std::uint64_t seed, std::size_t steps, std::size_t switch_at) {
   constexpr std::size_t kSlots = 24;
   util::Rng rng(seed);
   Harness h(kSlots);
   for (std::size_t step = 0; step < steps; ++step) {
     if (step == switch_at) h.read_all();
-    const std::uint64_t roll = rng.uniform_u64(10);
+    const std::uint64_t roll = rng.uniform_u64(12);
+    const std::size_t n = h.model().size();
     if (roll < 5) {
       const auto node = static_cast<dag::NodeId>(rng.uniform_u64(kSlots));
       if (!h.contains(node)) h.push(node);
     } else if (roll < 9) {
-      if (h.model().empty()) continue;
-      // Erase the front, the back, or anything between.
+      if (n == 0) continue;
+      // Erase the front, the back, the entry just before the back (a
+      // tombstone the next erase of the back drops), or anything between.
       const std::uint64_t where = rng.uniform_u64(4);
-      const std::size_t n = h.model().size();
       const std::size_t i = where == 0   ? 0
                             : where == 1 ? n - 1
+                            : where == 2 ? (n > 1 ? n - 2 : 0)
                                          : rng.uniform_u64(n);
       h.erase(h.model()[i]);
+    } else if (roll == 9) {
+      if (n == 0) continue;
+      const dag::NodeId node = h.model()[rng.uniform_u64(n)];
+      h.erase(node);
+      h.push(node);
+      h.compact();
+    } else if (roll == 10) {
+      if (n < 2) continue;
+      const std::size_t i = rng.uniform_u64(n);
+      const std::size_t j = (i + 1 + rng.uniform_u64(n - 1)) % n;
+      const dag::NodeId first = h.model()[i];
+      const dag::NodeId second = h.model()[j];
+      h.erase(first);
+      h.erase(second);
+      h.push(second);
+      h.compact();
+      h.push(first);
     } else {
       h.compact_if_due();
     }

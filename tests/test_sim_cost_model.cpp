@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -158,9 +159,26 @@ TEST(CostModelRows, PairTablesEqualPerEdgeQueries) {
                            generic, ex.dag, "topcuoglu dense");
 }
 
+/// The longest best-time path as the bound computed it before it walked
+/// Kahn's FIFO order: over Dag::topological_order(), the min-id heap order.
+/// Frozen here as the reference the FIFO walk must equal bit for bit.
+TimeMs heap_ordered_longest_path_ms(const dag::Dag& dag,
+                                    const std::vector<TimeMs>& best_ms) {
+  std::vector<TimeMs> longest(dag.node_count(), 0.0);
+  TimeMs bound = 0.0;
+  for (const dag::NodeId n : dag.topological_order()) {
+    longest[n] += best_ms[n];
+    bound = std::max(bound, longest[n]);
+    for (const dag::NodeId s : dag.successors(n))
+      longest[s] = std::max(longest[s], longest[n]);
+  }
+  return bound;
+}
+
 // The best-times overload is what the stream engine feeds from its min-exec
 // slabs (a row's minimum, lowest index first); it must reproduce the
-// CostModel overload bit for bit on every family.
+// CostModel overload bit for bit on every family, and both must equal the
+// bound over the frozen heap-ordered walk.
 TEST(MakespanLowerBound, BestTimesOverloadEqualsCostModelOverload) {
   for (const RowCase& c : row_cases()) {
     const LutCostModel cost(c.table, c.system);
@@ -176,6 +194,17 @@ TEST(MakespanLowerBound, BestTimesOverloadEqualsCostModelOverload) {
       }
       EXPECT_EQ(makespan_lower_bound_ms(dag, c.system, best.data()),
                 makespan_lower_bound_ms(dag, c.system, cost))
+          << c.name << " " << family->name();
+      const TimeMs path = heap_ordered_longest_path_ms(dag, best);
+      TimeMs total_best = 0.0;
+      for (const TimeMs t : best) total_best += t;
+      const TimeMs area =
+          total_best / static_cast<double>(c.system.proc_count());
+      EXPECT_EQ(bits(critical_path_lower_bound_ms(dag, c.system, cost)),
+                bits(path))
+          << c.name << " " << family->name();
+      EXPECT_EQ(bits(makespan_lower_bound_ms(dag, c.system, best.data())),
+                bits(std::max(area, path)))
           << c.name << " " << family->name();
     }
   }
