@@ -40,7 +40,19 @@ NodeId parse_node_id(const std::string& text) {
   return static_cast<NodeId>(id);
 }
 
-/// Applies one directive line, split at spaces, to `dag`.
+/// The fields of a trimmed line: the runs between spaces and tabs.
+std::vector<std::string> fields(const std::string& line) {
+  std::vector<std::string> out;
+  std::size_t begin = 0;
+  while ((begin = line.find_first_not_of(" \t", begin)) != std::string::npos) {
+    const std::size_t end = line.find_first_of(" \t", begin);
+    out.push_back(line.substr(begin, end - begin));
+    begin = end;
+  }
+  return out;
+}
+
+/// Applies one directive line, split into its fields, to `dag`.
 void read_directive(const std::vector<std::string>& parts, Dag& dag) {
   if (parts[0] == "node") {
     if (parts.size() != 4 && parts.size() != 5)
@@ -77,7 +89,7 @@ Dag from_text(const std::string& text) {
     const std::string trimmed = util::trim(line);
     if (trimmed.empty() || trimmed.front() == '#') continue;
     try {
-      read_directive(util::split(trimmed, ' '), dag);
+      read_directive(fields(trimmed), dag);
     } catch (const std::invalid_argument& e) {
       throw at_line<std::invalid_argument>(line_no, e);
     } catch (const std::logic_error& e) {  // an edge that closes a cycle
@@ -95,7 +107,11 @@ Dag load_text_file(const std::string& path) {
     throw std::runtime_error("Dag::load_text_file: cannot open '" + path + "'");
   std::ostringstream buf;
   buf << in.rdbuf();
-  return from_text(buf.str());
+  Dag dag = from_text(buf.str());
+  if (dag.node_count() == 0)
+    throw std::runtime_error("Dag::load_text_file: '" + path +
+                             "' has no node lines");
+  return dag;
 }
 
 void save_text_file(const Dag& dag, const std::string& path) {

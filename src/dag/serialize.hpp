@@ -3,10 +3,11 @@
 //
 // Text format:
 //   # comment / blank lines ignored
-//   node <id> <kernel> <data_size>
+//   node <id> <kernel> <data_size> [release_ms]
 //   edge <src> <dst>
-// Node ids must be dense and in ascending order (the insertion order the
-// dynamic policies treat as arrival order).
+// Fields are separated by runs of spaces and tabs. Node ids must be dense
+// and in ascending order (the insertion order the dynamic policies treat as
+// arrival order).
 #pragma once
 
 #include <string>
@@ -24,6 +25,10 @@ std::string to_text(const Dag& dag);
 /// would close a cycle.
 Dag from_text(const std::string& text);
 
+/// Reads a graph file through from_text. Throws std::runtime_error naming
+/// the path when the file cannot be opened or holds no node line (empty or
+/// comments only): a graph file describes at least one kernel, while
+/// from_text("") is the empty graph.
 Dag load_text_file(const std::string& path);
 void save_text_file(const Dag& dag, const std::string& path);
 

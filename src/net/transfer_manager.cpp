@@ -450,6 +450,7 @@ void TransferManager::verify_incremental_solve(TimeMs at) {
 #endif
 
 TimeMs TransferManager::link_drain_ms(LinkId link) const {
+  if (profile_) profile_->add(obs::Counter::kTmDrainReads);
   const std::vector<std::size_t>& flows = link_flows_.at(link);
   DrainMemo& memo = drain_memo_[link];
   if (memo.round != solve_round_) {

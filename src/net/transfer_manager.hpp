@@ -144,7 +144,8 @@ class TransferManager {
   const SolveStats& solve_stats() const noexcept { return solve_stats_; }
 
   /// Attaches a hot-path profile (src/obs) that the manager feeds with
-  /// its solver's full/incremental wall-clock split and its work counters.
+  /// its solver's full/incremental wall-clock split, its work counters, and
+  /// a count of link_drain_ms reads.
   /// Null (the default) disables the clock reads entirely; simulation
   /// results are unaffected either way. The profile must outlive the
   /// manager.

@@ -28,6 +28,8 @@ const char* to_string(Counter counter) noexcept {
       return "tm_links_scanned";
     case Counter::kTmProjectionsPopped:
       return "tm_projections_popped";
+    case Counter::kTmDrainReads:
+      return "tm_drain_reads";
     case Counter::kCount:
       break;
   }

@@ -44,6 +44,9 @@ enum class Counter : std::size_t {
   /// Nodes popped off the TransferManager's delivery heap; one per
   /// delivered message, since the heap never holds a superseded entry.
   kTmProjectionsPopped,
+  /// TransferManager::link_drain_ms reads: the fabric backlog the
+  /// scheduler's transfer estimates price.
+  kTmDrainReads,
   kCount
 };
 

@@ -28,18 +28,29 @@ void AdaptiveGreedy::on_event(sim::SchedulerContext& ctx) {
   // AG commits every ready kernel to some processor queue immediately —
   // it never leaves work unqueued (thesis Table 2: "never waits" = No, but
   // the *scheduler* always acts; waiting happens inside the queues).
-  const std::vector<dag::NodeId> ready = ctx.ready();
-  for (const dag::NodeId node : ready) {
+  // Snapshot: enqueue() mutates the ready list.
+  const std::vector<dag::NodeId>& all = ctx.ready();
+  ready_.assign(all.begin(), all.end());
+  const std::size_t procs = ctx.system().proc_count();
+  stalls_.resize(procs);
+  estimates_.resize(procs);
+  for (const dag::NodeId node : ready_) {
+    // τ_g^d for every processor in one row query: comm-blind AG plans
+    // against the unloaded route (stall_ms, the legacy scalar) and never
+    // reads the fabric; AG-net adds the predicted link backlog — the
+    // fabric analogue of τ_g^q.
+    if (options_.comm_aware) {
+      ctx.transfer_estimates(node, estimates_.data());
+    } else {
+      ctx.transfer_stalls(node, stalls_.data());
+    }
     sim::ProcId best = 0;
     sim::TimeMs best_tau = 0.0;
-    for (sim::ProcId proc = 0; proc < ctx.system().proc_count(); ++proc) {
-      // τ_g^d: comm-blind AG plans against the unloaded route (stall_ms,
-      // the legacy scalar); AG-net adds the predicted link backlog — the
-      // fabric analogue of τ_g^q.
-      const sim::TransferEstimate est = ctx.transfer_estimate(node, proc);
+    for (sim::ProcId proc = 0; proc < procs; ++proc) {
       const sim::TimeMs tau =
-          queue_delay_ms(ctx, proc) +
-          (options_.comm_aware ? est.total_ms() : est.stall_ms);
+          queue_delay_ms(ctx, proc) + (options_.comm_aware
+                                           ? estimates_[proc].total_ms()
+                                           : stalls_[proc]);
       if (proc == 0 || tau < best_tau) {
         best = proc;
         best_tau = tau;

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "sim/policy.hpp"
 
@@ -54,6 +55,11 @@ class AdaptiveGreedy final : public sim::Policy {
                              sim::ProcId proc) const;
 
   AgOptions options_;
+  // Reused per-pass buffers: the ready snapshot, and one kernel's transfer
+  // row (stalls for AG, full estimates for AG-net).
+  std::vector<dag::NodeId> ready_;
+  std::vector<sim::TimeMs> stalls_;
+  std::vector<sim::TransferEstimate> estimates_;
 };
 
 }  // namespace apt::policies

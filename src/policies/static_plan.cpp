@@ -116,7 +116,8 @@ StaticPlan list_schedule(const dag::Dag& dag,
   for (std::size_t placed = 0; placed < n; ++placed) {
     if (candidates.empty())
       throw std::logic_error("list_schedule: no schedulable task (cycle?)");
-    // Highest priority among precedence-free tasks; ties -> lower id.
+    // Highest priority among precedence-free tasks; ties -> the earliest
+    // candidate, i.e. the task freed first (entry tasks in id order).
     std::size_t pick = 0;
     for (std::size_t i = 1; i < candidates.size(); ++i) {
       if (priority[candidates[i]] > priority[candidates[pick]]) pick = i;

@@ -84,8 +84,9 @@ using ProcScore = std::function<double(dag::NodeId node, sim::ProcId proc,
 
 /// Generic priority-list scheduler: repeatedly takes the unscheduled task
 /// with the highest priority among those whose predecessors are all
-/// scheduled (ties -> lower node id), and places it on the processor
-/// minimising `score` using insertion-based ESTs with prefetched transfers.
+/// scheduled (ties -> the task that became schedulable first, entry tasks
+/// in id order), and places it on the processor minimising `score` using
+/// insertion-based ESTs with prefetched transfers.
 StaticPlan list_schedule(const dag::Dag& dag, const sim::System& system,
                          const sim::CostModel& cost,
                          const std::vector<double>& priority,

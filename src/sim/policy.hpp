@@ -150,6 +150,24 @@ class SchedulerContext {
   virtual TransferEstimate transfer_estimate(dag::NodeId node,
                                              ProcId proc) const = 0;
 
+  /// Row forms of transfer_estimate for a policy that prices one kernel on
+  /// every processor: out[p] for each p < system().proc_count(), bit for
+  /// bit what transfer_estimate(node, p) gives (its stall_ms only, for
+  /// transfer_stalls). The defaults loop the scalar query. The event core
+  /// walks the kernel's predecessors once per row, and only
+  /// transfer_estimates reads the fabric backlog, so a comm-blind policy
+  /// should ask for the stalls.
+  virtual void transfer_stalls(dag::NodeId node, TimeMs* out) const {
+    const std::size_t procs = system().proc_count();
+    for (ProcId p = 0; p < procs; ++p)
+      out[p] = transfer_estimate(node, p).stall_ms;
+  }
+  virtual void transfer_estimates(dag::NodeId node,
+                                  TransferEstimate* out) const {
+    const std::size_t procs = system().proc_count();
+    for (ProcId p = 0; p < procs; ++p) out[p] = transfer_estimate(node, p);
+  }
+
   /// DEPRECATED scalar form of the estimation contract, kept as a thin
   /// wrapper for source compatibility: exactly
   /// transfer_estimate(node, proc).stall_ms. New code (and all in-tree

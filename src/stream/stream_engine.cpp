@@ -195,6 +195,7 @@ class EventCore final : public sim::SchedulerContext {
     observation_.queue_depth.set_window_start(options.warmup_ms);
     observation_.live_apps.set_window_start(options.warmup_ms);
     idle_cache_.reserve(system.proc_count());
+    worst_from_.resize(system.proc_count());
   }
 
   /// Open run to quiescence, then the stream metrics.
@@ -343,14 +344,8 @@ class EventCore final : public sim::SchedulerContext {
     const Adjacency& adj = adjacency_[slot];
     sim::TimeMs worst = 0.0;
     for (std::uint32_t e = adj.pred_begin; e != adj.pred_end; ++e) {
-      const dag::NodeId pred = pred_slot_[e];
-      const sim::ScheduledKernel& rec = node_state_[pred].record;
-      // Internal invariant (not policy-misuse validation): ready slots
-      // only surface once every predecessor was scheduled.
-      APT_ASSERT(rec.proc != sim::kInvalidProc,
-                 "predecessor %u of slot %u not yet scheduled", pred, slot);
-      const double weight = pred_weight_[e];
-      worst = std::max(worst, prices_.transfer_ms(weight, rec.proc, proc));
+      worst = std::max(worst, prices_.transfer_ms(pred_weight_[e],
+                                                  producer_proc(e), proc));
     }
     return worst;
   }
@@ -363,38 +358,47 @@ class EventCore final : public sim::SchedulerContext {
     est.noise = options_.noise;
     const Adjacency& adj = adjacency_[slot];
     sim::ProcId worst_from = proc;  // local: contributes no link
+    for (std::uint32_t e = adj.pred_begin; e != adj.pred_end; ++e)
+      price_edge(pred_weight_[e], producer_proc(e), proc, est, worst_from);
+    pin_idle_bottleneck(worst_from, proc, est);
+    return est;
+  }
+
+  // The row queries walk the predecessor range once and price every
+  // processor from the producer's pair-table row, each through the scalar's
+  // own steps in the scalar's order, so out[p] is transfer_estimate(slot, p)
+  // bit for bit. Only transfer_estimates reads the fabric.
+  void transfer_stalls(dag::NodeId slot, sim::TimeMs* out) const override {
+    APT_ASSERT(node_state_[slot].app != kNoApp, "retired slot %u", slot);
+    std::fill_n(out, proc_count_, 0.0);
+    const Adjacency& adj = adjacency_[slot];
     for (std::uint32_t e = adj.pred_begin; e != adj.pred_end; ++e) {
-      const dag::NodeId pred = pred_slot_[e];
-      const sim::ScheduledKernel& rec = node_state_[pred].record;
-      APT_ASSERT(rec.proc != sim::kInvalidProc,
-                 "predecessor %u of slot %u not yet scheduled", pred, slot);
-      // Same price, same order, same maximum as input_transfer_ms above —
-      // stall_ms stays bit-identical to the legacy scalar.
+      const sim::ProcId from = producer_proc(e);
       const double weight = pred_weight_[e];
-      const sim::TimeMs edge = prices_.transfer_ms(weight, rec.proc, proc);
-      if (edge > est.stall_ms) {
-        est.stall_ms = edge;
-        worst_from = rec.proc;
-      }
-      if (!tm_) continue;
-      // Backlog scan: predicted drain of each route link's in-flight
-      // traffic at the current max-min rates (tm_ is advanced to now_
-      // before every policy pass). The most backlogged link across the
-      // predecessor routes pins the estimate.
-      for (const net::LinkId l : topology_.route(rec.proc, proc)) {
-        const sim::TimeMs drain = tm_->link_drain_ms(l);
-        if (drain > est.link_queueing_ms) {
-          est.link_queueing_ms = drain;
-          est.bottleneck_link = l;
-        }
+      for (sim::ProcId p = 0; p < proc_count_; ++p) {
+        const sim::TimeMs edge = prices_.transfer_ms(weight, from, p);
+        if (edge > out[p]) out[p] = edge;
       }
     }
-    // Idle fabric (or ideal topology): pin the estimate to the unloaded
-    // bottleneck of the worst predecessor's route, kNoLink when local.
-    if (est.bottleneck_link == net::kNoLink && contended_ &&
-        worst_from != proc)
-      est.bottleneck_link = topology_.bottleneck_link(worst_from, proc);
-    return est;
+  }
+
+  void transfer_estimates(dag::NodeId slot,
+                          sim::TransferEstimate* out) const override {
+    APT_ASSERT(node_state_[slot].app != kNoApp, "retired slot %u", slot);
+    for (sim::ProcId p = 0; p < proc_count_; ++p) {
+      out[p] = sim::TransferEstimate{};
+      out[p].noise = options_.noise;
+      worst_from_[p] = p;
+    }
+    const Adjacency& adj = adjacency_[slot];
+    for (std::uint32_t e = adj.pred_begin; e != adj.pred_end; ++e) {
+      const sim::ProcId from = producer_proc(e);
+      const double weight = pred_weight_[e];
+      for (sim::ProcId p = 0; p < proc_count_; ++p)
+        price_edge(weight, from, p, out[p], worst_from_[p]);
+    }
+    for (sim::ProcId p = 0; p < proc_count_; ++p)
+      pin_idle_bottleneck(worst_from_[p], p, out[p]);
   }
 
   const sim::NoiseSpec& noise() const override { return options_.noise; }
@@ -434,6 +438,49 @@ class EventCore final : public sim::SchedulerContext {
   /// Bounded per-processor execution history (memory over long runs). Its
   /// only reader, AG's recent-window estimator, looks back 5 completions.
   static constexpr std::size_t kHistoryCap = 1024;
+
+  /// The processor that ran the producer of in-edge `e`.
+  sim::ProcId producer_proc(std::uint32_t e) const {
+    const dag::NodeId pred = pred_slot_[e];
+    const sim::ProcId from = node_state_[pred].record.proc;
+    // Internal invariant (not policy-misuse validation): ready slots only
+    // surface once every predecessor was scheduled.
+    APT_ASSERT(from != sim::kInvalidProc, "predecessor %u not yet scheduled",
+               pred);
+    return from;
+  }
+
+  /// Folds one in-edge, produced on `from`, into the estimate for `proc`:
+  /// the edge's unloaded price (the stall is the first maximum, so
+  /// `worst_from` names its producer), and on a contended fabric the
+  /// predicted drain of each link of its route at the current max-min rates
+  /// (tm_ is advanced to now_ before every policy pass). The most
+  /// backlogged link, first in hop order on ties, pins the estimate.
+  void price_edge(double weight, sim::ProcId from, sim::ProcId proc,
+                  sim::TransferEstimate& est, sim::ProcId& worst_from) const {
+    const sim::TimeMs edge = prices_.transfer_ms(weight, from, proc);
+    if (edge > est.stall_ms) {
+      est.stall_ms = edge;
+      worst_from = from;
+    }
+    if (!tm_) return;
+    for (const net::LinkId l : topology_.route(from, proc)) {
+      const sim::TimeMs drain = tm_->link_drain_ms(l);
+      if (drain > est.link_queueing_ms) {
+        est.link_queueing_ms = drain;
+        est.bottleneck_link = l;
+      }
+    }
+  }
+
+  /// Idle fabric (or ideal topology): pins the estimate to the unloaded
+  /// bottleneck of the worst input's route; kNoLink when that is local.
+  void pin_idle_bottleneck(sim::ProcId worst_from, sim::ProcId proc,
+                           sim::TransferEstimate& est) const {
+    if (est.bottleneck_link == net::kNoLink && contended_ &&
+        worst_from != proc)
+      est.bottleneck_link = topology_.bottleneck_link(worst_from, proc);
+  }
 
   /// The per-slot state every run reads. Admission writes one per kernel,
   /// so it stays small; hedging and the contended comm phase keep their
@@ -1516,6 +1563,8 @@ class EventCore final : public sim::SchedulerContext {
   /// Cached available set, rebuilt on demand after processor-state changes.
   mutable std::vector<sim::ProcId> idle_cache_;
   mutable bool idle_dirty_ = true;
+  /// transfer_estimates' per-processor worst-input producer, reused.
+  mutable std::vector<sim::ProcId> worst_from_;
   /// A processor may be free with a non-empty queue: drain_queues() scans.
   bool drain_due_ = false;
 

@@ -1,8 +1,10 @@
 // Test-only reference policies: MET and APT as full FIFO scans over the
-// ready set, the way both policies ran before policies::ReadyIndex, and
-// APT-Ranked as the sorted scan it ran before it moved onto the index. The
+// ready set, the way both policies ran before policies::ReadyIndex,
+// APT-Ranked as the sorted scan it ran before it moved onto the index, and
+// AG / AG-net pricing each (kernel, processor) pair with its own scalar
+// transfer_estimate query, the way AG ran before the row queries. The
 // scans below are the old on_event bodies word for word; the equivalence
-// suite asserts the indexed policies reproduce them bit for bit. Ranks come
+// suite asserts the shipped policies reproduce them bit for bit. Ranks come
 // from the frozen planners (reference_static_planners.hpp), so the
 // references stay frozen while the shipped planners change.
 #pragma once
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "core/apt.hpp"
+#include "policies/ag.hpp"
 #include "policies/selection.hpp"
 #include "sim/policy.hpp"
 
@@ -181,6 +184,59 @@ class ReferenceAptRanked final : public sim::Policy {
  private:
   double alpha_;
   std::vector<double> rank_;  ///< HEFT upward rank per node
+};
+
+/// policies::AdaptiveGreedy (every AgOptions variant) with one scalar
+/// transfer_estimate per (ready kernel, processor).
+class ReferenceAg final : public sim::Policy {
+ public:
+  explicit ReferenceAg(policies::AgOptions options) : options_(options) {}
+
+  std::string name() const override { return "reference-AG"; }
+  bool is_dynamic() const override { return true; }
+
+  void on_event(sim::SchedulerContext& ctx) override {
+    // AG commits every ready kernel to some processor queue immediately —
+    // it never leaves work unqueued (thesis Table 2: "never waits" = No, but
+    // the *scheduler* always acts; waiting happens inside the queues).
+    const std::vector<dag::NodeId> ready = ctx.ready();
+    for (const dag::NodeId node : ready) {
+      sim::ProcId best = 0;
+      sim::TimeMs best_tau = 0.0;
+      for (sim::ProcId proc = 0; proc < ctx.system().proc_count(); ++proc) {
+        // τ_g^d: comm-blind AG plans against the unloaded route (stall_ms,
+        // the legacy scalar); AG-net adds the predicted link backlog — the
+        // fabric analogue of τ_g^q.
+        const sim::TransferEstimate est = ctx.transfer_estimate(node, proc);
+        const sim::TimeMs tau =
+            queue_delay_ms(ctx, proc) +
+            (options_.comm_aware ? est.total_ms() : est.stall_ms);
+        if (proc == 0 || tau < best_tau) {
+          best = proc;
+          best_tau = tau;
+        }
+      }
+      ctx.enqueue(node, best);
+    }
+  }
+
+ private:
+  sim::TimeMs queue_delay_ms(const sim::SchedulerContext& ctx,
+                             sim::ProcId proc) const {
+    switch (options_.estimate) {
+      case policies::AgQueueEstimate::SumOfQueued:
+        return ctx.queued_work_ms(proc);
+      case policies::AgQueueEstimate::RecentAverage: {
+        const std::size_t in_flight =
+            ctx.queue_length(proc) + (ctx.is_idle(proc) ? 0 : 1);
+        return static_cast<double>(in_flight) *
+               ctx.recent_avg_exec_ms(proc, options_.history_window);
+      }
+    }
+    return 0.0;
+  }
+
+  policies::AgOptions options_;
 };
 
 }  // namespace apt::test

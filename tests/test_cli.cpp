@@ -2,12 +2,14 @@
 // succeed and produce its expected artifacts. The binary path is injected
 // by CMake as APTSIM_PATH.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "dag/generator.hpp"
 #include "dag/serialize.hpp"
 #include "lut/lookup_table.hpp"
 #include "util/csv.hpp"
@@ -556,6 +558,59 @@ TEST(Cli, RunGraphErrorsNameTheirLine) {
                             " >/dev/null 2> " + quoted(err);
     EXPECT_NE(std::system(cmd.c_str()), 0) << c.text;
     EXPECT_NE(slurp(err).find("Dag::from_text " + c.error), std::string::npos)
+        << slurp(err);
+  }
+  std::filesystem::remove(graph);
+  std::filesystem::remove(err);
+}
+
+TEST(Cli, RunGraphReadsTabsAndRunsOfSpaces) {
+  // The same graph written with single spaces, with tabs, and with runs of
+  // spaces and tabs runs to the same report.
+  const std::string dir = ::testing::TempDir();
+  const std::string text = apt::dag::to_text(
+      apt::dag::paper_graph(apt::dag::DfgType::Type2, 3));
+  std::string tabs;
+  std::string runs;
+  for (const char c : text) {
+    tabs += c == ' ' ? '\t' : c;
+    runs += c == ' ' ? std::string(" \t  ") : std::string(1, c);
+  }
+  std::string first_report;
+  for (const std::string& graph_text : {text, tabs, runs}) {
+    const std::string graph = dir + "/aptsim_ws_graph.txt";
+    const std::string out = dir + "/aptsim_ws_out.txt";
+    std::ofstream(graph) << graph_text;
+    ASSERT_EQ(run_cli("run --policy met --graph " + quoted(graph), out), 0);
+    const std::string report = slurp(out);
+    EXPECT_NE(report.find("kernels:"), std::string::npos) << report;
+    if (first_report.empty()) {
+      first_report = report;
+    } else {
+      EXPECT_EQ(report, first_report);
+    }
+    std::filesystem::remove(graph);
+    std::filesystem::remove(out);
+  }
+}
+
+TEST(Cli, RunGraphRejectsAFileWithoutNodeLines) {
+  // An empty or comments-only graph file used to run as a 0-kernel graph
+  // and exit 0.
+  const std::string dir = ::testing::TempDir();
+  const std::string graph = dir + "/aptsim_nodeless_graph.txt";
+  const std::string err = dir + "/aptsim_nodeless_err.txt";
+  for (const char* text : {"", "# comments only\n\n"}) {
+    std::ofstream(graph) << text;
+    const std::string cmd = std::string(APTSIM_PATH) +
+                            " run --policy met --graph " + quoted(graph) +
+                            " >/dev/null 2> " + quoted(err);
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << text;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << text;
+    EXPECT_NE(slurp(err).find("Dag::load_text_file: '" + graph +
+                              "' has no node lines"),
+              std::string::npos)
         << slurp(err);
   }
   std::filesystem::remove(graph);

@@ -45,6 +45,29 @@ TEST(TextFormat, IgnoresCommentsAndBlankLines) {
   EXPECT_TRUE(d.has_edge(0, 1));
 }
 
+TEST(TextFormat, SplitsFieldsOnRunsOfSpacesAndTabs) {
+  const Dag d = from_text(
+      "node 0\tmm\t250000\n"
+      "node 1  mm   250000 \t 2.5\n"
+      "edge\t0 \t 1\n");
+  EXPECT_EQ(to_text(d),
+            to_text(from_text("node 0 mm 250000\nnode 1 mm 250000 2.5\n"
+                              "edge 0 1\n")));
+  ASSERT_EQ(d.node_count(), 2u);
+  EXPECT_EQ(d.node(1).kernel, "mm");
+  EXPECT_EQ(d.node(1).data_size, 250000u);
+  EXPECT_EQ(d.node(1).release_ms, 2.5);
+  EXPECT_TRUE(d.has_edge(0, 1));
+  // Extra whitespace never makes an extra field.
+  EXPECT_THROW(from_text("node 0\tmm\t\t250000\t1\t2\n"),
+               std::runtime_error);
+}
+
+TEST(TextFormat, EmptyTextIsTheEmptyGraph) {
+  EXPECT_EQ(from_text("").node_count(), 0u);
+  EXPECT_EQ(from_text("# only a comment\n\n").node_count(), 0u);
+}
+
 TEST(TextFormat, RejectsMalformedLines) {
   EXPECT_THROW(from_text("node 0 nw\n"), std::runtime_error);
   EXPECT_THROW(from_text("node 1 nw 100\n"), std::runtime_error);  // sparse id
@@ -101,6 +124,24 @@ TEST(TextFile, SaveAndLoad) {
 
 TEST(TextFile, MissingFileThrows) {
   EXPECT_THROW(load_text_file("/nonexistent/dir/g.txt"), std::runtime_error);
+}
+
+TEST(TextFile, FileWithoutNodeLinesThrowsNamingThePath) {
+  const std::string path = ::testing::TempDir() + "/apt_dag_nodeless.txt";
+  for (const char* text : {"", "# comments only\n\n  # indented\n"}) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(text, f);
+    std::fclose(f);
+    try {
+      load_text_file(path);
+      ADD_FAILURE() << "no error for '" << text << "'";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "Dag::load_text_file: '" + path + "' has no node lines");
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Dot, ContainsNodesAndEdges) {

@@ -3,7 +3,7 @@
 // schedule record, fabric message, hedge, and makespan must match bit for
 // bit, and with a trace sink and a profile attached so must the rendered
 // trace, every counter but the ready-set maintenance pair and the
-// TransferManager's two work counters, and every timer's sample count,
+// TransferManager's three work counters, and every timer's sample count,
 // over the grid
 //
 //   policies    every policy_registry() head, plus ag:recent (the one
@@ -121,9 +121,9 @@ void expect_same(const sim::SimResult& a, const sim::SimResult& b,
 }
 
 /// Counters in full, except the two that count ready-set maintenance the
-/// frozen engine never did and the filling-loop link count and delivery
-/// heap pops its frozen TransferManager never kept; timers by sample count
-/// (their totals are wall clock).
+/// frozen engine never did and the filling-loop link count, delivery heap
+/// pops and link-drain reads its frozen TransferManager never kept; timers
+/// by sample count (their totals are wall clock).
 void expect_same(const obs::Profile& a, const obs::Profile& b,
                  const std::string& where) {
   for (std::size_t i = 0; i < static_cast<std::size_t>(obs::Counter::kCount);
@@ -132,7 +132,8 @@ void expect_same(const obs::Profile& a, const obs::Profile& b,
     if (counter == obs::Counter::kReadyCompactions ||
         counter == obs::Counter::kReadyEntriesMoved ||
         counter == obs::Counter::kTmLinksScanned ||
-        counter == obs::Counter::kTmProjectionsPopped)
+        counter == obs::Counter::kTmProjectionsPopped ||
+        counter == obs::Counter::kTmDrainReads)
       continue;
     EXPECT_EQ(a.count(counter), b.count(counter))
         << where << " counter " << obs::to_string(counter);

@@ -1,7 +1,8 @@
 // src/obs profiling: registry behaviour, scoped timers, inertness —
 // attaching a Profile (or a TraceSink) to either engine leaves every
-// simulated bit identical — and the ready-set work gates, which bound an
-// exact counter per commit.
+// simulated bit identical — the ready-set work gates, which bound an exact
+// counter per commit, and the gate that comm-blind AG reads no fabric
+// backlog.
 #include "obs/profile.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include "core/stream_plan.hpp"
 #include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
+#include "lut/synthetic.hpp"
+#include "net/topology.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/engine.hpp"
 #include "sim/policy.hpp"
@@ -272,6 +275,54 @@ TEST(Profile, StaticExecutorReadySetWorkIsFlatPerCommit) {
             << spec << " on " << dag.node_count() << " kernels: " << moved
             << " entries moved for " << commits << " commits";
       }
+    }
+  }
+}
+
+// --- fabric backlog reads ----------------------------------------------------
+
+TEST(Profile, CommBlindAgReadsNoFabricBacklog) {
+  // perfbench's fabric-mesh shape: layered apps on twelve processors over a
+  // 3x4 mesh of contended 1 GB/s links. AG ranks by the unloaded stall, so
+  // its transfer row must not read a link drain; AG-net ranks by stall plus
+  // backlog, so it must. Pricing AG through the scalar transfer_estimate
+  // reads every route link of every predecessor for every processor.
+  core::StreamPlan plan;
+  plan.families = {"layered"};
+  plan.rates_per_ms = {0.002};
+  plan.policy_specs = {"ag", "ag-net"};
+  plan.kernels = 24;
+  plan.max_apps = 40;
+  plan.horizon_ms = 0.0;
+  plan.base_seed = 1;
+  plan.profile = true;
+  lut::SyntheticLutSpec spec;
+  spec.ccr = 1.0;
+  spec.link_rate_gbps = 1.0;
+  spec.seed = 11;
+  plan.table = lut::synthetic_lookup_table(spec);
+  plan.base_system = sim::SystemConfig::paper_default(1.0);
+  plan.base_system.processors.clear();
+  for (const lut::ProcType type :
+       {lut::ProcType::CPU, lut::ProcType::GPU, lut::ProcType::FPGA})
+    plan.base_system.processors.insert(plan.base_system.processors.end(), 4,
+                                       type);
+  plan.base_system.topology = net::parse_topology_spec("mesh:3x4");
+  plan.base_system.topology.bandwidth_gbps = 1.0;
+  plan.base_system.topology.latency_ms = 0.05;
+  const core::StreamBatchResult result =
+      core::run_stream_plan(plan, core::BatchRunner(1));
+  ASSERT_EQ(result.cells.size(), 2u);
+  for (const core::StreamCellResult& cell : result.cells) {
+    const obs::ProfileSnapshot& snap = cell.metrics.profile;
+    ASSERT_EQ(cell.metrics.apps_completed, 40u) << cell.policy_spec;
+    // The fabric carried traffic, so there was backlog to read.
+    ASSERT_GT(counter(snap, "transfers_started"), 0u) << cell.policy_spec;
+    const std::uint64_t reads = counter(snap, "tm_drain_reads");
+    if (cell.policy_spec == "ag") {
+      EXPECT_EQ(reads, 0u) << "comm-blind AG read the fabric backlog";
+    } else {
+      EXPECT_GT(reads, 0u) << cell.policy_spec;
     }
   }
 }

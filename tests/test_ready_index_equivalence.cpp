@@ -1,10 +1,11 @@
 // The indexed MET/APT/APT-Ranked dispatch (policies::ReadyIndex) against
-// the scans it replaced (reference_scan_policies.hpp). Every schedule
-// record, fabric message, hedge, and stream metric must match bit for bit,
-// over the grid
+// the scans it replaced, and AG's row-priced pass against its scalar-priced
+// one (reference_scan_policies.hpp). Every schedule record, fabric message,
+// hedge, and stream metric must match bit for bit, over the grid
 //
 //   policies    met, apt:1, apt:4, apt:1e6, apt-c, apt-q, apt-r, and APT
-//               without transfer pricing; apt-ranked:1, apt-ranked:4 and
+//               without transfer pricing; ag, ag-net, ag:recent and
+//               ag-net:recent; apt-ranked:1, apt-ranked:4 and
 //               apt-ranked:1e6 in the closed engine only (it plans from
 //               the whole DAG, so the stream engine rejects it)
 //   topologies  ideal, ring:6, mesh:2x3 (six processors, 1 GB/s links)
@@ -40,6 +41,9 @@ struct Variant {
   std::string label;
   std::function<std::unique_ptr<sim::Policy>()> indexed;
   std::function<std::unique_ptr<sim::Policy>()> reference;
+  /// False for AG, which queues every ready kernel at once, so a burst
+  /// waits in the processor queues instead of the ready set.
+  bool fills_ready_set = true;
 };
 
 core::AptOptions apt_options(double alpha) {
@@ -80,6 +84,20 @@ std::vector<Variant> variants(bool closed) {
                   [blind] {
                     return std::make_unique<test::ReferenceApt>(blind);
                   }});
+  for (const bool comm_aware : {false, true}) {
+    for (const bool recent : {false, true}) {
+      policies::AgOptions options;
+      options.comm_aware = comm_aware;
+      if (recent) options.estimate = policies::AgQueueEstimate::RecentAverage;
+      const std::string spec = std::string(comm_aware ? "ag-net" : "ag") +
+                               (recent ? ":recent" : "");
+      grid.push_back({spec, [spec] { return core::make_policy(spec); },
+                      [options] {
+                        return std::make_unique<test::ReferenceAg>(options);
+                      },
+                      /*fills_ready_set=*/false});
+    }
+  }
   if (!closed) return grid;
   const std::pair<std::string, double> ranked[] = {
       {"apt-ranked:1", 1.0}, {"apt-ranked:4", 4.0}, {"apt-ranked:1e6", 1e6}};
@@ -424,7 +442,9 @@ std::size_t check_stream(const std::string& topology,
     EXPECT_EQ(a.metrics.apps_completed, a.metrics.apps_arrived) << where;
     // Saturated, and long enough that retired slot ranges are reused: some
     // instance arrived after another had already retired.
-    EXPECT_GT(a.metrics.queue_depth_max, 100u) << where;
+    if (v.fills_ready_set) {
+      EXPECT_GT(a.metrics.queue_depth_max, 100u) << where;
+    }
     EXPECT_LT(a.metrics.live_apps_max, a.metrics.apps_arrived) << where;
     hedges += a.metrics.hedges_launched;
   }

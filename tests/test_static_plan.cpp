@@ -103,6 +103,26 @@ TEST(ListSchedule, HigherPriorityScheduledFirstAmongReady) {
   EXPECT_DOUBLE_EQ(plan.tasks[0].start, 2.0);
 }
 
+TEST(ListSchedule, EqualPrioritiesGoToTheTaskFreedFirst) {
+  // Edges 0 -> 3 and 1 -> 2: placing 0 frees 3 before placing 1 frees 2,
+  // so with equal priorities 3 goes before the lower id 2. Unit tasks on
+  // one processor each start after the last, so the processor's order is
+  // the placement order.
+  dag::Dag d;
+  for (const char* kernel : {"a", "b", "c", "d"}) d.add_node(kernel, 1);
+  d.add_edge(0, 3);
+  d.add_edge(1, 2);
+  const sim::System sys = test::generic_system(1);
+  sim::MatrixCostModel cost({{1.0}, {1.0}, {1.0}, {1.0}});
+  const auto plan = list_schedule(
+      d, sys, cost, {0.0, 0.0, 0.0, 0.0},
+      [](dag::NodeId, sim::ProcId, sim::TimeMs, sim::TimeMs eft) {
+        return eft;
+      });
+  EXPECT_EQ(plan.per_proc_order(1)[0],
+            (std::vector<dag::NodeId>{0, 1, 3, 2}));
+}
+
 TEST(StaticPolicyBase, ExposesPlanAfterPrepare) {
   const auto ex = test::topcuoglu_example();
   const sim::System sys = test::generic_system(3);

@@ -11,6 +11,9 @@
 //    route's minimum-bandwidth hop;
 //  * quantile_ms widens only the queueing component, and degenerates to
 //    total_ms when noise is off;
+//  * the row queries (transfer_stalls, transfer_estimates) equal the
+//    scalar for every ready kernel and processor at every pass, bit for bit
+//    in every field, in open and closed runs on every fabric kind;
 //  * the comm-aware variants collapse onto their comm-blind counterparts
 //    exactly when the extra signal is flat: AG-net == AG and APT-C == APT
 //    on ideal fabrics, APT-Q == APT-C when noise is off.
@@ -20,9 +23,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/policy_factory.hpp"
@@ -31,6 +38,7 @@
 #include "net/topology.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
+#include "stream/stream_engine.hpp"
 
 namespace apt {
 namespace {
@@ -171,6 +179,142 @@ TEST(TransferEstimate, EngineContractHoldsOnIdealTopology) {
   sim::Engine(graph, system, cost).run(probe);
   EXPECT_GT(probe.estimates_checked(), 0u);
   EXPECT_EQ(probe.backlogged_estimates(), 0u);
+}
+
+// --- row queries against the scalar ------------------------------------------
+
+std::uint64_t bits(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof u);
+  return u;
+}
+
+bool same_bits(const sim::TransferEstimate& a, const sim::TransferEstimate& b) {
+  return bits(a.stall_ms) == bits(b.stall_ms) &&
+         bits(a.link_queueing_ms) == bits(b.link_queueing_ms) &&
+         a.bottleneck_link == b.bottleneck_link &&
+         bits(a.noise.sigma) == bits(b.noise.sigma) &&
+         bits(a.noise.heavy_tail_prob) == bits(b.noise.heavy_tail_prob) &&
+         bits(a.noise.heavy_tail_multiplier) ==
+             bits(b.noise.heavy_tail_multiplier) &&
+         a.noise.seed == b.noise.seed;
+}
+
+/// At every pass, asks both row queries for every ready kernel and checks
+/// each entry against transfer_estimate(node, p); then `inner` schedules,
+/// so the run moves through the fabric states a real policy produces.
+class RowProbe final : public sim::Policy {
+ public:
+  explicit RowProbe(std::unique_ptr<sim::Policy> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return "row-probe"; }
+  bool is_dynamic() const override { return true; }
+  void prepare(const dag::Dag& dag, const sim::System& system,
+               const sim::CostModel& cost) override {
+    inner_->prepare(dag, system, cost);
+  }
+
+  void on_event(sim::SchedulerContext& ctx) override {
+    const std::size_t procs = ctx.system().proc_count();
+    stalls_.resize(procs);
+    rows_.resize(procs);
+    for (const dag::NodeId node : ctx.ready()) {
+      ctx.transfer_stalls(node, stalls_.data());
+      ctx.transfer_estimates(node, rows_.data());
+      for (sim::ProcId p = 0; p < procs; ++p) {
+        const sim::TransferEstimate est = ctx.transfer_estimate(node, p);
+        ++checked_;
+        if (est.link_queueing_ms > 0.0) ++backlogged_;
+        if (bits(stalls_[p]) == bits(est.stall_ms) && same_bits(rows_[p], est))
+          continue;
+        if (mismatches_++ == 0)
+          first_mismatch_ = "node " + std::to_string(node) + " proc " +
+                            std::to_string(p) + " at t=" +
+                            std::to_string(ctx.now());
+      }
+    }
+    inner_->on_event(ctx);
+  }
+
+  std::size_t checked() const { return checked_; }
+  std::size_t backlogged() const { return backlogged_; }
+  std::size_t mismatches() const { return mismatches_; }
+  const std::string& first_mismatch() const { return first_mismatch_; }
+
+ private:
+  std::unique_ptr<sim::Policy> inner_;
+  std::vector<sim::TimeMs> stalls_;
+  std::vector<sim::TransferEstimate> rows_;
+  std::size_t checked_ = 0;
+  std::size_t backlogged_ = 0;
+  std::size_t mismatches_ = 0;
+  std::string first_mismatch_;
+};
+
+/// The paper's three processor types repeated over six processors (twelve
+/// for the 3x4 mesh, which fits them exactly), 1 GB/s links.
+sim::System row_system(const std::string& topology) {
+  sim::SystemConfig cfg = sim::SystemConfig::paper_default(1.0);
+  const std::size_t count = topology == "mesh:3x4" ? 12 : 6;
+  const lut::ProcType types[] = {lut::ProcType::CPU, lut::ProcType::GPU,
+                                 lut::ProcType::FPGA};
+  cfg.processors.clear();
+  for (std::size_t i = 0; i < count; ++i)
+    cfg.processors.push_back(types[i % 3]);
+  cfg.topology = net::parse_topology_spec(topology);
+  cfg.topology.bandwidth_gbps = 1.0;
+  cfg.topology.latency_ms = 0.05;
+  return sim::System(cfg);
+}
+
+TEST(TransferEstimate, RowQueriesMatchTheScalarAtEveryPass) {
+  const lut::LookupTable table = test_table();
+  const dag::KernelPool pool = dag::KernelPool::from_lookup_table(table);
+  const dag::Dag graph = scenario::generate("layered", 24, 5, pool);
+  const stream::DagSource apps = [&pool](std::size_t k) {
+    return scenario::generate("layered", 24, 100 + k, pool);
+  };
+  sim::NoiseSpec noisy;
+  noisy.sigma = 0.3;
+  noisy.heavy_tail_prob = 0.05;
+  noisy.seed = 17;
+  for (const std::string topology :
+       {"ideal", "bus", "crossbar", "hier:2", "ring:6", "mesh:3x4",
+        "fattree:2"}) {
+    const sim::System system = row_system(topology);
+    const sim::LutCostModel cost(table, system);
+    std::size_t checked = 0;
+    std::size_t backlogged = 0;
+    for (const bool noise_on : {false, true}) {
+      const sim::NoiseSpec noise = noise_on ? noisy : sim::NoiseSpec{};
+      for (const std::string spec : {"ag-net", "apt-c:4"}) {
+        sim::EngineOptions closed;
+        closed.noise = noise;
+        stream::StreamOptions open;
+        open.arrivals = stream::ArrivalSpec::poisson(0.02, 7);
+        open.max_apps = 12;
+        open.noise = noise;
+        RowProbe in_closed(core::make_policy(spec));
+        RowProbe in_open(core::make_policy(spec));
+        sim::Engine(graph, system, cost, closed).run(in_closed);
+        stream::StreamEngine(system, cost, apps, open).run(in_open);
+        for (const RowProbe* probe : {&in_closed, &in_open}) {
+          EXPECT_EQ(probe->mismatches(), 0u)
+              << topology << " " << spec << (noise_on ? " noise" : "")
+              << (probe == &in_open ? " open" : " closed")
+              << ": first at " << probe->first_mismatch();
+          checked += probe->checked();
+          backlogged += probe->backlogged();
+        }
+      }
+    }
+    EXPECT_GT(checked, 0u) << topology;
+    // Every contended fabric priced some kernel against live backlog.
+    if (system.topology().contended()) {
+      EXPECT_GT(backlogged, 0u) << topology;
+    }
+  }
 }
 
 // --- the struct's own arithmetic ---------------------------------------------
