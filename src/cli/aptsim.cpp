@@ -61,13 +61,14 @@ Args parse_args(int argc, char** argv) {
   if (argc >= 2) args.command = argv[1];
   for (int i = 2; i < argc; ++i) {
     std::string token = argv[i];
+    if (token == "-h") token = "--help";
     if (!util::starts_with(token, "--")) {
       throw std::invalid_argument("expected --option, got '" + token + "'");
     }
     const std::string key = token.substr(2);
     // Flags without values.
     if (key == "trace" || key == "gantt" || key == "analyze" ||
-        key == "profile") {
+        key == "profile" || key == "help") {
       args.options[key] = "1";
       continue;
     }
@@ -1060,57 +1061,72 @@ int cmd_version() {
   return 0;
 }
 
+/// One command's synopsis, as `aptsim <command> --help` and the full
+/// usage print it.
+struct CommandUsage {
+  const char* command;
+  const char* synopsis;
+};
+
+const CommandUsage kCommandUsage[] = {
+    {"gen",
+     "  aptsim gen [--family NAME | --type 1|2] --kernels N --seed S\n"
+     "             [--out F] [--dot F] [--arrivals MEAN_MS]\n"
+     "             [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
+     "             [--rate GBPS] [--lut-out F]   (alias: generate)\n"},
+    {"run",
+     "  aptsim run --policy SPEC [--graph F | --family NAME | --type T]\n"
+     "             [--kernels N] [--seed S] [--rate GBPS]\n"
+     "             [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
+     "             [--topology ideal|bus|crossbar|hier[:S]|\n"
+     "                  ring[:N]|mesh:RxC|fattree[:K]]\n"
+     "             [--bandwidth GBPS] [--latency MS]\n"
+     "             [--arrivals MEAN_MS] [--trace] [--gantt] [--analyze]\n"
+     "             [--csv F] [--trace-out F.json] [--trace-max-events N]\n"
+     "             [--trace-every K] [--profile]\n"},
+    {"compare", "  aptsim compare [--type T] [--alpha A] [--rate GBPS]\n"},
+    {"sweep",
+     "  aptsim sweep [--type T | --family NAME,... [--graphs G]\n"
+     "               [--kernels N,...] [--ccr X] [--hetero H]\n"
+     "               [--lut-seed S]] [--policies SPEC,...]\n"
+     "               [--alphas 1.5,2,4] [--rates 4,8] [--jobs N] [--reps R]\n"
+     "               [--topology KIND,...  (ideal|bus|crossbar|hier[:S]|\n"
+     "                  ring[:N]|mesh:RxC|fattree[:K]; a comma list sweeps\n"
+     "                  the topology axis)]\n"
+     "               [--bandwidth GBPS] [--latency MS]\n"
+     "               [--seed S] [--csv F] [--json F]\n"},
+    {"stream",
+     "  aptsim stream [--family NAME,...] [--rate L,... (apps/ms)]\n"
+     "               [--policies SPEC,...] [--kernels N]\n"
+     "               [--arrival poisson|deterministic|trace\n"
+     "                  [--trace-file F]] [--duration MS]\n"
+     "               [--warmup MS] [--max-apps N] [--seed S]\n"
+     "               [--link-rate GBPS]\n"
+     "               [--noise-sigma S] [--tail-prob P,...] [--tail-mult M]\n"
+     "               [--noise-seed S] [--hedging on|off|both]\n"
+     "               [--hedge-quantile Q] [--hedge-factor F]\n"
+     "               [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
+     "               [--topology KIND,...  (comma list reruns the grid per\n"
+     "                  fabric — the comm-aware ablation axis)]\n"
+     "               [--bandwidth GBPS] [--latency MS]\n"
+     "               [--jobs N] [--csv F] [--json F]\n"
+     "               [--trace-out F.json] [--trace-max-events N]\n"
+     "               [--trace-every K] [--profile]\n"},
+    {"families", "  aptsim families\n"},
+    {"lut", "  aptsim lut [--csv F]\n"},
+    {"report", "  aptsim report [--out-dir D] [--alpha A]\n"},
+    {"policies", "  aptsim policies\n"},
+    {"version", "  aptsim version | --version\n"},
+};
+
 void usage() {
+  std::cout << "aptsim — heterogeneous-scheduling simulator (APT "
+               "reproduction)\n\nusage:\n";
+  for (const CommandUsage& c : kCommandUsage) std::cout << c.synopsis;
   std::cout <<
-      "aptsim — heterogeneous-scheduling simulator (APT reproduction)\n"
-      "\n"
-      "usage:\n"
-      "  aptsim gen [--family NAME | --type 1|2] --kernels N --seed S\n"
-      "             [--out F] [--dot F] [--arrivals MEAN_MS]\n"
-      "             [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
-      "             [--rate GBPS] [--lut-out F]   (alias: generate)\n"
-      "  aptsim run --policy SPEC [--graph F | --family NAME | --type T]\n"
-      "             [--kernels N] [--seed S] [--rate GBPS]\n"
-      "             [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
-      "             [--topology ideal|bus|crossbar|hier[:S]|\n"
-      "                  ring[:N]|mesh:RxC|fattree[:K]]\n"
-      "             [--bandwidth GBPS] [--latency MS]\n"
-      "             [--arrivals MEAN_MS] [--trace] [--gantt] [--analyze]\n"
-      "             [--csv F] [--trace-out F.json] [--trace-max-events N]\n"
-      "             [--trace-every K] [--profile]\n"
-      "  aptsim compare [--type T] [--alpha A] [--rate GBPS]\n"
-      "  aptsim sweep [--type T | --family NAME,... [--graphs G]\n"
-      "               [--kernels N,...] [--ccr X] [--hetero H]\n"
-      "               [--lut-seed S]] [--policies SPEC,...]\n"
-      "               [--alphas 1.5,2,4] [--rates 4,8] [--jobs N] [--reps R]\n"
-      "               [--topology KIND,...  (ideal|bus|crossbar|hier[:S]|\n"
-      "                  ring[:N]|mesh:RxC|fattree[:K]; a comma list sweeps\n"
-      "                  the topology axis)]\n"
-      "               [--bandwidth GBPS] [--latency MS]\n"
-      "               [--seed S] [--csv F] [--json F]\n"
-      "  aptsim stream [--family NAME,...] [--rate L,... (apps/ms)]\n"
-      "               [--policies SPEC,...] [--kernels N]\n"
-      "               [--arrival poisson|deterministic|trace\n"
-      "                  [--trace-file F]] [--duration MS]\n"
-      "               [--warmup MS] [--max-apps N] [--seed S]\n"
-      "               [--link-rate GBPS]\n"
-      "               [--noise-sigma S] [--tail-prob P,...] [--tail-mult M]\n"
-      "               [--noise-seed S] [--hedging on|off|both]\n"
-      "               [--hedge-quantile Q] [--hedge-factor F]\n"
-      "               [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
-      "               [--topology KIND,...  (comma list reruns the grid per\n"
-      "                  fabric — the comm-aware ablation axis)]\n"
-      "               [--bandwidth GBPS] [--latency MS]\n"
-      "               [--jobs N] [--csv F] [--json F]\n"
-      "               [--trace-out F.json] [--trace-max-events N]\n"
-      "               [--trace-every K] [--profile]\n"
-      "  aptsim families\n"
-      "  aptsim lut [--csv F]\n"
-      "  aptsim report [--out-dir D] [--alpha A]\n"
-      "  aptsim policies\n"
-      "  aptsim version | --version\n"
       "\n"
       "global: --log-level debug|info|warn|error|off   (default info)\n"
+      "        --help, -h after a command prints that command's usage\n"
       "\n"
       "--trace-out writes a Chrome-trace/Perfetto-loadable JSON timeline\n"
       "(load it at https://ui.perfetto.dev): one track per processor, one\n"
@@ -1119,11 +1135,27 @@ void usage() {
       "Both are inert: the simulated timeline is bit-identical on or off.\n";
 }
 
+/// Prints `command`'s synopsis; false for an unknown command.
+bool command_usage(const std::string& command) {
+  const std::string name = command == "generate" ? "gen" : command;
+  for (const CommandUsage& c : kCommandUsage) {
+    if (name != c.command) continue;
+    std::cout << "usage:\n" << c.synopsis;
+    return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
     const Args args = parse_args(argc, argv);
+    if (args.command == "--help" || args.command == "-h") {
+      usage();
+      return 0;
+    }
+    if (args.has("help") && command_usage(args.command)) return 0;
     // The CLI defaults to info (the library default is warn) so one-shot
     // notices stay visible; --log-level off silences them for scripts.
     util::Logger::instance().set_level(

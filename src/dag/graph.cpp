@@ -21,8 +21,8 @@ NodeId Dag::add_node(std::string kernel, std::uint64_t data_size,
     throw std::length_error("Dag::add_node: node limit exceeded");
   nodes_.push_back(
       Node{lut::canonical_kernel_name(kernel), data_size, release_ms});
-  succs_.emplace_back();
-  preds_.emplace_back();
+  succ_runs_.emplace_back();
+  pred_runs_.emplace_back();
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -40,8 +40,27 @@ void Dag::set_release_ms(NodeId id, double release_ms) {
 }
 
 bool Dag::has_edge(NodeId src, NodeId dst) const {
-  const auto& succs = succs_.at(src);
+  const NodeRange succs = successors(src);
   return std::find(succs.begin(), succs.end(), dst) != succs.end();
+}
+
+void Dag::append(std::vector<Run>& runs, std::vector<NodeId>& pool, NodeId id,
+                 NodeId value) {
+  Run& run = runs[id];
+  if (run.size == run.capacity) {
+    const std::size_t capacity =
+        run.capacity == 0 ? 1 : 2 * std::size_t{run.capacity};
+    const bool at_end = run.offset + run.size == pool.size();
+    const std::size_t offset = at_end ? run.offset : pool.size();
+    if (offset + capacity > kInvalidNode)
+      throw std::length_error("Dag::add_edge: adjacency pool limit exceeded");
+    pool.resize(offset + capacity);
+    if (!at_end)
+      std::copy_n(pool.begin() + run.offset, run.size, pool.begin() + offset);
+    run.offset = static_cast<std::uint32_t>(offset);
+    run.capacity = static_cast<std::uint32_t>(capacity);
+  }
+  pool[run.offset + run.size++] = value;
 }
 
 void Dag::add_edge(NodeId src, NodeId dst) {
@@ -50,10 +69,13 @@ void Dag::add_edge(NodeId src, NodeId dst) {
   if (src == dst) throw std::invalid_argument("Dag::add_edge: self edge");
   if (has_edge(src, dst))
     throw std::invalid_argument("Dag::add_edge: duplicate edge");
-  if (creates_cycle(src, dst))
+  // While every edge points forward, ids are a topological order, so a
+  // forward edge cannot close a cycle and needs no search.
+  if (!(forward_ && src < dst) && creates_cycle(src, dst))
     throw std::logic_error("Dag::add_edge: edge would create a cycle");
-  succs_[src].push_back(dst);
-  preds_[dst].push_back(src);
+  append(succ_runs_, succ_pool_, src, dst);
+  append(pred_runs_, pred_pool_, dst, src);
+  forward_ = forward_ && src < dst;
   ++edge_count_;
 }
 
@@ -66,7 +88,7 @@ bool Dag::creates_cycle(NodeId src, NodeId dst) const {
     const NodeId n = stack.back();
     stack.pop_back();
     if (n == src) return true;
-    for (const NodeId s : succs_[n]) {
+    for (const NodeId s : successors(n)) {
       if (!seen[s]) {
         seen[s] = true;
         stack.push_back(s);
@@ -79,7 +101,7 @@ bool Dag::creates_cycle(NodeId src, NodeId dst) const {
 std::vector<NodeId> Dag::entry_nodes() const {
   std::vector<NodeId> out;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (preds_[i].empty()) out.push_back(i);
+    if (pred_runs_[i].size == 0) out.push_back(i);
   }
   return out;
 }
@@ -87,14 +109,14 @@ std::vector<NodeId> Dag::entry_nodes() const {
 std::vector<NodeId> Dag::exit_nodes() const {
   std::vector<NodeId> out;
   for (NodeId i = 0; i < nodes_.size(); ++i) {
-    if (succs_[i].empty()) out.push_back(i);
+    if (succ_runs_[i].size == 0) out.push_back(i);
   }
   return out;
 }
 
 std::vector<NodeId> Dag::topological_order() const {
   std::vector<std::size_t> indeg(nodes_.size());
-  for (NodeId i = 0; i < nodes_.size(); ++i) indeg[i] = preds_[i].size();
+  for (NodeId i = 0; i < nodes_.size(); ++i) indeg[i] = pred_runs_[i].size;
   // Min-id-first frontier keeps the order deterministic.
   std::vector<NodeId> frontier = entry_nodes();
   std::make_heap(frontier.begin(), frontier.end(), std::greater<>{});
@@ -105,7 +127,7 @@ std::vector<NodeId> Dag::topological_order() const {
     const NodeId n = frontier.back();
     frontier.pop_back();
     order.push_back(n);
-    for (const NodeId s : succs_[n]) {
+    for (const NodeId s : successors(n)) {
       if (--indeg[s] == 0) {
         frontier.push_back(s);
         std::push_heap(frontier.begin(), frontier.end(), std::greater<>{});
@@ -121,7 +143,8 @@ std::size_t Dag::depth() const {
   if (nodes_.empty()) return 0;
   std::vector<std::size_t> level(nodes_.size(), 1);
   for (const NodeId n : topological_order()) {
-    for (const NodeId s : succs_[n]) level[s] = std::max(level[s], level[n] + 1);
+    for (const NodeId s : successors(n))
+      level[s] = std::max(level[s], level[n] + 1);
   }
   return *std::max_element(level.begin(), level.end());
 }
@@ -142,8 +165,8 @@ bool Dag::is_weakly_connected() const {
         stack.push_back(m);
       }
     };
-    for (const NodeId s : succs_[n]) push(s);
-    for (const NodeId p : preds_[n]) push(p);
+    for (const NodeId s : successors(n)) push(s);
+    for (const NodeId p : predecessors(n)) push(p);
   }
   return visited == nodes_.size();
 }

@@ -7,6 +7,7 @@
 // insertion order is also the "arrival order" the dynamic policies see.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -28,11 +29,54 @@ struct Node {
   double release_ms = 0.0;
 };
 
+/// A read-only view of one node's successors or predecessors, in the order
+/// their edges were added. It points into the graph's adjacency pool, so
+/// it stays valid until the next add_edge on that graph (add_node does not
+/// move the pool) or until the graph is destroyed or assigned to.
+class NodeRange {
+ public:
+  using value_type = NodeId;
+  using iterator = const NodeId*;
+  using const_iterator = const NodeId*;
+
+  NodeRange() = default;
+  NodeRange(const NodeId* first, const NodeId* last) noexcept
+      : first_(first), last_(last) {}
+
+  const NodeId* begin() const noexcept { return first_; }
+  const NodeId* end() const noexcept { return last_; }
+  std::size_t size() const noexcept {
+    return static_cast<std::size_t>(last_ - first_);
+  }
+  bool empty() const noexcept { return first_ == last_; }
+  NodeId operator[](std::size_t i) const noexcept { return first_[i]; }
+
+ private:
+  const NodeId* first_ = nullptr;
+  const NodeId* last_ = nullptr;
+};
+
+inline bool operator==(NodeRange a, NodeRange b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+inline bool operator==(NodeRange a, const std::vector<NodeId>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+inline bool operator==(const std::vector<NodeId>& a, NodeRange b) {
+  return b == a;
+}
+inline bool operator!=(NodeRange a, NodeRange b) { return !(a == b); }
+
 /// A directed acyclic dataflow graph of kernels.
 ///
 /// Edges are unweighted; the data transferred along an edge is the
 /// producer's output, modelled as `producer.data_size` elements (the cost
 /// model converts elements to bytes and bytes to milliseconds).
+///
+/// Adjacency lives in one pool per direction: each node owns a run
+/// (offset, size, capacity) of it, and a full run moves to the pool's end
+/// with twice the room. So a graph is five blocks (nodes, two run tables,
+/// two pools) whatever its size, and copying one costs five allocations.
 class Dag {
  public:
   Dag() = default;
@@ -59,11 +103,17 @@ class Dag {
   bool empty() const noexcept { return nodes_.empty(); }
 
   const Node& node(NodeId id) const { return nodes_.at(id); }
-  const std::vector<NodeId>& successors(NodeId id) const { return succs_.at(id); }
-  const std::vector<NodeId>& predecessors(NodeId id) const { return preds_.at(id); }
+  /// Throw std::out_of_range on an unknown id; see NodeRange for how long
+  /// the view stays valid.
+  NodeRange successors(NodeId id) const {
+    return view(succ_runs_, succ_pool_, id);
+  }
+  NodeRange predecessors(NodeId id) const {
+    return view(pred_runs_, pred_pool_, id);
+  }
 
-  std::size_t in_degree(NodeId id) const { return preds_.at(id).size(); }
-  std::size_t out_degree(NodeId id) const { return succs_.at(id).size(); }
+  std::size_t in_degree(NodeId id) const { return pred_runs_.at(id).size; }
+  std::size_t out_degree(NodeId id) const { return succ_runs_.at(id).size; }
   bool has_edge(NodeId src, NodeId dst) const;
 
   /// Nodes with no predecessors / successors, ascending by id.
@@ -85,12 +135,35 @@ class Dag {
   std::vector<std::pair<std::string, std::size_t>> kernel_histogram() const;
 
  private:
+  /// One node's slice of an adjacency pool: [offset, offset + size) holds
+  /// its neighbours, and the run may grow to `capacity` in place.
+  struct Run {
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
+    std::uint32_t capacity = 0;
+  };
+
+  static NodeRange view(const std::vector<Run>& runs,
+                        const std::vector<NodeId>& pool, NodeId id) {
+    const Run& run = runs.at(id);
+    const NodeId* first = pool.data() + run.offset;
+    return {first, first + run.size};
+  }
+  /// Appends `value` to node `id`'s run, moving a full run to the pool's
+  /// end with twice the room (a run already at the end grows in place).
+  static void append(std::vector<Run>& runs, std::vector<NodeId>& pool,
+                     NodeId id, NodeId value);
   bool creates_cycle(NodeId src, NodeId dst) const;
 
   std::vector<Node> nodes_;
-  std::vector<std::vector<NodeId>> succs_;
-  std::vector<std::vector<NodeId>> preds_;
+  std::vector<Run> succ_runs_;
+  std::vector<Run> pred_runs_;
+  std::vector<NodeId> succ_pool_;
+  std::vector<NodeId> pred_pool_;
   std::size_t edge_count_ = 0;
+  /// Every edge so far points from a lower id to a higher one, so a new
+  /// edge that does too cannot close a cycle.
+  bool forward_ = true;
 };
 
 /// Order-sensitive FNV-1a hash of a graph's full structure and labels

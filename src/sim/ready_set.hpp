@@ -34,15 +34,14 @@
 #include "dag/graph.hpp"
 #include "sim/policy.hpp"
 #include "util/contracts.hpp"
+#include "util/pod_array.hpp"
 
 namespace apt::sim {
 
 class ReadySet {
  public:
   /// Makes node ids [0, node_count) insertable. Grows only.
-  void resize(std::size_t node_count) {
-    pos_.resize(std::max(pos_.size(), node_count), kDead);
-  }
+  void resize(std::size_t node_count) { pos_.resize(node_count, kDead); }
 
   /// Appends `node` at the back.
   void push_back(dag::NodeId node) {
@@ -137,8 +136,9 @@ class ReadySet {
 
   std::vector<dag::NodeId> nodes_;  ///< the log, FIFO order
   /// [node] tombstone mode: its live entry's log index, kDead if none. In
-  /// place: its push number, ascending along the log.
-  std::vector<std::uint64_t> pos_;
+  /// place: its push number, ascending along the log. Grown in place, like
+  /// the engine's other slot-indexed arrays.
+  util::PodArray<std::uint64_t> pos_;
   std::uint64_t next_seq_ = 0;  ///< in place: the next push number
   std::size_t dead_ = 0;        ///< dead entries in the log
   bool in_place_ = false;

@@ -17,6 +17,7 @@
 #include "sim/validate.hpp"
 #include "stream/closed_run.hpp"
 #include "util/contracts.hpp"
+#include "util/pod_array.hpp"
 #include "util/rolling_quantile.hpp"
 
 namespace apt::stream {
@@ -1527,27 +1528,30 @@ class EventCore final : public sim::SchedulerContext {
   std::vector<net::Delivery> deliveries_;  ///< advance_to out-buffer, reused
 
   sim::TimeMs now_ = 0.0;
-  std::vector<NodeState> node_state_;  ///< global slot arrays
+  // Every slot- and edge-indexed array is a util::PodArray: they are as
+  // deep as the live backlog and only grow, and growing one in place
+  // (realloc) spares admission the copy and page faults of a new block.
+  util::PodArray<NodeState> node_state_;  ///< global slot arrays
   /// Cold per-slot tables, grown with node_state_ and reset by place();
   /// each stays empty unless its feature is on, and only then is read.
-  std::vector<HedgeState> hedge_;  ///< hedging_ only
-  std::vector<CommState> comm_;    ///< contended_ only
+  util::PodArray<HedgeState> hedge_;  ///< hedging_ only
+  util::PodArray<CommState> comm_;    ///< contended_ only
   std::vector<ProcState> proc_state_;
 
   // Per-slot SoA cost slabs (grown with node_state_, refilled per admit):
   // the policy-facing queries read these instead of chasing app pointers.
-  std::vector<sim::TimeMs> exec_slab_;      ///< [slot * P + proc] exec time
-  std::vector<sim::TimeMs> min_exec_slab_;  ///< [slot] min exec time
-  std::vector<sim::ProcId> min_proc_slab_;  ///< [slot] lowest argmin
+  util::PodArray<sim::TimeMs> exec_slab_;      ///< [slot * P + proc] exec
+  util::PodArray<sim::TimeMs> min_exec_slab_;  ///< [slot] min exec time
+  util::PodArray<sim::ProcId> min_proc_slab_;  ///< [slot] lowest argmin
 
   // Per-slot structure (CSR, grown with node_state_, refilled per admit).
-  std::vector<Adjacency> adjacency_;       ///< [slot] edge-slab ranges
-  std::vector<sim::TimeMs> release_slab_;  ///< [slot] offset from arrival
+  util::PodArray<Adjacency> adjacency_;       ///< [slot] edge-slab ranges
+  util::PodArray<sim::TimeMs> release_slab_;  ///< [slot] offset from arrival
 
   // Edge slabs, one range per live instance.
-  std::vector<dag::NodeId> pred_slot_;  ///< [edge] producer slot
-  std::vector<double> pred_weight_;     ///< [edge] cost_->edge_weight
-  std::vector<dag::NodeId> succ_slot_;  ///< [edge] consumer slot
+  util::PodArray<dag::NodeId> pred_slot_;  ///< [edge] producer slot
+  util::PodArray<double> pred_weight_;     ///< [edge] cost_->edge_weight
+  util::PodArray<dag::NodeId> succ_slot_;  ///< [edge] consumer slot
 
   RangeAllocator slots_;  ///< slot ranges of the live instances
   RangeAllocator edges_;  ///< edge-slab ranges of the live instances

@@ -14,7 +14,8 @@
 // borrowed DAG admitted at t = 0 as arrival 0). The core indexes every
 // per-node array by global *slot* spanning the live instances, laid out as
 // structure-of-arrays slabs (exec-time rows, min-exec tables) the
-// scheduler queries read directly; a committed kernel leaves the ready set
+// scheduler queries read directly, each a util::PodArray that grows in
+// place as the backlog deepens; a committed kernel leaves the ready set
 // as a tombstone, or in place once the policy reads the whole set
 // (sim::ReadySet), and the idle-processor list is cached. Admission
 // resolves each kernel's execution costs once, straight into its slots:

@@ -44,6 +44,53 @@ TEST(Cli, UnknownCommandFails) {
   EXPECT_NE(run_cli("frobnicate"), 0);
 }
 
+/// `aptsim <command> --help` and `-h`, also after other options, print the
+/// command's synopsis (naming `option`) and nothing else, and exit 0.
+void expect_command_help(const std::string& command,
+                         const std::string& option,
+                         const std::string& other_options) {
+  const std::string out = ::testing::TempDir() + "/aptsim_help.txt";
+  for (const std::string& flags :
+       {command + " --help", command + " -h",
+        command + " " + other_options + " --help"}) {
+    ASSERT_EQ(run_cli(flags, out), 0) << flags;
+    const std::string text = slurp(out);
+    EXPECT_EQ(text.rfind("usage:\n  aptsim " + command + " ", 0), 0u)
+        << flags << ":\n" << text;
+    EXPECT_NE(text.find(option), std::string::npos) << flags;
+    EXPECT_EQ(text.find("aptsim families"), std::string::npos) << flags;
+  }
+  std::filesystem::remove(out);
+}
+
+TEST(Cli, TopLevelHelpPrintsTheFullUsage) {
+  const std::string out = ::testing::TempDir() + "/aptsim_help.txt";
+  for (const std::string flags : {"--help", "-h"}) {
+    ASSERT_EQ(run_cli(flags, out), 0) << flags;
+    const std::string text = slurp(out);
+    EXPECT_EQ(text.rfind("aptsim — ", 0), 0u) << flags << ":\n" << text;
+    for (const std::string command :
+         {"gen", "run", "compare", "sweep", "stream", "families", "lut",
+          "report", "policies", "version"}) {
+      EXPECT_NE(text.find("\n  aptsim " + command), std::string::npos)
+          << flags << " lacks " << command;
+    }
+  }
+  std::filesystem::remove(out);
+}
+
+TEST(Cli, RunHelpPrintsItsUsage) {
+  expect_command_help("run", "--policy SPEC", "--policy met");
+}
+
+TEST(Cli, SweepHelpPrintsItsUsage) {
+  expect_command_help("sweep", "--alphas", "--family type1 --jobs 2");
+}
+
+TEST(Cli, StreamHelpPrintsItsUsage) {
+  expect_command_help("stream", "--max-apps N", "--policies met,apt:4");
+}
+
 TEST(Cli, LutPrintsTheTable) {
   const std::string out = ::testing::TempDir() + "/aptsim_lut.txt";
   ASSERT_EQ(run_cli("lut", out), 0);

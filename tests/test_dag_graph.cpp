@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace apt::dag {
 namespace {
@@ -91,6 +96,33 @@ TEST(Dag, RejectsCycles) {
   EXPECT_THROW(d.add_edge(1, 0), std::logic_error);
   EXPECT_EQ(d.edge_count(), 2u);  // failed edges not half-added
   EXPECT_EQ(d.predecessors(0).size(), 0u);
+}
+
+// While every edge points from a lower id to a higher one, add_edge skips
+// the cycle search for a new forward edge. A back edge must still be
+// searched, and once one is in, forward edges must be searched too.
+TEST(Dag, BackEdgeIntoAGraphBuiltForwardThrows) {
+  Dag d;
+  for (int i = 0; i < 5; ++i) d.add_node("k", 1);
+  for (NodeId i = 0; i + 1 < 5; ++i) d.add_edge(i, i + 1);
+  EXPECT_THROW(d.add_edge(4, 0), std::logic_error);
+  EXPECT_THROW(d.add_edge(3, 1), std::logic_error);
+  EXPECT_EQ(d.edge_count(), 4u);
+  d.add_edge(0, 2);  // forward again, no cycle
+  EXPECT_EQ(d.successors(0), (std::vector<NodeId>{1, 2}));
+}
+
+TEST(Dag, CycleBuiltBackwardThrows) {
+  Dag d;
+  for (int i = 0; i < 4; ++i) d.add_node("k", 1);
+  d.add_edge(3, 2);
+  d.add_edge(2, 1);
+  d.add_edge(1, 0);
+  EXPECT_THROW(d.add_edge(0, 3), std::logic_error);  // forward, closes one
+  EXPECT_THROW(d.add_edge(0, 2), std::logic_error);
+  d.add_edge(3, 0);  // a backward shortcut that closes no cycle
+  EXPECT_EQ(d.edge_count(), 4u);
+  EXPECT_EQ(d.topological_order(), (std::vector<NodeId>{3, 2, 1, 0}));
 }
 
 TEST(Dag, EntryAndExitNodes) {
@@ -210,6 +242,129 @@ TEST(Dag, IdenticalMatchesStructureHash) {
   Dag smaller;
   smaller.add_node("mm", 100);
   EXPECT_FALSE(identical(a, smaller));
+}
+
+// --- pooled adjacency storage ------------------------------------------------
+
+/// What a Dag's adjacency must read as: one list per node and direction, in
+/// the order the edges were added.
+struct ModelGraph {
+  std::vector<std::vector<NodeId>> succs;
+  std::vector<std::vector<NodeId>> preds;
+
+  bool has_edge(NodeId src, NodeId dst) const {
+    return std::find(succs[src].begin(), succs[src].end(), dst) !=
+           succs[src].end();
+  }
+  bool reaches(NodeId from, NodeId to) const {
+    std::vector<bool> seen(succs.size(), false);
+    std::vector<NodeId> stack = {from};
+    seen[from] = true;
+    while (!stack.empty()) {
+      const NodeId n = stack.back();
+      stack.pop_back();
+      if (n == to) return true;
+      for (const NodeId s : succs[n]) {
+        if (!seen[s]) {
+          seen[s] = true;
+          stack.push_back(s);
+        }
+      }
+    }
+    return false;
+  }
+};
+
+void expect_matches(const Dag& d, const ModelGraph& m,
+                    const std::string& where) {
+  ASSERT_EQ(d.node_count(), m.succs.size()) << where;
+  std::size_t edges = 0;
+  for (NodeId i = 0; i < m.succs.size(); ++i) {
+    EXPECT_EQ(d.successors(i), m.succs[i]) << where << ", node " << i;
+    EXPECT_EQ(d.predecessors(i), m.preds[i]) << where << ", node " << i;
+    EXPECT_EQ(d.out_degree(i), m.succs[i].size()) << where << ", node " << i;
+    EXPECT_EQ(d.in_degree(i), m.preds[i].size()) << where << ", node " << i;
+    for (NodeId j = 0; j < m.succs.size(); ++j)
+      ASSERT_EQ(d.has_edge(i, j), m.has_edge(i, j))
+          << where << ", edge " << i << " -> " << j;
+    edges += m.succs[i].size();
+  }
+  EXPECT_EQ(d.edge_count(), edges) << where;
+}
+
+// Seeded walks of interleaved add_node/add_edge against the model. Half
+// the edges come from a few hub nodes, so runs outgrow their room many
+// times and move past each other in the pool; odd seeds add only forward
+// edges (no cycle search), even seeds any direction.
+TEST(DagStorage, MatchesAVectorOfVectorsModel) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    util::Rng rng(seed);
+    const bool forward_only = seed % 2 == 1;
+    Dag d;
+    ModelGraph m;
+    for (int step = 0; step < 600; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + ", step " + std::to_string(step);
+      const std::size_t n = m.succs.size();
+      if (n < 2 || rng.uniform_u64(4) == 0) {
+        d.add_node("k", static_cast<std::uint64_t>(step));
+        m.succs.emplace_back();
+        m.preds.emplace_back();
+        continue;
+      }
+      auto pick = [&] {
+        const std::size_t pool =
+            rng.uniform_u64(2) == 0 ? std::min<std::size_t>(n, 3) : n;
+        return static_cast<NodeId>(rng.uniform_u64(pool));
+      };
+      NodeId src = pick();
+      NodeId dst = static_cast<NodeId>(rng.uniform_u64(n));
+      if (forward_only && src > dst) std::swap(src, dst);
+      if (src == dst || m.has_edge(src, dst)) {
+        EXPECT_THROW(d.add_edge(src, dst), std::invalid_argument) << where;
+      } else if (m.reaches(dst, src)) {
+        EXPECT_THROW(d.add_edge(src, dst), std::logic_error) << where;
+      } else {
+        d.add_edge(src, dst);
+        m.succs[src].push_back(dst);
+        m.preds[dst].push_back(src);
+      }
+      if (step % 100 == 0) expect_matches(d, m, where);
+    }
+    const std::string where = "seed " + std::to_string(seed);
+    expect_matches(d, m, where);
+
+    // A view survives add_node: only add_edge may move the pool.
+    const NodeRange hub = d.successors(0);
+    const std::vector<NodeId> hub_before(hub.begin(), hub.end());
+    d.add_node("k", 1);
+    m.succs.emplace_back();
+    m.preds.emplace_back();
+    EXPECT_EQ(hub, hub_before) << where;
+
+    const Dag copy = d;
+    expect_matches(copy, m, where + ", copy");
+    EXPECT_TRUE(identical(copy, d)) << where;
+    EXPECT_EQ(structure_hash(copy), structure_hash(d)) << where;
+    Dag source = d;
+    const Dag moved = std::move(source);
+    expect_matches(moved, m, where + ", move");
+    EXPECT_TRUE(identical(moved, d)) << where;
+    EXPECT_EQ(structure_hash(moved), structure_hash(d)) << where;
+    Dag assigned = test::diamond({{"a", 1}, {"b", 1}, {"c", 1}, {"d", 1}});
+    assigned = copy;
+    expect_matches(assigned, m, where + ", copy-assigned");
+  }
+}
+
+TEST(DagStorage, UnknownIdsThrowOutOfRange) {
+  Dag d;
+  d.add_node("k", 1);
+  EXPECT_THROW(d.successors(1), std::out_of_range);
+  EXPECT_THROW(d.predecessors(1), std::out_of_range);
+  EXPECT_THROW(d.in_degree(1), std::out_of_range);
+  EXPECT_THROW(d.out_degree(1), std::out_of_range);
+  EXPECT_TRUE(d.successors(0).empty());
 }
 
 }  // namespace

@@ -98,6 +98,8 @@ struct ScenarioGolden {
 };
 
 constexpr ScenarioGolden kScenarioGolden[] = {
+    {"type1", 46, 7, 46, 45, 0x328b3df5cb9fb651ULL, 23531.797000},
+    {"type2", 46, 7, 46, 76, 0xb67cc48013abd710ULL, 27439.054064},
     {"layered", 46, 7, 46, 166, 0x2527e605096a2636ULL, 28459.666728},
     {"forkjoin", 46, 7, 46, 75, 0xda20902013307209ULL, 29454.013960},
     {"intree", 46, 7, 46, 45, 0xbe31ecf7e6c83e0eULL, 23656.731632},
