@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -48,72 +47,6 @@ inline std::size_t jobs_from_args(int argc, char** argv) {
   }
   return 1;
 }
-
-/// Parses `--json FILE` from a bench's argv; "" when absent. Exits with a
-/// usage message when the value is missing instead of silently dropping
-/// the export (CI would otherwise fail later on the absent file).
-inline std::string json_path_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << argv[0] << ": error: --json needs a value\n";
-      std::exit(2);
-    }
-    return argv[i + 1];
-  }
-  return "";
-}
-
-/// Google-benchmark-shaped JSON trajectory: a "benchmarks" array whose rows
-/// carry name/run_type/real_time/cpu_time/time_unit plus free-form numeric
-/// ride-along fields — the one shape scripts/bench_gate.py parses, shared
-/// by bench_streaming, bench_scenario_families, and bench_net_contention
-/// (formerly copy-pasted emitters).
-class TrajectoryJson {
- public:
-  TrajectoryJson(std::string executable, std::size_t jobs)
-      : executable_(std::move(executable)), jobs_(jobs) {}
-
-  /// Adds one benchmark row; `extras` ride along for trajectory tracking
-  /// (the gate ignores them).
-  void add(const std::string& name, double wall_ms,
-           const std::vector<std::pair<std::string, double>>& extras = {}) {
-    std::string row = "    {\"name\": \"" + util::json_escape(name) +
-                      "\", \"run_type\": \"iteration\", \"real_time\": " +
-                      util::format_double(wall_ms, 3) +
-                      ", \"cpu_time\": " + util::format_double(wall_ms, 3) +
-                      ", \"time_unit\": \"ms\"";
-    for (const auto& [key, value] : extras)
-      row += ", \"" + util::json_escape(key) +
-             "\": " + util::format_double(value, 6);
-    row += "}";
-    rows_.push_back(std::move(row));
-  }
-
-  /// Writes the document; prints a message and returns false on failure so
-  /// callers can exit non-zero (CI would otherwise fail later on the
-  /// missing artifact).
-  bool write(const std::string& path) const {
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::cerr << "error: cannot open '" << path << "'\n";
-      return false;
-    }
-    out << "{\n  \"context\": {\"executable\": \""
-        << util::json_escape(executable_) << "\", \"jobs\": " << jobs_
-        << "},\n  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i)
-      out << rows_[i] << (i + 1 < rows_.size() ? ",\n" : "\n");
-    out << "  ]\n}\n";
-    std::cout << "benchmarks written to " << path << "\n";
-    return true;
-  }
-
- private:
-  std::string executable_;
-  std::size_t jobs_;
-  std::vector<std::string> rows_;
-};
 
 /// Wall-clock timer for the before/after speedup numbers the benches print.
 class Stopwatch {

@@ -1,13 +1,8 @@
 // Scenario-family sweep bench: schedules every registered workload family on
 // a synthetic platform (CCR 0.5, heterogeneity 4) with a representative
-// policy set, reporting per-family average makespans and wall-clock — the
-// CI trajectory artifact for the scenario-generation subsystem.
+// policy set, reporting per-family average makespans and wall-clock.
 //
-//   bench_scenario_families [--jobs N] [--json FILE]
-//
-// --json writes the rows in google-benchmark shape (bench::TrajectoryJson,
-// one row per family with avg-makespan ride-alongs), the same parser
-// surface as bench_streaming and bench_net_contention.
+//   bench_scenario_families [--jobs N]
 #include "bench_common.hpp"
 #include "core/batch.hpp"
 #include "scenario/scenario.hpp"
@@ -26,7 +21,6 @@ struct FamilyRow {
 
 int main(int argc, char** argv) {
   const std::size_t jobs = bench::jobs_from_args(argc, argv);
-  const std::string json_path = bench::json_path_from_args(argc, argv);
   const std::vector<std::string> policies = {"apt:4", "met", "heft", "peft"};
 
   bench::heading(
@@ -78,18 +72,5 @@ int main(int argc, char** argv) {
   }
   std::cout << table.to_string();
   bench::report_wall_clock(total_ms, jobs);
-
-  if (!json_path.empty()) {
-    bench::TrajectoryJson trajectory("bench_scenario_families", jobs);
-    for (const FamilyRow& row : rows) {
-      std::vector<std::pair<std::string, double>> extras;
-      for (std::size_t p = 0; p < policies.size(); ++p)
-        extras.emplace_back("avg_makespan_ms/" + policies[p],
-                            row.avg_makespan_ms[p]);
-      trajectory.add("scenario/" + row.family, row.wall_ms, extras);
-    }
-    trajectory.add("scenario/total", total_ms);
-    if (!trajectory.write(json_path)) return 1;
-  }
   return 0;
 }

@@ -330,11 +330,15 @@ std::vector<TimeMs> best_exec_times_ms(const dag::Dag& dag,
 /// Each node takes the max over its predecessors plus one add, so any
 /// topological order gives the same bits; this one walks Kahn's FIFO
 /// queue, which needs no heap.
-TimeMs longest_best_path_ms(const dag::Dag& dag, const TimeMs* best_ms) {
+TimeMs longest_best_path_ms(const dag::Dag& dag, const TimeMs* best_ms,
+                            LowerBoundScratch& scratch) {
   const std::size_t n = dag.node_count();
-  std::vector<TimeMs> longest(n, 0.0);
-  std::vector<std::size_t> preds_left(n);
-  std::vector<dag::NodeId> queue;
+  std::vector<TimeMs>& longest = scratch.longest;
+  std::vector<std::size_t>& preds_left = scratch.preds_left;
+  std::vector<dag::NodeId>& queue = scratch.queue;
+  longest.assign(n, 0.0);
+  preds_left.resize(n);
+  queue.clear();
   queue.reserve(n);
   for (dag::NodeId v = 0; v < n; ++v) {
     preds_left[v] = dag.in_degree(v);
@@ -358,24 +362,27 @@ TimeMs longest_best_path_ms(const dag::Dag& dag, const TimeMs* best_ms) {
 TimeMs critical_path_lower_bound_ms(const dag::Dag& dag, const System& system,
                                     const CostModel& cost) {
   if (dag.empty()) return 0.0;
-  return longest_best_path_ms(dag,
-                              best_exec_times_ms(dag, system, cost).data());
+  LowerBoundScratch scratch;
+  return longest_best_path_ms(
+      dag, best_exec_times_ms(dag, system, cost).data(), scratch);
 }
 
 TimeMs makespan_lower_bound_ms(const dag::Dag& dag, const System& system,
-                               const TimeMs* best_ms) {
+                               const TimeMs* best_ms,
+                               LowerBoundScratch& scratch) {
   if (dag.empty() || system.proc_count() == 0) return 0.0;
   TimeMs total_best = 0.0;
   for (dag::NodeId n = 0; n < dag.node_count(); ++n) total_best += best_ms[n];
   const TimeMs area = total_best / static_cast<double>(system.proc_count());
-  return std::max(area, longest_best_path_ms(dag, best_ms));
+  return std::max(area, longest_best_path_ms(dag, best_ms, scratch));
 }
 
 TimeMs makespan_lower_bound_ms(const dag::Dag& dag, const System& system,
                                const CostModel& cost) {
   if (dag.empty() || system.proc_count() == 0) return 0.0;
+  LowerBoundScratch scratch;
   return makespan_lower_bound_ms(
-      dag, system, best_exec_times_ms(dag, system, cost).data());
+      dag, system, best_exec_times_ms(dag, system, cost).data(), scratch);
 }
 
 }  // namespace apt::sim

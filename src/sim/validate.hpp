@@ -55,11 +55,22 @@ TimeMs critical_path_lower_bound_ms(const dag::Dag& dag, const System& system,
 TimeMs makespan_lower_bound_ms(const dag::Dag& dag, const System& system,
                                const CostModel& cost);
 
+/// Working memory of the longest-path walk behind the bounds. A caller that
+/// bounds many graphs (an open stream run, once per admitted instance)
+/// keeps one, so the walk allocates only when a graph outgrows it. What it
+/// holds between calls is meaningless.
+struct LowerBoundScratch {
+  std::vector<TimeMs> longest;
+  std::vector<std::size_t> preds_left;
+  std::vector<dag::NodeId> queue;
+};
+
 /// The same bound from each node's best-case execution time already in
 /// hand: `best_ms[n]` is node n's minimum over the system's processors.
 /// The CostModel overload computes those minima and calls this one.
 TimeMs makespan_lower_bound_ms(const dag::Dag& dag, const System& system,
-                               const TimeMs* best_ms);
+                               const TimeMs* best_ms,
+                               LowerBoundScratch& scratch);
 
 /// One application of a stream run, as the stream engine records it with
 /// StreamOptions::record_schedules: times absolute, nodes indexed locally

@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <iterator>
 #include <limits>
-#include <map>
 #include <optional>
 #include <queue>
 #include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 #include "net/transfer_manager.hpp"
 #include "obs/profile.hpp"
@@ -81,18 +82,23 @@ using EventQueue =
 /// takes the lowest-based free range that fits (deterministic), else a new
 /// range at the end. Ranges merge on release, so a steady-state stream of
 /// same-sized requests recycles one range forever and the array stays
-/// proportional to the live backlog.
+/// proportional to the live backlog. The free ranges sit in one vector
+/// sorted by base that keeps its capacity, so admissions and retirements
+/// allocate nothing once it has held the most ranges a run leaves free.
 class RangeAllocator {
  public:
   /// Base of a free range of `n` indices; end() grows when none fits.
   std::uint32_t allocate(std::size_t n) {
     if (n == 0) return 0;
     for (auto it = free_.begin(); it != free_.end(); ++it) {
-      if (it->second < n) continue;
-      const std::uint32_t base = it->first;
-      const std::size_t len = it->second;
-      free_.erase(it);
-      if (len > n) free_.emplace(base + static_cast<std::uint32_t>(n), len - n);
+      if (it->len < n) continue;
+      const std::uint32_t base = it->base;
+      if (it->len == n) {
+        free_.erase(it);
+      } else {
+        it->base += static_cast<std::uint32_t>(n);
+        it->len -= n;
+      }
       return base;
     }
     if (n >= kLimit - end_)
@@ -104,21 +110,25 @@ class RangeAllocator {
 
   void release(std::uint32_t base, std::size_t n) {
     if (n == 0) return;
-    auto [it, inserted] = free_.emplace(base, n);
-    (void)inserted;
-    // Merge with the successor range, then with the predecessor.
-    auto next = std::next(it);
-    if (next != free_.end() &&
-        it->first + static_cast<std::uint32_t>(it->second) == next->first) {
-      it->second += next->second;
+    // The first free range above `base`; the released one merges with it
+    // and with the range before it where they touch.
+    const auto next = std::lower_bound(
+        free_.begin(), free_.end(), base,
+        [](const Range& r, std::uint32_t b) { return r.base < b; });
+    const bool joins_prev =
+        next != free_.begin() && std::prev(next)->end() == base;
+    const bool joins_next = next != free_.end() &&
+                            base + static_cast<std::uint32_t>(n) == next->base;
+    if (joins_prev && joins_next) {
+      std::prev(next)->len += n + next->len;
       free_.erase(next);
-    }
-    if (it != free_.begin()) {
-      auto prev = std::prev(it);
-      if (prev->first + static_cast<std::uint32_t>(prev->second) == it->first) {
-        prev->second += it->second;
-        free_.erase(it);
-      }
+    } else if (joins_prev) {
+      std::prev(next)->len += n;
+    } else if (joins_next) {
+      next->base = base;
+      next->len += n;
+    } else {
+      free_.insert(next, Range{base, n});
     }
   }
 
@@ -126,8 +136,16 @@ class RangeAllocator {
   std::size_t end() const noexcept { return end_; }
 
  private:
+  struct Range {
+    std::uint32_t base;
+    std::size_t len;
+    std::uint32_t end() const noexcept {
+      return base + static_cast<std::uint32_t>(len);
+    }
+  };
+
   static constexpr std::size_t kLimit = dag::kInvalidNode;
-  std::map<std::uint32_t, std::size_t> free_;  ///< base -> length, merged
+  std::vector<Range> free_;  ///< disjoint, never touching, ascending base
   std::size_t end_ = 0;
 };
 
@@ -1457,7 +1475,8 @@ class EventCore final : public sim::SchedulerContext {
     }
     if (!closed_)
       app.lower_bound_ms = sim::makespan_lower_bound_ms(
-          dag, system_, min_exec_slab_.data() + app.base);
+          dag, system_, min_exec_slab_.data() + app.base,
+          lower_bound_scratch_);
   }
 
   /// Writes the slot-indexed structure of a just-placed instance: each
@@ -1555,6 +1574,7 @@ class EventCore final : public sim::SchedulerContext {
 
   RangeAllocator slots_;  ///< slot ranges of the live instances
   RangeAllocator edges_;  ///< edge-slab ranges of the live instances
+  sim::LowerBoundScratch lower_bound_scratch_;  ///< open runs' admissions
 
   std::vector<App> apps_;  ///< reusable instance table (value slots)
   std::vector<std::uint32_t> free_app_slots_;

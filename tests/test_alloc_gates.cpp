@@ -8,13 +8,16 @@
 //     With one std::vector per adjacency list a copy of the paper's 46-node
 //     Type-1 graph allocated 49, and of the 157-node one 160.
 //   * Admitting an instance into an open run costs a handful of blocks: the
-//     copy the source hands over, the admission lower bound's scratch, and
-//     the amortised growth of the engine's queues and logs. The event
-//     core's slot- and edge-indexed tables grow with realloc (util::
-//     PodArray), which this count does not see; they double, so they cost
-//     O(log N) growths in all. An open MET burst over pre-built 46-kernel
-//     Type-1 graphs allocated about 58 blocks per admitted app when the
-//     graph was a vector of vectors and those tables were std::vectors.
+//     copy the source hands over and the amortised growth of the engine's
+//     queues and logs. The event core's slot- and edge-indexed tables grow
+//     with realloc (util::PodArray), which this count does not see; they
+//     double, so they cost O(log N) growths in all. The admission lower
+//     bound reuses the core's scratch, and the free slot and edge ranges
+//     sit in vectors that keep their capacity. An open MET burst over
+//     pre-built 46-kernel Type-1 graphs allocated about 58 blocks per
+//     admitted app when the graph was a vector of vectors and those tables
+//     were std::vectors, and about 14 while the lower bound allocated its
+//     own scratch and the free ranges were std::map nodes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -130,7 +133,7 @@ double burst_blocks_per_app(std::size_t apps) {
 
 TEST(AllocGates, AnOpenBurstAllocatesAFewBlocksPerAdmittedApp) {
   for (const std::size_t apps : {120u, 480u}) {
-    EXPECT_LE(burst_blocks_per_app(apps), 16.0) << apps << " apps";
+    EXPECT_LE(burst_blocks_per_app(apps), 10.0) << apps << " apps";
   }
 }
 

@@ -1,8 +1,8 @@
 // src/obs profiling: registry behaviour, scoped timers, inertness —
 // attaching a Profile (or a TraceSink) to either engine leaves every
 // simulated bit identical — the ready-set work gates, which bound an exact
-// counter per commit, and the gate that comm-blind AG reads no fabric
-// backlog.
+// counter per commit, the gate that hedging adds one event per check and
+// replica, and the gate that comm-blind AG reads no fabric backlog.
 #include "obs/profile.hpp"
 
 #include <gtest/gtest.h>
@@ -211,10 +211,10 @@ std::uint64_t counter(const obs::ProfileSnapshot& snap, const char* name) {
 }
 
 TEST(Profile, ReadySetWorkPerCommitIsFlatInTheBacklog) {
-  // The type1 burst of `aptsim stream --family type1 --rate 0.005
+  // The type1 and layered bursts of `aptsim stream --family F --rate 0.005
   // --duration 0 --warmup 0 --max-apps N`: every app arrives long before
   // the first ones finish, so the ready set holds thousands of kernels at
-  // N = 960. MET and APT only read the new tail of the ready set, so
+  // N = 960. MET, APT and APT-C only read the new tail of the ready set, so
   // removal leaves tombstones and compaction is amortized over the commits
   // that left them: it moves fewer entries than there are commits. Shifting
   // the survivors on every commit instead moves O(ready) entries each.
@@ -222,9 +222,9 @@ TEST(Profile, ReadySetWorkPerCommitIsFlatInTheBacklog) {
   constexpr double kMaxMovedPerCommit = 2.0;
   for (const std::size_t max_apps : {120u, 960u}) {
     core::StreamPlan plan;
-    plan.families = {"type1"};
+    plan.families = {"type1", "layered"};
     plan.rates_per_ms = {0.005};
-    plan.policy_specs = {"met", "apt:4"};
+    plan.policy_specs = {"met", "apt:4", "apt-c:4"};
     plan.max_apps = max_apps;
     plan.horizon_ms = 0.0;
     plan.warmup_ms = 0.0;
@@ -238,8 +238,57 @@ TEST(Profile, ReadySetWorkPerCommitIsFlatInTheBacklog) {
       ASSERT_EQ(commits, cell.metrics.kernels_completed) << cell.policy_spec;
       EXPECT_LT(static_cast<double>(moved),
                 kMaxMovedPerCommit * static_cast<double>(commits))
-          << cell.policy_spec << " at max_apps " << max_apps << ": " << moved
-          << " entries moved for " << commits << " commits";
+          << cell.policy_spec << " on " << cell.family << " at max_apps "
+          << max_apps << ": " << moved << " entries moved for " << commits
+          << " commits";
+    }
+  }
+}
+
+TEST(Profile, HedgingAddsOneEventPerCheckAndReplica) {
+  // A 120-app burst under heavy-tailed noise (sigma 0.25, 5% of kernels
+  // inflated 20x). Every kernel completes once and every hedge check is
+  // one event, so with hedging off the core pops one event per kernel. A
+  // launched replica adds exactly one more: the race's losing completion,
+  // which stays in the heap and is dropped when it pops. A check re-arms
+  // only when the rolling threshold has grown past it, which is rare: at
+  // most 5% more checks than kernels.
+  for (const bool hedging : {false, true}) {
+    core::StreamPlan plan;
+    plan.families = {"type1", "layered"};
+    plan.rates_per_ms = {0.005};
+    plan.policy_specs = {"apt:4", "met", "spn", "ag"};
+    plan.max_apps = 120;
+    plan.horizon_ms = 0.0;
+    plan.warmup_ms = 0.0;
+    plan.base_seed = 2024;
+    plan.noise.sigma = 0.25;
+    plan.noise.heavy_tail_prob = 0.05;
+    plan.noise.heavy_tail_multiplier = 20.0;
+    plan.hedging.enabled = hedging;
+    plan.profile = true;
+    const core::StreamBatchResult result =
+        core::run_stream_plan(plan, core::BatchRunner(2));
+    ASSERT_EQ(result.cells.size(), 8u);
+    for (const core::StreamCellResult& cell : result.cells) {
+      const obs::ProfileSnapshot& snap = cell.metrics.profile;
+      const std::uint64_t events = counter(snap, "events_processed");
+      const std::uint64_t kernels = counter(snap, "ready_marked");
+      const std::uint64_t checks = counter(snap, "hedge_checks");
+      const std::uint64_t hedges = cell.metrics.hedges_launched;
+      const std::string where = cell.policy_spec + " on " + cell.family;
+      ASSERT_EQ(kernels, cell.metrics.kernels_completed) << where;
+      if (!hedging) {
+        EXPECT_EQ(events, kernels) << where;
+        EXPECT_EQ(checks, 0u) << where;
+        continue;
+      }
+      EXPECT_EQ(events, kernels + checks + hedges)
+          << where << ": " << checks << " checks, " << hedges << " replicas";
+      EXPECT_GE(checks, kernels) << where;
+      EXPECT_LT(static_cast<double>(checks),
+                1.05 * static_cast<double>(kernels))
+          << where;
     }
   }
 }

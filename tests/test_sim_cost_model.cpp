@@ -178,8 +178,10 @@ TimeMs heap_ordered_longest_path_ms(const dag::Dag& dag,
 // The best-times overload is what the stream engine feeds from its min-exec
 // slabs (a row's minimum, lowest index first); it must reproduce the
 // CostModel overload bit for bit on every family, and both must equal the
-// bound over the frozen heap-ordered walk.
+// bound over the frozen heap-ordered walk. One scratch serves every graph,
+// as one serves every admission of a stream run.
 TEST(MakespanLowerBound, BestTimesOverloadEqualsCostModelOverload) {
+  LowerBoundScratch scratch;
   for (const RowCase& c : row_cases()) {
     const LutCostModel cost(c.table, c.system);
     const dag::KernelPool pool = dag::KernelPool::from_lookup_table(c.table);
@@ -192,7 +194,7 @@ TEST(MakespanLowerBound, BestTimesOverloadEqualsCostModelOverload) {
         best[n] = row[0];
         for (const TimeMs t : row) best[n] = t < best[n] ? t : best[n];
       }
-      EXPECT_EQ(makespan_lower_bound_ms(dag, c.system, best.data()),
+      EXPECT_EQ(makespan_lower_bound_ms(dag, c.system, best.data(), scratch),
                 makespan_lower_bound_ms(dag, c.system, cost))
           << c.name << " " << family->name();
       const TimeMs path = heap_ordered_longest_path_ms(dag, best);
@@ -203,8 +205,9 @@ TEST(MakespanLowerBound, BestTimesOverloadEqualsCostModelOverload) {
       EXPECT_EQ(bits(critical_path_lower_bound_ms(dag, c.system, cost)),
                 bits(path))
           << c.name << " " << family->name();
-      EXPECT_EQ(bits(makespan_lower_bound_ms(dag, c.system, best.data())),
-                bits(std::max(area, path)))
+      EXPECT_EQ(
+          bits(makespan_lower_bound_ms(dag, c.system, best.data(), scratch)),
+          bits(std::max(area, path)))
           << c.name << " " << family->name();
     }
   }

@@ -11,8 +11,9 @@
 //    (tied projections, re-keys in both directions, slot reuse) in the
 //    same lockstep;
 //  * the filling loop's work stays flat in the fabric size
-//    (obs::Counter::kTmLinksScanned), and the delivery heap pops once per
-//    delivered message (obs::Counter::kTmProjectionsPopped);
+//    (obs::Counter::kTmLinksScanned), the delivery heap pops once per
+//    delivered message (obs::Counter::kTmProjectionsPopped), and churn
+//    under a standing load re-solves only the dirtied component;
 //  * the stream engine under contention produces identical TransferRecord
 //    timelines and StreamMetrics either way, at 10x the densest sustained
 //    bench rate;
@@ -438,6 +439,64 @@ TEST(TmIncremental, DeliveryHeapPopsOncePerMessage) {
   // The churn is real: solves re-leveled several flows per delivery, each
   // a potential re-key of a live projection.
   EXPECT_GT(tm.solve_stats().flows_resolved, 3 * tm.delivered_count());
+}
+
+// Membership churn under a standing load: 64, 512 and 4,096 long-lived
+// messages round-robin over the 112 pairwise link-disjoint eastbound 2-hop
+// routes of a 16x16 mesh (row r, even column c -> c + 2), so each route is
+// its own component of the 960-link fabric. Each churn starts a short
+// message on the next route and advances 1 ms, across its activation and
+// its delivery. Both events dirty one component, so each incremental
+// solve fills at most that component's 2 links and re-solves the flows on
+// its route: ceil(flows / 112) standing ones plus the new one. The full
+// solve fills every occupied link and re-solves every flow on both events:
+// 67,472 links over the 200 churns at 64 flows, 156,272 at 512 and 4,096.
+TEST(TmIncremental, ChurnWorkFollowsTheDirtiedComponent) {
+  constexpr std::uint64_t kChurns = 200;
+  net::TopologySpec spec = net::parse_topology_spec("mesh:16x16");
+  spec.bandwidth_gbps = 1.0;
+  const net::Topology topo(spec, 256, 1.0);
+  std::vector<std::pair<net::ProcId, net::ProcId>> routes;
+  for (net::ProcId r = 0; r < 16; ++r)
+    for (net::ProcId c = 0; c + 2 < 16; c += 2)
+      routes.emplace_back(r * 16 + c, r * 16 + c + 2);
+  ASSERT_EQ(routes.size(), 112u);
+  for (const std::uint64_t flows : {64u, 512u, 4096u}) {
+    net::TransferManager tm(topo);
+    std::uint64_t tag = 0;
+    for (; tag < flows; ++tag) {
+      const auto& [from, to] = routes[tag % routes.size()];
+      tm.start(tag, 1e12, from, to, 0.0);  // outlives the churn
+    }
+    tm.advance_to(0.0);  // activates the standing load
+    const net::SolveStats before = tm.solve_stats();
+    obs::Profile profile;
+    tm.set_profile(&profile);
+    net::TimeMs now = 0.0;
+    for (std::uint64_t k = 0; k < kChurns; ++k) {
+      const auto& [from, to] = routes[k % routes.size()];
+      tm.start(tag++, 1e3, from, to, now);
+      now += 1.0;
+      tm.advance_to(now);
+    }
+    const net::SolveStats& after = tm.solve_stats();
+    EXPECT_EQ(tm.delivered_count(), kChurns) << flows << " flows";
+    // One solve per activation and one per delivery, none of them full (a
+    // fallback counts as a full solve too).
+    const std::uint64_t solves =
+        (after.incremental_solves - before.incremental_solves) +
+        (after.full_solves - before.full_solves);
+    EXPECT_EQ(solves, 2 * kChurns) << flows << " flows";
+    EXPECT_EQ(after.full_solves, before.full_solves) << flows << " flows";
+    EXPECT_EQ(after.fallback_solves, before.fallback_solves)
+        << flows << " flows";
+    EXPECT_LE(profile.count(obs::Counter::kTmLinksScanned), 4 * kChurns)
+        << flows << " flows";
+    const std::uint64_t sharers = (flows + routes.size() - 1) / routes.size();
+    EXPECT_LE(after.flows_resolved - before.flows_resolved,
+              solves * (sharers + 1))
+        << flows << " flows";
+  }
 }
 
 TEST(TmIncremental, SolveStatsCountersStayConsistent) {
