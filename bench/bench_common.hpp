@@ -28,24 +28,22 @@ inline void heading(const std::string& title) {
 
 inline void note(const std::string& text) { std::cout << text << "\n"; }
 
-/// Parses `--jobs N` from a bench's argv (default 1: the serial baseline;
-/// 0 means one job per hardware thread). Exits with a message on a
-/// malformed value instead of std::terminate-ing the bench.
+/// Parses a bench's only arguments, an optional `--jobs N` (default 1: the
+/// serial baseline; 0 means one job per hardware thread). Exits 2 with a
+/// message on anything else or on a malformed value, so a misspelt flag
+/// cannot run the bench with its defaults.
 inline std::size_t jobs_from_args(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") != 0) continue;
-    if (i + 1 >= argc) {
-      std::cerr << argv[0] << ": error: --jobs needs a value\n";
-      std::exit(2);
-    }
+  if (argc == 1) return 1;
+  std::string error = "expected no arguments or --jobs N";
+  if (argc == 3 && std::strcmp(argv[1], "--jobs") == 0) {
     try {
-      return static_cast<std::size_t>(util::parse_uint(argv[i + 1]));
+      return static_cast<std::size_t>(util::parse_uint(argv[2]));
     } catch (const std::exception& e) {
-      std::cerr << argv[0] << ": error: --jobs: " << e.what() << "\n";
-      std::exit(2);
+      error = std::string("--jobs: ") + e.what();
     }
   }
-  return 1;
+  std::cerr << argv[0] << ": error: " << error << "\n";
+  std::exit(2);
 }
 
 /// Wall-clock timer for the before/after speedup numbers the benches print.

@@ -1,21 +1,12 @@
-// aptsim — command-line front end for the APT scheduling library.
-//
-//   aptsim generate --type 1|2 --kernels N --seed S [--out FILE] [--dot FILE]
-//   aptsim run --policy SPEC [--graph FILE | --type T --kernels N --seed S]
-//              [--rate GBPS] [--trace] [--csv FILE]
-//   aptsim compare [--type T] [--alpha A] [--rate GBPS]
-//   aptsim sweep [--type T] [--policies SPEC,...] [--alphas A,...]
-//                [--rates 4,8] [--jobs N] [--reps R] [--seed S]
-//                [--csv FILE] [--json FILE]
-//   aptsim lut [--csv FILE]
-//   aptsim policies
+// aptsim — command-line front end for the APT scheduling library. Each
+// command's options are declared once, in its synopsis (kCommands below).
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -45,63 +36,56 @@ namespace {
 
 using namespace apt;
 
+/// One command's options: every option its synopsis declares, with the
+/// value given ("1" for a given flag). Reading an option the synopsis does
+/// not declare is a bug in the handler, so it throws std::logic_error.
 struct Args {
-  std::string command;
-  std::map<std::string, std::string> options;
+  std::map<std::string, std::optional<std::string>> options;
 
-  bool has(const std::string& key) const { return options.count(key) != 0; }
+  bool has(const std::string& key) const { return value(key).has_value(); }
   std::string get(const std::string& key, const std::string& fallback) const {
+    return value(key).value_or(fallback);
+  }
+  const std::optional<std::string>& value(const std::string& key) const {
     const auto it = options.find(key);
-    return it == options.end() ? fallback : it->second;
+    if (it == options.end())
+      throw std::logic_error("--" + key + " is not in the command's synopsis");
+    return it->second;
   }
 };
 
-Args parse_args(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token == "-h") token = "--help";
-    if (!util::starts_with(token, "--")) {
-      throw std::invalid_argument("expected --option, got '" + token + "'");
-    }
-    const std::string key = token.substr(2);
-    // Flags without values.
-    if (key == "trace" || key == "gantt" || key == "analyze" ||
-        key == "profile" || key == "help") {
-      args.options[key] = "1";
-      continue;
-    }
-    if (i + 1 >= argc)
-      throw std::invalid_argument("option --" + key + " needs a value");
-    args.options[key] = argv[++i];
-  }
-  return args;
+/// Fails on any of `keys` given while `mode` (in force when `active`) is:
+/// that mode would silently ignore them.
+void reject_with(const Args& args, bool active, const std::string& mode,
+                 std::initializer_list<const char*> keys) {
+  if (!active) return;
+  for (const char* key : keys)
+    if (args.has(key))
+      throw std::invalid_argument("--" + std::string(key) +
+                                  " cannot go together with " + mode);
 }
 
-/// The interconnect described by --topology/--bandwidth/--latency (see
+/// Splits a comma-separated option into trimmed, non-empty tokens.
+std::vector<std::string> csv_tokens(const Args& args, const std::string& key,
+                                    const std::string& fallback) {
+  std::vector<std::string> out;
+  for (const auto& token : util::split(args.get(key, fallback), ','))
+    if (!util::trim(token).empty()) out.push_back(util::trim(token));
+  return out;
+}
+
+/// The interconnects described by --topology/--bandwidth/--latency (see
 /// src/net): ideal (default, uncontended), bus, crossbar, hier[:S], or the
 /// routed kinds ring[:N], mesh:RxC, fattree[:K] whose transfers occupy a
-/// multi-hop path. --bandwidth 0 (the default) tracks the link rate, so
-/// --rates sweeps the fabric too. Unknown kinds and malformed shapes
-/// (mesh:3x, fattree:0) throw and surface as a CLI error.
-net::TopologySpec topology_from_args(const Args& args) {
-  net::TopologySpec spec =
-      net::parse_topology_spec(args.get("topology", "ideal"));
-  spec.bandwidth_gbps = util::parse_double(args.get("bandwidth", "0"));
-  spec.latency_ms = util::parse_double(args.get("latency", "0"));
-  spec.validate();
-  return spec;
-}
-
-/// Sweep form of --topology: a comma list ("ideal,ring,mesh:2x2") becomes
-/// the plan's topology axis; --bandwidth/--latency apply to every entry.
-/// Always returns at least one spec (default ideal).
+/// multi-hop path. A comma list ("ideal,ring,mesh:2x2") is the topology
+/// axis of `sweep` and `stream`; --bandwidth/--latency apply to every
+/// entry, and --bandwidth 0 (the default) tracks the link rate, so --rates
+/// sweeps the fabric too. Unknown kinds and malformed shapes (mesh:3x,
+/// fattree:0) throw and surface as a CLI error.
 std::vector<net::TopologySpec> topologies_from_args(const Args& args) {
   std::vector<net::TopologySpec> specs;
-  for (const auto& token : util::split(args.get("topology", "ideal"), ',')) {
-    if (util::trim(token).empty()) continue;
-    net::TopologySpec spec = net::parse_topology_spec(util::trim(token));
+  for (const std::string& token : csv_tokens(args, "topology", "ideal")) {
+    net::TopologySpec spec = net::parse_topology_spec(token);
     spec.bandwidth_gbps = util::parse_double(args.get("bandwidth", "0"));
     spec.latency_ms = util::parse_double(args.get("latency", "0"));
     spec.validate();
@@ -112,12 +96,22 @@ std::vector<net::TopologySpec> topologies_from_args(const Args& args) {
   return specs;
 }
 
-/// The synthetic platform described by --ccr / --hetero / --lut-seed,
-/// calibrated against the first of `rates_gbps`. The one parse both `gen`
-/// and `sweep` (and `run`) share, so identical flags always mean an
-/// identical platform.
-lut::SyntheticLutSpec synthetic_spec_from_args(
+/// The paper DFG type of --type (default 1).
+dag::DfgType dfg_from_args(const Args& args) {
+  const std::int64_t type = util::parse_int(args.get("type", "1"));
+  if (type != 1 && type != 2)
+    throw std::invalid_argument("--type must be 1 or 2");
+  return type == 1 ? dag::DfgType::Type1 : dag::DfgType::Type2;
+}
+
+/// The synthetic platform described by --ccr / --hetero / --lut-seed
+/// (none given: nullopt), calibrated against the first of `rates`. The one
+/// parse `gen`, `run`, `sweep` and `stream` share, so identical flags
+/// always mean an identical platform.
+std::optional<lut::SyntheticLutSpec> synthetic_spec_from_args(
     const Args& args, const std::vector<double>& rates) {
+  if (!args.has("ccr") && !args.has("hetero") && !args.has("lut-seed"))
+    return std::nullopt;
   lut::SyntheticLutSpec spec;
   spec.ccr = util::parse_double(args.get("ccr", "0.5"));
   spec.heterogeneity = util::parse_double(args.get("hetero", "4"));
@@ -126,42 +120,36 @@ lut::SyntheticLutSpec synthetic_spec_from_args(
   return spec;
 }
 
-bool wants_synthetic_platform(const Args& args) {
-  return args.has("ccr") || args.has("hetero") || args.has("lut-seed");
-}
-
 /// The lookup table a command costs against: an explicit --lut CSV, the
 /// synthetic platform flags, or (default) the paper's measured table.
 /// Mixing the two explicit forms is ambiguous and rejected rather than
 /// silently resolved.
 lut::LookupTable table_from_args(const Args& args,
                                  const std::vector<double>& rates) {
-  if (args.has("lut")) {
-    if (wants_synthetic_platform(args))
-      throw std::invalid_argument(
-          "--lut conflicts with --ccr/--hetero/--lut-seed: pass either a "
-          "saved table or the synthetic platform knobs, not both");
+  reject_with(args, args.has("lut"), "--lut", {"ccr", "hetero", "lut-seed"});
+  if (args.has("lut"))
     return lut::LookupTable::from_csv_file(args.get("lut", ""));
-  }
-  if (wants_synthetic_platform(args))
-    return lut::synthetic_lookup_table(synthetic_spec_from_args(args, rates));
+  if (const auto spec = synthetic_spec_from_args(args, rates))
+    return lut::synthetic_lookup_table(*spec);
   return lut::paper_lookup_table();
 }
 
-dag::Dag graph_from_args(const Args& args, const dag::KernelPool& pool) {
+/// The graph of `gen` and `run`: a --graph file, or a --family scenario or
+/// (default) paper DFG of --type whose --kernels kernels come from `table`.
+dag::Dag graph_from_args(const Args& args, const lut::LookupTable& table) {
+  reject_with(args, args.has("graph"), "--graph",
+              {"family", "type", "kernels"});
+  reject_with(args, args.has("family"), "--family", {"type"});
   dag::Dag graph = [&] {
     if (args.has("graph")) return dag::load_text_file(args.get("graph", ""));
     const std::size_t n =
         static_cast<std::size_t>(util::parse_uint(args.get("kernels", "46")));
     const std::uint64_t seed = util::parse_uint(args.get("seed", "1"));
+    const auto pool = dag::KernelPool::from_lookup_table(table);
     if (args.has("family")) {
       return scenario::generate(args.get("family", ""), n, seed, pool);
     }
-    const int type = static_cast<int>(util::parse_int(args.get("type", "1")));
-    if (type != 1 && type != 2)
-      throw std::invalid_argument("--type must be 1 or 2");
-    const auto dfg = type == 1 ? dag::DfgType::Type1 : dag::DfgType::Type2;
-    return dag::generate(dfg, n, seed, pool);
+    return dag::generate(dfg_from_args(args), n, seed, pool);
   }();
   if (args.has("arrivals")) {
     // --arrivals <mean-gap-ms>: stream the entry kernels in with Poisson
@@ -247,8 +235,7 @@ int cmd_gen(const Args& args) {
   // (`run --graph F --lut T.csv`).
   const lut::LookupTable table =
       table_from_args(args, {util::parse_double(args.get("rate", "4"))});
-  const dag::Dag graph =
-      graph_from_args(args, dag::KernelPool::from_lookup_table(table));
+  const dag::Dag graph = graph_from_args(args, table);
   // Only after generation succeeded: a failed `gen` must not leave a
   // platform file behind for scripts to pick up.
   if (args.has("lut-out")) {
@@ -275,7 +262,7 @@ int cmd_gen(const Args& args) {
   return 0;
 }
 
-int cmd_families() {
+int cmd_families(const Args&) {
   util::TablePrinter table({"family", "min kernels", "description"});
   for (const scenario::ScenarioFamily* family : scenario::all_families()) {
     table.add_row({family->name(), std::to_string(family->min_kernels()),
@@ -291,11 +278,13 @@ int cmd_run(const Args& args) {
   // synthetic platform flags, or the paper's measured table. The same table
   // feeds the generator's kernel pool so --family graphs are costable.
   const lut::LookupTable table = table_from_args(args, {rate});
-  const dag::Dag graph =
-      graph_from_args(args, dag::KernelPool::from_lookup_table(table));
+  const dag::Dag graph = graph_from_args(args, table);
   const std::string spec = args.get("policy", "apt:4");
   sim::SystemConfig config = sim::SystemConfig::paper_default(rate);
-  config.topology = topology_from_args(args);
+  const std::vector<net::TopologySpec> topologies = topologies_from_args(args);
+  if (topologies.size() != 1)
+    throw std::invalid_argument("run: --topology takes one topology");
+  config.topology = topologies.front();
   const sim::System system(config);
   const auto policy = core::make_policy(spec);
   const sim::LutCostModel cost(table, system);
@@ -401,8 +390,7 @@ int cmd_run(const Args& args) {
 }
 
 int cmd_compare(const Args& args) {
-  const int type = static_cast<int>(util::parse_int(args.get("type", "1")));
-  const auto dfg = type == 1 ? dag::DfgType::Type1 : dag::DfgType::Type2;
+  const dag::DfgType dfg = dfg_from_args(args);
   const double alpha = util::parse_double(args.get("alpha", "4"));
   const double rate = util::parse_double(args.get("rate", "4"));
 
@@ -500,14 +488,11 @@ int cmd_sweep(const Args& args) {
   // with --family — a generated scenario cube of one or more families,
   // optionally on a synthetic platform (--ccr/--hetero/--lut-seed).
   const bool family_mode = args.has("family");
-  auto dfg = dag::DfgType::Type1;  // labels the Grid slices; Type1 in
-                                   // family mode where it is not meaningful
-  if (!family_mode) {
-    const int type = static_cast<int>(util::parse_int(args.get("type", "1")));
-    if (type != 1 && type != 2)
-      throw std::invalid_argument("--type must be 1 or 2");
-    dfg = type == 1 ? dag::DfgType::Type1 : dag::DfgType::Type2;
-  }
+  reject_with(args, family_mode, "--family", {"type"});
+  reject_with(args, !family_mode, "the paper's graphs (no --family)",
+              {"graphs", "kernels", "ccr", "hetero", "lut-seed"});
+  // Labels the Grid slices; Type1 in family mode, where it means nothing.
+  const dag::DfgType dfg = dfg_from_args(args);
 
   // Columns: explicit policy specs plus one APT column per alpha. With
   // neither option the sweep reproduces the thesis's alpha grid. Specs
@@ -516,12 +501,9 @@ int cmd_sweep(const Args& args) {
   std::vector<std::string> specs;
   if (args.has("policies"))
     specs = core::parse_policy_list(args.get("policies", ""));
-  std::vector<double> alphas;
   if (args.has("alphas") || !args.has("policies")) {
     for (const auto& a : util::split(args.get("alphas", "1.5,2,4,8,16"), ','))
-      alphas.push_back(util::parse_double(a));
-    for (const double alpha : alphas)
-      specs.push_back("apt:" + util::format_double(alpha, 3));
+      specs.push_back("apt:" + util::format_double(util::parse_double(a), 3));
   }
 
   std::vector<double> rates;
@@ -536,11 +518,7 @@ int cmd_sweep(const Args& args) {
   core::ExperimentPlan plan;
   if (family_mode) {
     core::ScenarioSweepSpec spec;
-    spec.topology = topologies.front();
-    spec.topologies = topologies;
-    spec.families.clear();
-    for (const auto& f : util::split(args.get("family", ""), ','))
-      if (!util::trim(f).empty()) spec.families.push_back(util::trim(f));
+    spec.families = csv_tokens(args, "family", "");
     spec.graphs_per_family =
         static_cast<std::size_t>(util::parse_uint(args.get("graphs", "10")));
     spec.kernel_counts.clear();
@@ -548,18 +526,17 @@ int cmd_sweep(const Args& args) {
       spec.kernel_counts.push_back(
           static_cast<std::size_t>(util::parse_uint(k)));
     spec.graph_seed = seed;
-    if (wants_synthetic_platform(args))
-      spec.synthetic = synthetic_spec_from_args(args, rates);
+    spec.synthetic = synthetic_spec_from_args(args, rates);
     plan = core::make_scenario_plan(spec, specs, rates);
     workload_name = "scenario[" + util::join(spec.families, "+") + "]";
     graph_labels = core::scenario_graph_labels(spec);
   } else {
     plan = core::ExperimentPlan::paper(dfg, specs, rates);
-    plan.base_system.topology = topologies.front();
-    plan.topologies = topologies;
     workload_name = dag::to_string(dfg);
     graph_labels.assign(plan.graphs.size(), workload_name);
   }
+  plan.base_system.topology = topologies.front();
+  plan.topologies = topologies;
   plan.replications =
       static_cast<std::size_t>(util::parse_uint(args.get("reps", "1")));
   plan.base_seed = seed;
@@ -581,21 +558,13 @@ int cmd_sweep(const Args& args) {
   util::TablePrinter table({"topology", "policy", "rate GB/s",
                             "avg makespan ms", "avg lambda ms", "wins"});
   for (std::size_t t = 0; t < result.topology_count; ++t) {
-    std::vector<std::vector<core::Grid>> grids;  // [rep][rate]
-    grids.reserve(result.replications);
-    for (std::size_t rep = 0; rep < result.replications; ++rep) {
-      grids.emplace_back();
-      grids.back().reserve(result.rate_count);
-      for (std::size_t r = 0; r < result.rate_count; ++r)
-        grids.back().push_back(result.grid(dfg, r, rep, t));
-    }
     for (std::size_t p = 0; p < result.policy_count; ++p) {
       for (std::size_t r = 0; r < result.rate_count; ++r) {
         double makespan = 0.0;
         double lambda = 0.0;
         std::size_t wins = 0;
         for (std::size_t rep = 0; rep < result.replications; ++rep) {
-          const core::Grid& grid = grids[rep][r];
+          const core::Grid grid = result.grid(dfg, r, rep, t);
           makespan += grid.avg_makespan_ms(p);
           lambda += grid.avg_lambda_ms(p);
           wins += grid.wins(p);
@@ -649,15 +618,6 @@ int cmd_sweep(const Args& args) {
     std::cout << "cells written to " << args.get("json", "") << "\n";
   }
   return 0;
-}
-
-/// Splits a comma-separated option into trimmed, non-empty tokens.
-std::vector<std::string> csv_tokens(const Args& args, const std::string& key,
-                                    const std::string& fallback) {
-  std::vector<std::string> out;
-  for (const auto& token : util::split(args.get(key, fallback), ','))
-    if (!util::trim(token).empty()) out.push_back(util::trim(token));
-  return out;
 }
 
 /// Reads an arrival-trace file: one absolute arrival instant (ms) per
@@ -714,6 +674,9 @@ int cmd_stream(const Args& args) {
       static_cast<std::size_t>(util::parse_uint(args.get("kernels", "46")));
   plan.arrival_kind =
       stream::parse_arrival_kind(args.get("arrival", "poisson"));
+  reject_with(args, plan.arrival_kind != stream::ArrivalKind::Trace,
+              std::string("--arrival ") + stream::to_string(plan.arrival_kind),
+              {"trace-file"});
   if (plan.arrival_kind == stream::ArrivalKind::Trace) {
     if (!args.has("trace-file"))
       throw std::runtime_error(
@@ -852,18 +815,14 @@ int cmd_stream(const Args& args) {
     // cells and slices; timer max is the max across cells). The JSON
     // export below keeps them per cell.
     std::map<std::string, std::uint64_t> counters;
-    struct TimerTotal {
-      std::uint64_t count = 0;
-      double total_ms = 0.0;
-      double max_ms = 0.0;
-    };
-    std::map<std::string, TimerTotal> timers;
+    std::map<std::string, obs::ProfileSnapshot::TimerEntry> timers;
     for (const StreamAblationRun& run : runs) {
       for (const core::StreamCellResult& cell : run.result.cells) {
         for (const auto& c : cell.metrics.profile.counters)
           counters[c.name] += c.count;
         for (const auto& t : cell.metrics.profile.timers) {
-          TimerTotal& tot = timers[t.name];
+          obs::ProfileSnapshot::TimerEntry& tot = timers[t.name];
+          tot.name = t.name;
           tot.count += t.count;
           tot.total_ms += t.total_ms;
           tot.max_ms = std::max(tot.max_ms, t.max_ms);
@@ -873,8 +832,7 @@ int cmd_stream(const Args& args) {
     obs::ProfileSnapshot aggregate;
     for (const auto& [name, count] : counters)
       aggregate.counters.push_back({name, count});
-    for (const auto& [name, t] : timers)
-      aggregate.timers.push_back({name, t.count, t.total_ms, t.max_ms});
+    for (const auto& timer : timers) aggregate.timers.push_back(timer.second);
     print_profile(aggregate, "profile (summed over all cells/slices):");
   }
 
@@ -1028,7 +986,7 @@ int cmd_report(const Args& args) {
   return 0;
 }
 
-int cmd_policies() {
+int cmd_policies(const Args&) {
   // One row per registry entry: usage, dynamic/static, summary, aliases.
   std::size_t width = 0;
   for (const auto& info : core::policy_registry())
@@ -1055,26 +1013,29 @@ int cmd_policies() {
 #define APTSIM_BUILD_TYPE "unknown"
 #endif
 
-int cmd_version() {
+int cmd_version(const Args&) {
   std::cout << "aptsim " << APTSIM_GIT_DESCRIBE << " (" << APTSIM_BUILD_TYPE
             << " build)\n";
   return 0;
 }
 
-/// One command's synopsis, as `aptsim <command> --help` and the full
-/// usage print it.
-struct CommandUsage {
-  const char* command;
+/// One command: its synopsis, as `aptsim <command> --help` and the full
+/// usage print it, and its handler. The synopsis is also the command's
+/// grammar: parse_args accepts exactly the `--name` tokens it declares.
+struct Command {
+  const char* name;
+  const char* alias;  // a second spelling of `name`, or ""
+  int (*run)(const Args&);
   const char* synopsis;
 };
 
-const CommandUsage kCommandUsage[] = {
-    {"gen",
-     "  aptsim gen [--family NAME | --type 1|2] --kernels N --seed S\n"
-     "             [--out F] [--dot F] [--arrivals MEAN_MS]\n"
+const Command kCommands[] = {
+    {"gen", "generate", cmd_gen,
+     "  aptsim gen [--graph F | --family NAME | --type 1|2] --kernels N\n"
+     "             --seed S [--out F] [--dot F] [--arrivals MEAN_MS]\n"
      "             [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
      "             [--rate GBPS] [--lut-out F]   (alias: generate)\n"},
-    {"run",
+    {"run", "", cmd_run,
      "  aptsim run --policy SPEC [--graph F | --family NAME | --type T]\n"
      "             [--kernels N] [--seed S] [--rate GBPS]\n"
      "             [--lut F.csv | --ccr X --hetero H --lut-seed S]\n"
@@ -1084,8 +1045,9 @@ const CommandUsage kCommandUsage[] = {
      "             [--arrivals MEAN_MS] [--trace] [--gantt] [--analyze]\n"
      "             [--csv F] [--trace-out F.json] [--trace-max-events N]\n"
      "             [--trace-every K] [--profile]\n"},
-    {"compare", "  aptsim compare [--type T] [--alpha A] [--rate GBPS]\n"},
-    {"sweep",
+    {"compare", "", cmd_compare,
+     "  aptsim compare [--type T] [--alpha A] [--rate GBPS]\n"},
+    {"sweep", "", cmd_sweep,
      "  aptsim sweep [--type T | --family NAME,... [--graphs G]\n"
      "               [--kernels N,...] [--ccr X] [--hetero H]\n"
      "               [--lut-seed S]] [--policies SPEC,...]\n"
@@ -1095,7 +1057,7 @@ const CommandUsage kCommandUsage[] = {
      "                  the topology axis)]\n"
      "               [--bandwidth GBPS] [--latency MS]\n"
      "               [--seed S] [--csv F] [--json F]\n"},
-    {"stream",
+    {"stream", "", cmd_stream,
      "  aptsim stream [--family NAME,...] [--rate L,... (apps/ms)]\n"
      "               [--policies SPEC,...] [--kernels N]\n"
      "               [--arrival poisson|deterministic|trace\n"
@@ -1112,17 +1074,17 @@ const CommandUsage kCommandUsage[] = {
      "               [--jobs N] [--csv F] [--json F]\n"
      "               [--trace-out F.json] [--trace-max-events N]\n"
      "               [--trace-every K] [--profile]\n"},
-    {"families", "  aptsim families\n"},
-    {"lut", "  aptsim lut [--csv F]\n"},
-    {"report", "  aptsim report [--out-dir D] [--alpha A]\n"},
-    {"policies", "  aptsim policies\n"},
-    {"version", "  aptsim version | --version\n"},
+    {"families", "", cmd_families, "  aptsim families\n"},
+    {"lut", "", cmd_lut, "  aptsim lut [--csv F]\n"},
+    {"report", "", cmd_report, "  aptsim report [--out-dir D] [--alpha A]\n"},
+    {"policies", "", cmd_policies, "  aptsim policies\n"},
+    {"version", "--version", cmd_version, "  aptsim version | --version\n"},
 };
 
 void usage() {
   std::cout << "aptsim — heterogeneous-scheduling simulator (APT "
                "reproduction)\n\nusage:\n";
-  for (const CommandUsage& c : kCommandUsage) std::cout << c.synopsis;
+  for (const Command& c : kCommands) std::cout << c.synopsis;
   std::cout <<
       "\n"
       "global: --log-level debug|info|warn|error|off   (default info)\n"
@@ -1135,46 +1097,83 @@ void usage() {
       "Both are inert: the simulated timeline is bit-identical on or off.\n";
 }
 
-/// Prints `command`'s synopsis; false for an unknown command.
-bool command_usage(const std::string& command) {
-  const std::string name = command == "generate" ? "gen" : command;
-  for (const CommandUsage& c : kCommandUsage) {
-    if (name != c.command) continue;
-    std::cout << "usage:\n" << c.synopsis;
-    return true;
+/// Parses argv[2..] against `command`'s synopsis plus the global --help
+/// (-h) and --log-level. A synopsis `--name` takes a value unless its
+/// token closes its bracket (`[--trace]`) or the next token opens another
+/// option. An undeclared or repeated option, or one missing its value,
+/// throws.
+Args parse_args(const Command& command, int argc, char** argv) {
+  std::map<std::string, bool> takes_value{{"help", false}, {"log-level", true}};
+  std::istringstream in(command.synopsis);
+  std::vector<std::string> tokens;
+  for (std::string token; in >> token;) tokens.push_back(token);
+  const auto option_at = [&](std::size_t i) {
+    const std::size_t dashes = tokens[i].find_first_not_of("[(");
+    return tokens[i].compare(dashes, 2, "--") == 0 ? dashes + 2
+                                                    : std::string::npos;
+  };
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::size_t at = option_at(i);
+    if (at == std::string::npos || tokens[i] == command.alias) continue;
+    const std::size_t end = tokens[i].find_first_of("])", at);
+    takes_value[tokens[i].substr(at, end - at)] =
+        end == std::string::npos && i + 1 < tokens.size() &&
+        option_at(i + 1) == std::string::npos;
   }
-  return false;
+  Args args;
+  std::vector<std::string> names;
+  for (const auto& option : takes_value) {
+    args.options[option.first] = std::nullopt;
+    names.push_back("--" + option.first);
+  }
+  for (int i = 2; i < argc; ++i) {
+    const std::string token = std::string(argv[i]) == "-h" ? "--help" : argv[i];
+    const auto it = util::starts_with(token, "--")
+                        ? takes_value.find(token.substr(2))
+                        : takes_value.end();
+    if (it == takes_value.end()) {
+      const std::string match = util::did_you_mean(token, names);
+      throw std::invalid_argument(
+          "unknown option '" + token + "' for 'aptsim " + command.name + "'" +
+          (match.empty() ? "" : " (did you mean '" + match + "'?)"));
+    }
+    std::optional<std::string>& value = args.options[it->first];
+    if (value) throw std::invalid_argument("option " + token + " given twice");
+    if (!it->second) {
+      value = "1";
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      throw std::invalid_argument("option " + token + " needs a value");
+    }
+  }
+  return args;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    const Args args = parse_args(argc, argv);
-    if (args.command == "--help" || args.command == "-h") {
+    const std::string name = argc >= 2 ? argv[1] : "";
+    if (name.empty() || name == "--help" || name == "-h") {
       usage();
       return 0;
     }
-    if (args.has("help") && command_usage(args.command)) return 0;
-    // The CLI defaults to info (the library default is warn) so one-shot
-    // notices stay visible; --log-level off silences them for scripts.
-    util::Logger::instance().set_level(
-        util::parse_log_level(args.get("log-level", "info")));
-    // "generate" is the legacy spelling of "gen"; both take the same flags.
-    if (args.command == "gen" || args.command == "generate")
-      return cmd_gen(args);
-    if (args.command == "families") return cmd_families();
-    if (args.command == "run") return cmd_run(args);
-    if (args.command == "compare") return cmd_compare(args);
-    if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "stream") return cmd_stream(args);
-    if (args.command == "lut") return cmd_lut(args);
-    if (args.command == "report") return cmd_report(args);
-    if (args.command == "policies") return cmd_policies();
-    if (args.command == "version" || args.command == "--version")
-      return cmd_version();
+    for (const Command& command : kCommands) {
+      if (name != command.name && name != command.alias) continue;
+      const Args args = parse_args(command, argc, argv);
+      if (args.has("help")) {
+        std::cout << "usage:\n" << command.synopsis;
+        return 0;
+      }
+      // The CLI defaults to info (the library default is warn) so one-shot
+      // notices stay visible; --log-level off silences them for scripts.
+      util::Logger::instance().set_level(
+          util::parse_log_level(args.get("log-level", "info")));
+      return command.run(args);
+    }
     usage();
-    return args.command.empty() ? 0 : 1;
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "aptsim: error: " << e.what() << "\n";
     return 1;

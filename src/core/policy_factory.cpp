@@ -1,6 +1,5 @@
 #include "core/policy_factory.hpp"
 
-#include <algorithm>
 #include <functional>
 #include <stdexcept>
 
@@ -225,42 +224,16 @@ const Entry* find_entry(const std::string& head) {
   return nullptr;
 }
 
-/// Classic two-row Levenshtein distance (specs are short; no need for
-/// anything cleverer).
-std::size_t edit_distance(const std::string& a, const std::string& b) {
-  std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) prev[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    cur[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[b.size()];
-}
-
-/// The registered head closest to `head`, when within edit distance 2 —
-/// typos, not arbitrary words, get a suggestion.
+/// The registered head closest to `head` by util::did_you_mean; an alias
+/// match suggests its canonical head.
 std::string did_you_mean(const std::string& head) {
-  std::string best;
-  std::size_t best_dist = 3;
+  std::vector<std::string> names;
   for (const Entry& e : registry()) {
-    const std::size_t d = edit_distance(head, e.info.head);
-    if (d < best_dist) {
-      best = e.info.head;
-      best_dist = d;
-    }
-    for (const std::string& alias : e.info.aliases) {
-      const std::size_t da = edit_distance(head, alias);
-      if (da < best_dist) {
-        best = e.info.head;  // suggest the canonical form, not the alias
-        best_dist = da;
-      }
-    }
+    names.push_back(e.info.head);
+    names.insert(names.end(), e.info.aliases.begin(), e.info.aliases.end());
   }
-  return best;
+  const std::string match = util::did_you_mean(head, names);
+  return match.empty() ? match : find_entry(match)->info.head;
 }
 
 }  // namespace

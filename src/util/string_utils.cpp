@@ -1,5 +1,6 @@
 #include "util/string_utils.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <stdexcept>
@@ -48,6 +49,34 @@ std::string join(const std::vector<std::string>& parts, const std::string& sep) 
     out += parts[i];
   }
   return out;
+}
+
+std::size_t edit_distance(const std::string& a, const std::string& b) {
+  std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
+  for (std::size_t j = 0; j <= b.size(); ++j) prev[j] = j;
+  for (std::size_t i = 1; i <= a.size(); ++i) {
+    cur[0] = i;
+    for (std::size_t j = 1; j <= b.size(); ++j) {
+      const std::size_t sub = prev[j - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
+      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
+    }
+    std::swap(prev, cur);
+  }
+  return prev[b.size()];
+}
+
+std::string did_you_mean(const std::string& word,
+                         const std::vector<std::string>& candidates) {
+  std::string best;
+  std::size_t best_dist = 3;
+  for (const std::string& candidate : candidates) {
+    const std::size_t d = edit_distance(word, candidate);
+    if (d < best_dist) {
+      best = candidate;
+      best_dist = d;
+    }
+  }
+  return best;
 }
 
 std::string format_double(double value, int precision) {

@@ -22,6 +22,15 @@ bool ends_with(const std::string& s, const std::string& suffix);
 /// Joins with a separator.
 std::string join(const std::vector<std::string>& parts, const std::string& sep);
 
+/// Levenshtein distance: the fewest single-character insertions,
+/// deletions and substitutions that turn `a` into `b`.
+std::size_t edit_distance(const std::string& a, const std::string& b);
+
+/// The first of `candidates` closest to `word`, when within edit distance
+/// 2 (typos, not arbitrary words, get a suggestion); "" otherwise.
+std::string did_you_mean(const std::string& word,
+                         const std::vector<std::string>& candidates);
+
 /// Fixed-precision double formatting ("%.3f" style, no trailing garbage).
 std::string format_double(double value, int precision = 3);
 

@@ -13,6 +13,7 @@
 #include "dag/serialize.hpp"
 #include "lut/lookup_table.hpp"
 #include "util/csv.hpp"
+#include "util/string_utils.hpp"
 
 #ifndef APTSIM_GOLDEN_DIR
 #define APTSIM_GOLDEN_DIR "tests/golden"
@@ -36,12 +37,68 @@ std::string slurp(const std::string& path) {
   return buf.str();
 }
 
+/// Runs aptsim with `args` and stdout discarded; returns the exit status
+/// and leaves what it wrote to stderr in `err`.
+int run_cli_stderr(const std::string& args, std::string& err) {
+  const std::string file = ::testing::TempDir() + "/aptsim_stderr.txt";
+  const std::string cmd = std::string(APTSIM_PATH) + " " + args +
+                          " >/dev/null 2> " + quoted(file);
+  const int status = std::system(cmd.c_str());
+  err = slurp(file);
+  std::filesystem::remove(file);
+  return status;
+}
+
 TEST(Cli, NoArgumentsPrintsUsageAndSucceeds) {
   EXPECT_EQ(run_cli(""), 0);
 }
 
 TEST(Cli, UnknownCommandFails) {
   EXPECT_NE(run_cli("frobnicate"), 0);
+}
+
+TEST(Cli, UnknownOptionsFail) {
+  // Every command (and the `generate` alias) fails on an option its
+  // synopsis does not declare, on an option given twice, and on an option
+  // the chosen mode would ignore, and names the option on stderr. `compare`
+  // rejects a --type other than 1 or 2, as gen, run and sweep do.
+  const struct {
+    const char* args;
+    const char* error;
+  } cases[] = {
+      {"gen --bogus 1", "'--bogus'"},
+      {"generate --bogus 1", "'--bogus'"},
+      {"run --policy met --bogus 1", "'--bogus'"},
+      {"compare --bogus 1", "'--bogus'"},
+      {"sweep --bogus 1", "'--bogus'"},
+      {"stream --bogus 1", "'--bogus'"},
+      {"families --bogus 1", "'--bogus'"},
+      {"lut --bogus 1", "'--bogus'"},
+      {"report --bogus 1", "'--bogus'"},
+      {"policies --bogus 1", "'--bogus'"},
+      {"version --bogus 1", "'--bogus'"},
+      {"sweep --type 1 --lut p.csv", "'--lut'"},
+      {"sweep --type 1 --rate 8", "'--rate'"},
+      {"run --policy met --link-rate 1", "'--link-rate'"},
+      {"run --policy met --seed 1 --seed 2", "--seed given twice"},
+      {"run --policy met --graph g.txt --type 2",
+       "--type cannot go together with --graph"},
+      {"gen --graph g.txt --kernels 99",
+       "--kernels cannot go together with --graph"},
+      {"sweep --family layered --type 1",
+       "--type cannot go together with --family"},
+      {"sweep --type 1 --kernels 99 --graphs 2",
+       "--graphs cannot go together with"},
+      {"stream --family type1 --rate 0.001 --duration 1000 --policies met "
+       "--trace-file x",
+       "--trace-file cannot go together with --arrival poisson"},
+      {"compare --type 3", "--type must be 1 or 2"},
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_NE(run_cli_stderr(c.args, err), 0) << c.args;
+    EXPECT_NE(err.find(c.error), std::string::npos) << c.args << ": " << err;
+  }
 }
 
 /// `aptsim <command> --help` and `-h`, also after other options, print the
@@ -435,16 +492,61 @@ TEST(Cli, PoliciesListsSpecs) {
 }
 
 TEST(Cli, PoliciesTypoGetsDidYouMean) {
-  // run_cli silences stderr, where the error lands — capture it directly.
-  const std::string out = ::testing::TempDir() + "/aptsim_typo.txt";
-  const std::string cmd = std::string(APTSIM_PATH) +
-                          " stream --family type1 --policies apt-cc"
-                          " --duration 500 >/dev/null 2> " +
-                          quoted(out);
-  EXPECT_NE(std::system(cmd.c_str()), 0);
-  const std::string text = slurp(out);
-  EXPECT_NE(text.find("did you mean 'apt-c'"), std::string::npos);
-  std::filesystem::remove(out);
+  // A misspelt policy spec or option name fails with the closest match.
+  const struct {
+    const char* args;
+    const char* suggestion;
+  } cases[] = {
+      {"stream --family type1 --policies apt-cc --duration 500",
+       "did you mean 'apt-c'"},
+      {"stream --family type1 --rate 0.001 --duration 1000 --policies met "
+       "--polcies met",
+       "did you mean '--policies'"},
+      {"sweep --type 1 --alpha 4", "did you mean '--alphas'"},
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_NE(run_cli_stderr(c.args, err), 0) << c.args;
+    EXPECT_NE(err.find(c.suggestion), std::string::npos)
+        << c.args << ": " << err;
+  }
+}
+
+TEST(Cli, DocumentedCommandsParse) {
+  // Every aptsim command in the READMEs' fenced code blocks declares each
+  // option it passes, once and with its value. `--help` parses the whole
+  // command line before printing, so nothing runs.
+  for (const std::string doc : {"README.md", "results/README.md"}) {
+    std::istringstream in(slurp(std::string(APTSIM_SOURCE_DIR) + "/" + doc));
+    std::string line;
+    std::string command;
+    bool fenced = false;
+    bool continued = false;
+    std::size_t commands = 0;
+    while (std::getline(in, line)) {
+      if (line.rfind("```", 0) == 0) fenced = !fenced;
+      if (!fenced) continue;
+      std::string program;
+      std::istringstream(line) >> program;
+      if (continued) {
+        command += " " + line;
+      } else if (program == "aptsim" ||
+                 apt::util::ends_with(program, "/aptsim")) {
+        command = line.substr(line.find(program) + program.size());
+      } else {
+        continue;
+      }
+      continued = !command.empty() && command.back() == '\\';
+      if (continued) {
+        command.pop_back();
+        continue;
+      }
+      EXPECT_EQ(run_cli(command + " --help"), 0)
+          << doc << ": aptsim" << command;
+      ++commands;
+    }
+    EXPECT_GT(commands, 0u) << doc;
+  }
 }
 
 TEST(Cli, VersionPrintsBuildInfo) {
@@ -486,7 +588,7 @@ TEST(Cli, RunRejectsMalformedTopologyShapes) {
   // never a silent fallback to some default fabric.
   for (const std::string bad :
        {"mesh", "mesh:3x", "mesh:x3", "mesh:0x2", "fattree:0", "fattree:1",
-        "ring:0", "ring:2x", "hier:0"}) {
+        "ring:0", "ring:2x", "hier:0", "ring,bus"}) {
     EXPECT_NE(run_cli("run --policy met --type 1 --kernels 10 --topology " +
                       bad),
               0)

@@ -39,6 +39,31 @@ TEST(Join, WithSeparator) {
   EXPECT_EQ(join({"only"}, ","), "only");
 }
 
+TEST(EditDistance, CountsInsertionsDeletionsAndSubstitutions) {
+  EXPECT_EQ(edit_distance("", ""), 0u);
+  EXPECT_EQ(edit_distance("", "abc"), 3u);
+  EXPECT_EQ(edit_distance("abc", ""), 3u);
+  EXPECT_EQ(edit_distance("alpha", "alphas"), 1u);
+  EXPECT_EQ(edit_distance("polcies", "policies"), 1u);
+  EXPECT_EQ(edit_distance("flaw", "lawn"), 2u);
+  EXPECT_EQ(edit_distance("kitten", "sitting"), 3u);
+}
+
+TEST(DidYouMean, SuggestsTheFirstClosestWithinTwoEdits) {
+  const std::vector<std::string> options = {"--alphas", "--policies",
+                                            "--rates"};
+  EXPECT_EQ(did_you_mean("--alpha", options), "--alphas");
+  EXPECT_EQ(did_you_mean("--polcies", options), "--policies");
+  EXPECT_EQ(did_you_mean("--rate", options), "--rates");
+  EXPECT_EQ(did_you_mean("--rates", options), "--rates");
+  // Nothing within distance 2: no suggestion.
+  EXPECT_EQ(did_you_mean("--bogus", options), "");
+  EXPECT_EQ(did_you_mean("--alp", options), "");
+  EXPECT_EQ(did_you_mean("x", {}), "");
+  // Ties go to the first candidate.
+  EXPECT_EQ(did_you_mean("ab", {"xb", "ay"}), "xb");
+}
+
 TEST(FormatDouble, FixedPrecision) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(1.0, 0), "1");
