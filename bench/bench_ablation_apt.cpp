@@ -81,7 +81,7 @@ int main() {
     std::cout << t.to_string();
     bench::note("Finding: the future-work refinement is NOT a free win — "
                 "its wait estimate ignores contention from other kernels "
-                "waiting on the same p_min (see EXPERIMENTS.md).");
+                "waiting on the same p_min.");
   }
 
   bench::heading(

@@ -2,7 +2,7 @@
 //
 // Every bench prints (a) the regenerated table/figure rows in the thesis's
 // layout and (b) the paper's qualitative expectation, so a reader can judge
-// the reproduction without opening EXPERIMENTS.md.
+// the reproduction from the bench's output alone.
 #pragma once
 
 #include <chrono>

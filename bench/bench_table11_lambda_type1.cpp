@@ -1,10 +1,10 @@
 // Reproduces Table 11 (total λ delay for DFG Type-1 by all policies,
 // APT at α = 4) and Figure 11 (avg λ vs α and transfer rate).
 //
-// Scale note (see EXPERIMENTS.md): our λ is the per-kernel ready-queue wait
-// excluding data movement; the thesis's λ has the same drivers but an
-// unspecified normalisation, so shapes (who waits less, the α-valley) are
-// the comparison targets, not absolute milliseconds.
+// Scale note: our λ is the per-kernel ready-queue wait excluding data
+// movement; the thesis's λ has the same causes but an unspecified
+// normalisation, so shapes (who waits less, the α-valley) are the
+// comparison targets, not absolute milliseconds.
 #include "bench_common.hpp"
 
 int main() {

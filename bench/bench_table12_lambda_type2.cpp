@@ -15,7 +15,7 @@ int main() {
       "policy's on all 10 graphs. Deviation: the thesis also reports huge "
       "lambda for SPN; under our ready-queue-wait definition SPN's lambda "
       "is small because SPN never leaves a kernel unassigned — its damage "
-      "appears as makespan instead (see EXPERIMENTS.md).");
+      "appears as makespan instead.");
   std::size_t apt_below_met = 0;
   for (std::size_t g = 0; g < grid.experiment_count(); ++g) {
     if (grid.cells[g][0].lambda_total_ms < grid.cells[g][1].lambda_total_ms)

@@ -244,12 +244,17 @@ int cmd_gen(const Args& args) {
     // graph, and --log-level off silences the notice for scripts.
     APT_LOG_INFO << "lookup table written to " << args.get("lut-out", "");
   }
-  const std::string label =
-      args.has("family")
-          ? std::string(scenario::family(args.get("family", "")).name())
-          : "type" + args.get("type", "1");
-  if (args.has("dot"))
-    std::ofstream(args.get("dot", "")) << dag::to_dot(graph, label);
+  // A --graph file has no family or type: its summary names the file, and
+  // its DOT graph keeps to_dot's default name.
+  std::string label = "type" + args.get("type", "1");
+  if (args.has("graph"))
+    label = args.get("graph", "");
+  else if (args.has("family"))
+    label = std::string(scenario::family(args.get("family", "")).name());
+  if (args.has("dot")) {
+    std::ofstream dot(args.get("dot", ""));
+    dot << (args.has("graph") ? dag::to_dot(graph) : dag::to_dot(graph, label));
+  }
   if (args.has("out")) {
     dag::save_text_file(graph, args.get("out", ""));
     std::cout << label << ": " << graph.node_count() << " kernels, "
@@ -293,6 +298,8 @@ int cmd_run(const Args& args) {
   // change a simulated bit, so a traced run reproduces an untraced one.
   sim::EngineOptions engine_options;
   obs::Profile profile;
+  reject_with(args, !args.has("trace-out"), "an untraced run (no --trace-out)",
+              {"trace-max-events", "trace-every"});
   std::optional<obs::ChromeTraceWriter> tracer;
   if (args.has("trace-out")) {
     tracer.emplace(system, trace_options_from_args(args));
@@ -712,8 +719,14 @@ int cmd_stream(const Args& args) {
       util::parse_double(args.get("tail-mult", "20"));
   plan.noise.seed = util::parse_uint(args.get("noise-seed", "0"));
   std::vector<double> tail_probs;
-  for (const auto& p : csv_tokens(args, "tail-prob", "0"))
+  bool noise_on = plan.noise.sigma > 0.0;
+  for (const auto& p : csv_tokens(args, "tail-prob", "0")) {
     tail_probs.push_back(util::parse_double(p));
+    noise_on = noise_on || tail_probs.back() > 0.0;
+  }
+  reject_with(args, !noise_on,
+              "noise off (no --noise-sigma or --tail-prob above 0)",
+              {"noise-seed", "tail-mult"});
   const std::string hedging_mode = args.get("hedging", "off");
   std::vector<bool> hedging_modes;
   if (hedging_mode == "off")
@@ -724,6 +737,8 @@ int cmd_stream(const Args& args) {
     hedging_modes = {false, true};
   else
     throw std::runtime_error("stream: --hedging must be on, off, or both");
+  reject_with(args, hedging_mode == "off", "--hedging off",
+              {"hedge-quantile", "hedge-factor"});
   plan.hedging.quantile =
       util::parse_double(args.get("hedge-quantile", "0.95"));
   plan.hedging.threshold_factor =
@@ -736,6 +751,8 @@ int cmd_stream(const Args& args) {
   // interleaved cells.
   plan.profile = args.has("profile");
   const sim::System trace_system(plan.base_system);
+  reject_with(args, !args.has("trace-out"), "an untraced run (no --trace-out)",
+              {"trace-max-events", "trace-every"});
   std::optional<obs::ChromeTraceWriter> tracer;
   if (args.has("trace-out")) {
     tracer.emplace(trace_system, trace_options_from_args(args));

@@ -1,6 +1,6 @@
 // APT-Ranked: our hybrid extension combining HEFT's task prioritisation
 // with APT's dynamic processor selection (not in the thesis; evaluated in
-// bench_ablation_apt and EXPERIMENTS.md).
+// bench_ablation_apt).
 //
 // Plain APT serves the ready set in FIFO (arrival) order, so a kernel with
 // a long dependent chain can sit behind trivial kernels when processors

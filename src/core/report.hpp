@@ -1,6 +1,6 @@
 // Report exports: turn experiment grids and sweeps into CSV (for plotting)
 // and Markdown (for docs) — the machinery behind `aptsim report`, which
-// regenerates every table of EXPERIMENTS.md as files.
+// regenerates the reproduced paper tables as files.
 #pragma once
 
 #include <string>

@@ -71,7 +71,8 @@ LookupTable synthetic_lookup_table(const SyntheticLutSpec& spec) {
       entry.time_ms[order[2]] = base * spec.heterogeneity;
       // Calibrate the row's output size so that moving it over the link
       // costs ccr × the row's mean execution time (transfer_ms =
-      // bytes / (rate_GBps * 1e6) — see Interconnect::transfer_time_ms).
+      // bytes / (rate_GBps * 1e6), LutCostModel's price between two
+      // processors).
       const double mean_time =
           (entry.time_ms[0] + entry.time_ms[1] + entry.time_ms[2]) / 3.0;
       std::uint64_t size = static_cast<std::uint64_t>(std::llround(

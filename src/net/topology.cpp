@@ -516,15 +516,4 @@ LinkId Topology::bottleneck_link(ProcId from, ProcId to) const {
   return route_bottleneck_[pair_index(from, to)];
 }
 
-TimeMs Topology::transfer_time_ms(double bytes, ProcId from, ProcId to) const {
-  if (!std::isfinite(bytes) || bytes < 0.0)
-    throw std::invalid_argument(
-        "Topology: byte count must be finite and >= 0");
-  const std::size_t pair = pair_index(from, to);
-  if (route_hops_[pair] == 0) return 0.0;
-  // GB/s == bytes/ns; ms = bytes / (rate_GBps * 1e6).
-  return route_latency_ms_[pair] +
-         bytes / (route_bandwidth_gbps_[pair] * 1e6);
-}
-
 }  // namespace apt::net

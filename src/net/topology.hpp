@@ -161,23 +161,18 @@ class Topology {
   /// local). Precomputed per pair.
   TimeMs route_latency_ms(ProcId from, ProcId to) const;
 
-  /// Bandwidth of the from -> to route's bottleneck link, the rate
-  /// transfer_time_ms divides the payload by (meaningless when local).
-  /// Precomputed per pair.
+  /// Bandwidth of the from -> to route's bottleneck link (meaningless when
+  /// local). sim::TopologyCostModel prices a payload as the route's head
+  /// latency plus the payload at this rate: the uncontended figure policies
+  /// plan with, which actual transfers can only exceed (max-min fair
+  /// sharing under contention). Precomputed per pair.
   double route_bandwidth_gbps(ProcId from, ProcId to) const;
 
   /// The from -> to route's bottleneck link: the minimum-bandwidth hop,
-  /// earliest in traversal order on ties — the link transfer_time_ms
-  /// prices the payload against. kNoLink when the pair is local.
+  /// earliest in traversal order on ties — the link whose rate
+  /// route_bandwidth_gbps reports. kNoLink when the pair is local.
   /// Precomputed per pair.
   LinkId bottleneck_link(ProcId from, ProcId to) const;
-
-  /// Uncontended transfer estimate: route head latency + bytes over the
-  /// route's bottleneck bandwidth, 0 when the pair is local. The figure
-  /// policies plan with; actual transfers can only be slower (max-min fair
-  /// sharing under contention). Throws std::invalid_argument on a negative
-  /// or non-finite byte count.
-  TimeMs transfer_time_ms(double bytes, ProcId from, ProcId to) const;
 
  private:
   void build_single_hop_routes(const std::vector<LinkId>& link_of);

@@ -37,7 +37,7 @@ void CostModel::exec_row_ms(const dag::Dag& dag, dag::NodeId node,
 LutCostModel::LutCostModel(lut::LookupTable table, const System& system,
                            bool strict)
     : table_(std::move(table)),
-      interconnect_(system.interconnect()),
+      link_rate_gbps_(system.config().link_rate_gbps),
       bytes_per_element_(system.config().bytes_per_element),
       strict_(strict) {
   if (table_.empty())
@@ -67,14 +67,6 @@ void LutCostModel::exec_row_ms(const dag::Dag& dag, dag::NodeId node,
     out[i] = entry.time(procs[i].type);
 }
 
-TimeMs LutCostModel::transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
-                                      dag::NodeId dst, const Processor& from,
-                                      const Processor& to) const {
-  if (from.id == to.id) return 0.0;
-  const double bytes = edge_weight(dag, src, dst);
-  return interconnect_.transfer_time_ms(bytes, from.id, to.id);
-}
-
 double LutCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,
                                  dag::NodeId dst) const {
   (void)dst;  // the producing node's output size determines the payload
@@ -83,11 +75,11 @@ double LutCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,
 
 PairTables LutCostModel::pair_tables(
     const std::vector<Processor>& procs) const {
-  // Interconnect::transfer_time_ms divides the bytes by rate_GBps * 1e6.
-  const auto price = [this](const Processor& from, const Processor& to) {
-    return PairPrice{0.0, interconnect_.rate_gbps(from.id, to.id) * 1e6};
-  };
-  return make_pair_tables(procs, price);
+  // GB/s == bytes/ns: a payload takes bytes / (rate_GBps * 1e6) ms.
+  const double rate = link_rate_gbps_ * 1e6;
+  return make_pair_tables(procs, [rate](const Processor&, const Processor&) {
+    return PairPrice{0.0, rate};
+  });
 }
 
 TopologyCostModel::TopologyCostModel(const CostModel& base,
@@ -99,15 +91,6 @@ TimeMs TopologyCostModel::exec_time_ms(const dag::Dag& dag, dag::NodeId node,
   return base_.exec_time_ms(dag, node, proc);
 }
 
-TimeMs TopologyCostModel::transfer_time_ms(const dag::Dag& dag,
-                                           dag::NodeId src, dag::NodeId dst,
-                                           const Processor& from,
-                                           const Processor& to) const {
-  if (from.id == to.id) return 0.0;
-  const double bytes = edge_weight(dag, src, dst);
-  return system_.topology().transfer_time_ms(bytes, from.id, to.id);
-}
-
 double TopologyCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,
                                       dag::NodeId dst) const {
   (void)dst;  // the producing node's output size determines the payload
@@ -117,7 +100,8 @@ double TopologyCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,
 PairTables TopologyCostModel::pair_tables(
     const std::vector<Processor>& procs) const {
   const net::Topology& topology = system_.topology();
-  // Topology::transfer_time_ms: head latency + bytes / (rate_GBps * 1e6).
+  // Head latency + bytes / (bottleneck rate_GBps * 1e6); local routes are
+  // free.
   const auto price = [&topology](const Processor& from, const Processor& to) {
     if (topology.is_local(from.id, to.id)) return kLocalPrice;
     const double gbps = topology.route_bandwidth_gbps(from.id, to.id);
@@ -156,14 +140,6 @@ TimeMs MatrixCostModel::exec_time_ms(const dag::Dag& dag, dag::NodeId node,
   if (proc.id >= row.size())
     throw std::out_of_range("MatrixCostModel: processor beyond matrix columns");
   return row[proc.id];
-}
-
-TimeMs MatrixCostModel::transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
-                                         dag::NodeId dst,
-                                         const Processor& from,
-                                         const Processor& to) const {
-  if (from.id == to.id) return 0.0;
-  return edge_weight(dag, src, dst);
 }
 
 double MatrixCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,

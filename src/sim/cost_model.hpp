@@ -4,17 +4,17 @@
 // Two implementations:
 //  * LutCostModel    — the paper's model: execution times from the lookup
 //    table keyed by processor *category*, transfers = elements × bytes/elem
-//    over the PCIe interconnect.
+//    over the uniform PCIe link rate.
 //  * MatrixCostModel — explicit per-node/per-processor computation matrix and
 //    per-edge communication costs, as used in the HEFT/PEFT literature
 //    examples (enables golden tests against published schedules).
 //
-// Every model prices an edge as a weight moved between a processor pair:
-// transfer_time_ms(dag, src, dst, from, to) equals
-// pair_tables(procs).transfer_ms(edge_weight(dag, src, dst), from, to), bit
-// for bit. The event core resolves the weights once per instance at
-// admission and the tables once per run, so its per-kernel transfer reads
-// are a table lookup; policies and planners keep the per-edge call.
+// Every model prices an edge one way: as a weight moved between a processor
+// pair, pair_tables(procs).transfer_ms(edge_weight(dag, src, dst), from, to).
+// The event core resolves the weights once per instance at admission and
+// the tables once per run, so its per-kernel transfer reads are a table
+// lookup; the static planners read the same prices from a
+// PrecomputedCostModel's dense per-edge matrices.
 #pragma once
 
 #include <cstddef>
@@ -75,12 +75,6 @@ class CostModel {
                            const std::vector<Processor>& procs,
                            TimeMs* out) const;
 
-  /// Time to move the data of edge src -> dst when src ran on `from` and
-  /// dst runs on `to`. Must be 0 when from.id == to.id.
-  virtual TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
-                                  dag::NodeId dst, const Processor& from,
-                                  const Processor& to) const = 0;
-
   /// The weight of edge src -> dst that pair_tables() prices: the
   /// producer's payload bytes (edge_payload_bytes) for every model but
   /// MatrixCostModel, whose weight is the edge's own communication cost.
@@ -88,16 +82,16 @@ class CostModel {
                              dag::NodeId dst) const = 0;
 
   /// The transfer prices between every ordered pair of `procs` (indexed by
-  /// position): for every edge and pair,
-  /// `transfer_time_ms(dag, src, dst, procs[f], procs[t])` ==
-  /// `pair_tables(procs).transfer_ms(edge_weight(dag, src, dst), f, t)`.
+  /// position): moving edge src -> dst from procs[f] to procs[t] costs
+  /// `pair_tables(procs).transfer_ms(edge_weight(dag, src, dst), f, t)`,
+  /// 0 when f == t.
   virtual PairTables pair_tables(const std::vector<Processor>& procs) const = 0;
 };
 
 /// The paper's cost model (lookup table + PCIe links).
 ///
-/// Holds copies of the (small) lookup table and interconnect so its lifetime
-/// is independent of the objects it was built from.
+/// Holds a copy of the (small) lookup table and the system's link rate so
+/// its lifetime is independent of the objects it was built from.
 class LutCostModel final : public CostModel {
  public:
   /// `strict` controls behaviour for (kernel, size) pairs missing from the
@@ -112,12 +106,9 @@ class LutCostModel final : public CostModel {
   void exec_row_ms(const dag::Dag& dag, dag::NodeId node,
                    const std::vector<Processor>& procs,
                    TimeMs* out) const override;
-  TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
-                          dag::NodeId dst, const Processor& from,
-                          const Processor& to) const override;
   double edge_weight(const dag::Dag& dag, dag::NodeId src,
                      dag::NodeId dst) const override;
-  /// Latency 0 and the interconnect's rate in bytes/ms.
+  /// Latency 0 and the system's link rate in bytes/ms.
   PairTables pair_tables(const std::vector<Processor>& procs) const override;
 
   const lut::LookupTable& table() const noexcept { return table_; }
@@ -126,7 +117,7 @@ class LutCostModel final : public CostModel {
   const lut::Entry& entry_for(const dag::Dag& dag, dag::NodeId node) const;
 
   lut::LookupTable table_;
-  Interconnect interconnect_;
+  double link_rate_gbps_;
   double bytes_per_element_;
   bool strict_;
 };
@@ -144,9 +135,6 @@ class TopologyCostModel final : public CostModel {
 
   TimeMs exec_time_ms(const dag::Dag& dag, dag::NodeId node,
                       const Processor& proc) const override;
-  TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
-                          dag::NodeId dst, const Processor& from,
-                          const Processor& to) const override;
   double edge_weight(const dag::Dag& dag, dag::NodeId src,
                      dag::NodeId dst) const override;
   /// Each route's head latency and bottleneck rate in bytes/ms.
@@ -174,9 +162,6 @@ class MatrixCostModel final : public CostModel {
 
   TimeMs exec_time_ms(const dag::Dag& dag, dag::NodeId node,
                       const Processor& proc) const override;
-  TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
-                          dag::NodeId dst, const Processor& from,
-                          const Processor& to) const override;
   /// The edge's communication cost (0 when unset).
   double edge_weight(const dag::Dag& dag, dag::NodeId src,
                      dag::NodeId dst) const override;

@@ -20,15 +20,16 @@ PrecomputedCostModel::PrecomputedCostModel(const dag::Dag& dag,
   for (dag::NodeId node = 0; node < n; ++node)
     edge_offset_[node + 1] = edge_offset_[node] + dag.out_degree(node);
 
+  const PairTables tables = base.pair_tables(procs);
   transfer_.resize(edge_offset_[n] * p * p);
   for (dag::NodeId src = 0; src < n; ++src) {
     const auto& succs = dag.successors(src);
     for (std::size_t k = 0; k < succs.size(); ++k) {
+      const double weight = base.edge_weight(dag, src, succs[k]);
       TimeMs* slot = transfer_.data() + (edge_offset_[src] + k) * p * p;
-      for (std::size_t from = 0; from < p; ++from) {
-        for (std::size_t to = 0; to < p; ++to)
-          slot[from * p + to] = base.transfer_time_ms(dag, src, succs[k],
-                                                      procs[from], procs[to]);
+      for (ProcId from = 0; from < p; ++from) {
+        for (ProcId to = 0; to < p; ++to)
+          slot[from * p + to] = tables.transfer_ms(weight, from, to);
       }
     }
   }
@@ -53,23 +54,6 @@ void PrecomputedCostModel::exec_row_ms(const dag::Dag& dag, dag::NodeId node,
                  ? row[procs[i].id]
                  : base_.exec_time_ms(dag, node, procs[i]);
   }
-}
-
-TimeMs PrecomputedCostModel::transfer_time_ms(const dag::Dag& dag,
-                                              dag::NodeId src, dag::NodeId dst,
-                                              const Processor& from,
-                                              const Processor& to) const {
-  if (&dag != dag_ || src >= dag_->node_count() || from.id >= proc_count_ ||
-      to.id >= proc_count_)
-    return base_.transfer_time_ms(dag, src, dst, from, to);
-  const auto& succs = dag_->successors(src);
-  const auto edge = std::find(succs.begin(), succs.end(), dst);
-  // Not an edge of the precomputed dag (e.g. a hypothetical pair a policy
-  // probes): answer from the base model.
-  if (edge == succs.end())
-    return base_.transfer_time_ms(dag, src, dst, from, to);
-  const auto k = static_cast<std::size_t>(edge - succs.begin());
-  return out_edge_transfers(src, k)[from.id * proc_count_ + to.id];
 }
 
 double PrecomputedCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,

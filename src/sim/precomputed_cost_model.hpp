@@ -5,13 +5,15 @@
 // The paper's LutCostModel resolves every exec_time_ms through a
 // map<(kernel, size)> keyed by strings; the engine and the policies query it
 // thousands of times per run with the same arguments. This adapter pays the
-// map cost exactly once per node (one exec_row_ms) and per (edge, from, to)
-// combination, and serves every later query from a flat vector. Values are
-// the base model's own doubles, so results are bit-identical to querying
-// the base directly.
+// map cost exactly once per node (one exec_row_ms) and prices each out-edge
+// once per processor pair from one edge_weight call and the base's pair
+// tables, and serves every later query from a flat vector. Values are the
+// base model's own doubles, so results are bit-identical to querying the
+// base directly, and the static planners plan from exactly the prices the
+// event core charges.
 //
-// Queries about a *different* dag (or out-of-range processors) fall back to
-// the base model, so the adapter can be handed to code that mixes graphs.
+// Execution-time queries about a *different* dag (or out-of-range
+// processors) fall back to the base model.
 //
 // The static planners (HEFT, PEFT, APT-Ranked's ranks) read the tables
 // directly: dense_cost_model() finds or builds the table for a run, and
@@ -33,9 +35,9 @@ namespace apt::sim {
 
 class PrecomputedCostModel final : public CostModel {
  public:
-  /// Builds the dense tables by querying `base` for every node's exec row
-  /// and every edge over every ordered processor pair. The dag,
-  /// system, and base model must outlive this object.
+  /// Builds the dense tables from `base`: every node's exec row, and every
+  /// edge's weight priced over every ordered processor pair by the base's
+  /// pair tables. The dag, system, and base model must outlive this object.
   PrecomputedCostModel(const dag::Dag& dag, const System& system,
                        const CostModel& base);
 
@@ -45,9 +47,6 @@ class PrecomputedCostModel final : public CostModel {
   void exec_row_ms(const dag::Dag& dag, dag::NodeId node,
                    const std::vector<Processor>& procs,
                    TimeMs* out) const override;
-  TimeMs transfer_time_ms(const dag::Dag& dag, dag::NodeId src,
-                          dag::NodeId dst, const Processor& from,
-                          const Processor& to) const override;
   /// The base model's: the dense transfer tables hold its prices.
   double edge_weight(const dag::Dag& dag, dag::NodeId src,
                      dag::NodeId dst) const override;
@@ -69,7 +68,7 @@ class PrecomputedCostModel final : public CostModel {
   /// The position k of `dst` among the dense dag's successors of `src`;
   /// out_degree(src) when src -> dst is not an edge.
   std::size_t out_edge_index(dag::NodeId src, dag::NodeId dst) const;
-  /// transfer_time_ms of the edge to `src`'s k-th successor, as a P x P
+  /// The transfer prices of the edge to `src`'s k-th successor, as a P x P
   /// matrix indexed [from * P + to].
   const TimeMs* out_edge_transfers(dag::NodeId src,
                                    std::size_t k) const noexcept {

@@ -5,42 +5,19 @@
 
 namespace apt::sim {
 
-Interconnect::Interconnect(std::size_t proc_count, double uniform_gbps)
-    : proc_count_(proc_count) {
-  if (proc_count_ == 0)
-    throw std::invalid_argument("Interconnect: need at least one processor");
-  if (!(uniform_gbps > 0.0))
-    throw std::invalid_argument("Interconnect: rate must be positive");
-  rate_.assign(proc_count_ * proc_count_, uniform_gbps);
+namespace {
+
+/// `config`'s link rate, checked before the topology takes it as its default
+/// bandwidth. Every LUT transfer divides its payload by it, so an infinite
+/// rate would make transfers free and a NaN one would price them NaN.
+double checked_link_rate(const SystemConfig& config) {
+  if (!(config.link_rate_gbps > 0.0) || std::isinf(config.link_rate_gbps))
+    throw std::invalid_argument(
+        "System: link_rate_gbps must be finite and positive");
+  return config.link_rate_gbps;
 }
 
-std::size_t Interconnect::index(ProcId from, ProcId to) const {
-  if (from >= proc_count_ || to >= proc_count_)
-    throw std::out_of_range("Interconnect: processor id out of range");
-  return static_cast<std::size_t>(from) * proc_count_ + to;
-}
-
-void Interconnect::set_rate_gbps(ProcId from, ProcId to, double gbps) {
-  if (!(gbps > 0.0))
-    throw std::invalid_argument("Interconnect: rate must be positive");
-  rate_[index(from, to)] = gbps;
-}
-
-double Interconnect::rate_gbps(ProcId from, ProcId to) const {
-  return rate_[index(from, to)];
-}
-
-TimeMs Interconnect::transfer_time_ms(double bytes, ProcId from,
-                                      ProcId to) const {
-  if (bytes < 0.0)
-    throw std::invalid_argument("Interconnect: negative byte count");
-  if (from == to) {
-    index(from, to);  // still validate ids
-    return 0.0;
-  }
-  // GB/s == bytes/ns; ms = bytes / (rate_GBps * 1e6).
-  return bytes / (rate_gbps(from, to) * 1e6);
-}
+}  // namespace
 
 SystemConfig SystemConfig::paper_default(double rate_gbps) {
   SystemConfig cfg;
@@ -51,11 +28,9 @@ SystemConfig SystemConfig::paper_default(double rate_gbps) {
 
 System::System(SystemConfig config)
     : config_(std::move(config)),
-      interconnect_(config_.processors.empty() ? 1 : config_.processors.size(),
-                    config_.link_rate_gbps),
       topology_(config_.topology,
                 config_.processors.empty() ? 1 : config_.processors.size(),
-                config_.link_rate_gbps) {
+                checked_link_rate(config_)) {
   if (config_.processors.empty())
     throw std::invalid_argument("System: need at least one processor");
   if (!(config_.bytes_per_element > 0.0) ||

@@ -26,34 +26,6 @@ struct Processor {
   std::string name;  ///< e.g. "CPU0", "GPU0", "FPGA1"
 };
 
-/// Point-to-point link throughput between processor instances.
-///
-/// The thesis uses a uniform PCIe rate between all processors (4 GB/s for
-/// x8, 8 GB/s for x16); per-pair overrides allow modelling asymmetric
-/// fabrics. Same-processor transfers are free.
-class Interconnect {
- public:
-  /// Uniform fabric at `uniform_gbps` gigabytes per second (> 0).
-  Interconnect(std::size_t proc_count, double uniform_gbps);
-
-  std::size_t proc_count() const noexcept { return proc_count_; }
-
-  /// Overrides the rate of the directed link from -> to.
-  void set_rate_gbps(ProcId from, ProcId to, double gbps);
-
-  double rate_gbps(ProcId from, ProcId to) const;
-
-  /// Milliseconds to move `bytes` from one processor to another; 0 when
-  /// from == to.
-  TimeMs transfer_time_ms(double bytes, ProcId from, ProcId to) const;
-
- private:
-  std::size_t index(ProcId from, ProcId to) const;
-
-  std::size_t proc_count_;
-  std::vector<double> rate_;  // row-major [from][to], GB/s
-};
-
 /// Everything needed to instantiate a System.
 struct SystemConfig {
   std::vector<lut::ProcType> processors;  ///< one entry per instance
@@ -89,15 +61,15 @@ struct SystemConfig {
 /// An immutable processor-set + interconnect.
 class System {
  public:
+  /// Throws std::invalid_argument on an empty processor list, a link rate
+  /// or bytes_per_element that is not finite and > 0, negative overheads
+  /// or powers, or a topology the processor count cannot instantiate.
   explicit System(SystemConfig config);
 
   const SystemConfig& config() const noexcept { return config_; }
   const std::vector<Processor>& processors() const noexcept { return procs_; }
   std::size_t proc_count() const noexcept { return procs_.size(); }
   const Processor& processor(ProcId id) const { return procs_.at(id); }
-
-  Interconnect& interconnect() noexcept { return interconnect_; }
-  const Interconnect& interconnect() const noexcept { return interconnect_; }
 
   /// The instantiated interconnect topology (config().topology resolved
   /// for this processor count and link rate).
@@ -112,7 +84,6 @@ class System {
  private:
   SystemConfig config_;
   std::vector<Processor> procs_;
-  Interconnect interconnect_;
   net::Topology topology_;
 };
 

@@ -31,6 +31,7 @@
 #include "util/contracts.hpp"
 #include "util/rolling_quantile.hpp"
 
+#include "reference_pricing.hpp"
 #include "reference_transfer_manager.hpp"
 
 namespace apt::sim::reference {
@@ -281,9 +282,9 @@ class ReferenceClosedEngine::Context final : public SchedulerContext {
       // offers nodes whose predecessors were all scheduled.
       APT_ASSERT(rec.proc != kInvalidProc,
                  "predecessor %u of node %u not yet scheduled", pred, node);
-      worst = std::max(worst, cost_.transfer_time_ms(
-                                  dag_, pred, node, system_.processor(rec.proc),
-                                  to));
+      worst = std::max(worst, test::reference_transfer_ms(
+                                  cost_, system_, dag_, pred, node,
+                                  system_.processor(rec.proc), to));
     }
     return worst;
   }
@@ -300,8 +301,8 @@ class ReferenceClosedEngine::Context final : public SchedulerContext {
                  "predecessor %u of node %u not yet scheduled", pred, node);
       // Same call, same order, same std::max as input_transfer_ms above —
       // stall_ms is bit-identical to the legacy scalar.
-      const TimeMs edge = cost_.transfer_time_ms(
-          dag_, pred, node, system_.processor(rec.proc), to);
+      const TimeMs edge = test::reference_transfer_ms(
+          cost_, system_, dag_, pred, node, system_.processor(rec.proc), to);
       if (edge > est.stall_ms) {
         est.stall_ms = edge;
         worst_from = rec.proc;
@@ -691,8 +692,9 @@ class ReferenceClosedEngine::Context final : public SchedulerContext {
     for (const dag::NodeId pred : dag_.predecessors(node)) {
       const ScheduledKernel& rec = node_state_[pred].record;
       const TimeMs arrival =
-          rec.finish_time + cost_.transfer_time_ms(
-                                dag_, pred, node, system_.processor(rec.proc), to);
+          rec.finish_time +
+          test::reference_transfer_ms(cost_, system_, dag_, pred, node,
+                                      system_.processor(rec.proc), to);
       data_ready = std::max(data_ready, arrival);
     }
     return data_ready - from_time;

@@ -20,6 +20,8 @@
 #include "sim/policy.hpp"
 #include "sim/system.hpp"
 
+#include "reference_pricing.hpp"
+
 namespace apt::policies::reference {
 
 /// Mean of transfer_time_ms over all ordered pairs of *distinct*
@@ -36,7 +38,7 @@ inline sim::TimeMs average_transfer_time_ms(const sim::CostModel& cost,
   for (const sim::Processor& from : procs) {
     for (const sim::Processor& to : procs) {
       if (from.id == to.id) continue;
-      sum += cost.transfer_time_ms(dag, src, dst, from, to);
+      sum += test::reference_transfer_ms(cost, system, dag, src, dst, from, to);
       ++pairs;
     }
   }
@@ -198,8 +200,8 @@ inline StaticPlan list_schedule(const dag::Dag& dag, const sim::System& system,
       sim::TimeMs drt = 0.0;
       for (const dag::NodeId pred : dag.predecessors(node)) {
         const PlannedTask& pt = plan.tasks[pred];
-        drt = std::max(drt, pt.finish + cost.transfer_time_ms(
-                                            dag, pred, node,
+        drt = std::max(drt, pt.finish + test::reference_transfer_ms(
+                                            cost, system, dag, pred, node,
                                             system.processor(pt.proc), proc));
       }
       const sim::TimeMs w = cost.exec_time_ms(dag, node, proc);

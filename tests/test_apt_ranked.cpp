@@ -83,7 +83,7 @@ TEST(AptRanked, MatchesAptOnType1LevelOneByConstruction) {
 }
 
 TEST(AptRanked, BeatsFifoAptOnDependencyRichWorkloads) {
-  // The headline of the extension (recorded in EXPERIMENTS.md): rank
+  // The headline of the extension (bench_ablation_apt prints it): rank
   // ordering pays on Type-2 graphs where critical chains contend with
   // bulk work. Averaged over the ten paper graphs the ranked variant must
   // not lose, and in practice wins by a wide margin.

@@ -71,11 +71,11 @@ TEST(AptRemaining, StillRespectsTheThreshold) {
 }
 
 TEST(AptRemaining, StaysCompetitiveWithAptOnPaperWorkloads) {
-  // Empirical finding of this reproduction (recorded in EXPERIMENTS.md and
-  // the ablation bench): the thesis's future-work refinement is NOT a free
-  // win — its wait-cost estimate ignores contention from *other* kernels
-  // also waiting for p_min, so on the Type-1 workloads it lands a few
-  // percent behind plain APT. We pin that it stays within 10% (a large
+  // Empirical finding of this reproduction (printed by the ablation
+  // bench): the thesis's future-work refinement is NOT a free win — its
+  // wait-cost estimate ignores contention from *other* kernels also
+  // waiting for p_min, so on the Type-1 workloads it lands a few percent
+  // behind plain APT. We pin that it stays within 10% (a large
   // regression would indicate a broken implementation, not the known
   // estimator bias).
   double apt_total = 0.0;

@@ -92,6 +92,28 @@ TEST(Cli, UnknownOptionsFail) {
       {"stream --family type1 --rate 0.001 --duration 1000 --policies met "
        "--trace-file x",
        "--trace-file cannot go together with --arrival poisson"},
+      {"run --policy met --trace-every 2",
+       "--trace-every cannot go together with an untraced run"},
+      {"run --policy met --trace-max-events 10",
+       "--trace-max-events cannot go together with an untraced run"},
+      {"stream --family type1 --rate 0.001 --duration 1000 --policies met "
+       "--trace-every 2",
+       "--trace-every cannot go together with an untraced run"},
+      {"stream --family type1 --rate 0.001 --duration 1000 --policies met "
+       "--trace-max-events 10",
+       "--trace-max-events cannot go together with an untraced run"},
+      {"stream --family type1 --rate 0.001 --duration 1000 --policies met "
+       "--hedge-quantile 0.9",
+       "--hedge-quantile cannot go together with --hedging off"},
+      {"stream --family type1 --rate 0.001 --duration 1000 --policies met "
+       "--hedging off --hedge-factor 2",
+       "--hedge-factor cannot go together with --hedging off"},
+      {"stream --family type1 --rate 0.001 --duration 1000 --policies met "
+       "--noise-seed 3",
+       "--noise-seed cannot go together with noise off"},
+      {"stream --family type1 --rate 0.001 --duration 1000 --policies met "
+       "--noise-sigma 0 --tail-prob 0,0 --tail-mult 5",
+       "--tail-mult cannot go together with noise off"},
       {"compare --type 3", "--type must be 1 or 2"},
   };
   for (const auto& c : cases) {
@@ -264,6 +286,30 @@ TEST(Cli, GenWithoutOutEmitsTheSerialisedGraph) {
   EXPECT_EQ(graph.node_count(), 12u);
   EXPECT_EQ(graph.edge_count(), 11u);
   std::filesystem::remove(out);
+}
+
+TEST(Cli, GenFromAGraphFileNamesTheFile) {
+  // A --graph file has no family or type: its summary names the file, and
+  // its DOT graph keeps to_dot's default name, where both used to say
+  // "type1".
+  const std::string dir = ::testing::TempDir();
+  const std::string source = dir + "/aptsim_gen_intree.txt";
+  const std::string copy = dir + "/aptsim_gen_intree_copy.txt";
+  const std::string dot = dir + "/aptsim_gen_intree.dot";
+  const std::string out = dir + "/aptsim_gen_intree_summary.txt";
+  ASSERT_EQ(run_cli("gen --family intree --kernels 12 --seed 5 --out " +
+                    quoted(source)),
+            0);
+  ASSERT_EQ(run_cli("gen --graph " + quoted(source) + " --out " +
+                        quoted(copy) + " --dot " + quoted(dot),
+                    out),
+            0);
+  const std::string summary = slurp(out);
+  EXPECT_EQ(summary.rfind(source + ": 12 kernels, 11 edges, depth ", 0), 0u)
+      << summary;
+  EXPECT_EQ(slurp(dot).rfind("digraph dfg {", 0), 0u) << slurp(dot);
+  for (const std::string& file : {source, copy, dot, out})
+    std::filesystem::remove(file);
 }
 
 TEST(Cli, GenUsageErrorsExitNonZero) {
@@ -613,6 +659,12 @@ TEST(Cli, NonFiniteLinkKnobsFailInsteadOfHanging) {
               0)
         << knob;
   }
+  // An infinite link rate passed and made every transfer free.
+  EXPECT_NE(run_cli("run --policy apt:4 --type 1 --rate inf"), 0);
+  EXPECT_NE(run_cli("stream --family type1 --rate 0.005 --max-apps 4 "
+                    "--duration 0 --warmup 0 --policies apt:4 --link-rate inf"),
+            0);
+  EXPECT_NE(run_cli("sweep --type 1 --policies met --rates inf"), 0);
   // A finite latency so large that a two-hop message's activation instant
   // overflows to +inf hung both engines too.
   EXPECT_NE(run_cli("stream --family type1 --rate 0.005 --max-apps 4 "

@@ -1,10 +1,9 @@
 // Golden regression net: exact makespans and λ totals of representative
 // (workload, policy) pairs, pinned to 1e-6 ms. These are *not* paper values
-// (the thesis's exact graphs are unpublished — see EXPERIMENTS.md); they
-// freeze THIS implementation's deterministic behaviour so that any
-// unintended change to the generators, the engine, a cost model, or a
-// policy shows up as a precise diff instead of a silent drift in the
-// reproduced tables.
+// (the thesis's exact graphs are unpublished); they freeze THIS
+// implementation's deterministic behaviour so that any unintended change to
+// the generators, the engine, a cost model, or a policy shows up as a
+// precise diff instead of a silent drift in the reproduced tables.
 //
 // If a change is *intentional* (e.g. a policy fix), regenerate the values
 // with the snippet in the commit history and update them together with the

@@ -11,6 +11,17 @@
 namespace apt::net {
 namespace {
 
+/// The uncontended price of moving `bytes` over the from -> to route, as
+/// sim::TopologyCostModel's pair tables charge it: 0 when the pair is
+/// local, else the route's head latency plus the bytes at its bottleneck
+/// rate (GB/s == 1e6 bytes/ms).
+TimeMs route_price_ms(const Topology& topo, double bytes, ProcId from,
+                      ProcId to) {
+  if (topo.is_local(from, to)) return 0.0;
+  return topo.route_latency_ms(from, to) +
+         bytes / (topo.route_bandwidth_gbps(from, to) * 1e6);
+}
+
 TEST(TopologySpec, ParseKnownKinds) {
   EXPECT_EQ(parse_topology_spec("ideal").kind, TopologyKind::Ideal);
   EXPECT_EQ(parse_topology_spec("bus").kind, TopologyKind::Bus);
@@ -60,7 +71,7 @@ TEST(Topology, IdealHasNoLinksAndIsUncontended) {
   for (ProcId a = 0; a < 3; ++a)
     for (ProcId b = 0; b < 3; ++b) {
       EXPECT_TRUE(topo.is_local(a, b));
-      EXPECT_DOUBLE_EQ(topo.transfer_time_ms(1e6, a, b), 0.0);
+      EXPECT_EQ(topo.bottleneck_link(a, b), kNoLink);
     }
 }
 
@@ -110,8 +121,8 @@ TEST(Topology, TransferEstimateIsLatencyPlusBytesOverBandwidth) {
   spec.latency_ms = 0.5;
   const Topology topo(spec, 2, 4.0);
   // 4 GB/s == 4e6 bytes/ms; 8e6 bytes -> 2 ms + 0.5 ms latency.
-  EXPECT_DOUBLE_EQ(topo.transfer_time_ms(8e6, 0, 1), 2.5);
-  EXPECT_DOUBLE_EQ(topo.transfer_time_ms(8e6, 1, 1), 0.0);
+  EXPECT_DOUBLE_EQ(route_price_ms(topo, 8e6, 0, 1), 2.5);
+  EXPECT_DOUBLE_EQ(route_price_ms(topo, 8e6, 1, 1), 0.0);
 }
 
 TEST(Topology, RejectsBadConfigurations) {
@@ -143,8 +154,6 @@ TEST(Topology, RejectsBadConfigurations) {
     TopologySpec bandwidth = parse_topology_spec("mesh:2x2");
     bandwidth.bandwidth_gbps = bad;
     EXPECT_THROW(Topology(bandwidth, 4, 4.0), std::invalid_argument) << bad;
-    EXPECT_THROW(topo.transfer_time_ms(bad, 0, 1), std::invalid_argument)
-        << bad;
   }
 }
 
@@ -294,8 +303,8 @@ TEST(Topology, FatTreeClimbsToTheLowestCommonAncestor) {
 
 TEST(Topology, BottleneckLinkFollowsTheTransferTimeConvention) {
   // Uniform bandwidths: the minimum-bandwidth hop is a tie, and the
-  // convention (matching transfer_time_ms) picks the earliest hop in
-  // traversal order — the first route link.
+  // convention picks the earliest hop in traversal order — the first route
+  // link.
   TopologySpec spec = parse_topology_spec("ring");
   spec.bandwidth_gbps = 4.0;
   spec.latency_ms = 0.5;
@@ -309,12 +318,9 @@ TEST(Topology, BottleneckLinkFollowsTheTransferTimeConvention) {
         continue;
       }
       EXPECT_EQ(b, r[0]);
-      // Consistency with the pricing convention: the uncontended estimate
-      // is route latency + bytes over the bottleneck link's bandwidth.
-      const double bytes = 8e6;
-      EXPECT_DOUBLE_EQ(topo.transfer_time_ms(bytes, from, to),
-                       topo.route_latency_ms(from, to) +
-                           bytes / (topo.bandwidth_gbps(b) * 1e6));
+      // Consistency with the pricing convention: the route's rate is the
+      // bottleneck link's bandwidth.
+      EXPECT_EQ(topo.route_bandwidth_gbps(from, to), topo.bandwidth_gbps(b));
     }
   }
   // Ideal topologies have no links at all.
@@ -325,7 +331,7 @@ TEST(Topology, BottleneckLinkFollowsTheTransferTimeConvention) {
 // The per-pair latency and bottleneck tables must equal, bit for bit, the
 // per-hop loops they replaced, which this test keeps as its reference:
 // latency summed hop by hop in route order from 0, the earliest
-// minimum-bandwidth hop, and latency + bytes over its rate.
+// minimum-bandwidth hop, and its rate.
 TEST(Topology, PairTablesMatchThePerHopLoopsBitwise) {
   struct Shape {
     const char* spec;
@@ -359,23 +365,17 @@ TEST(Topology, PairTablesMatchThePerHopLoopsBitwise) {
             << shape.spec << " " << from << "->" << to;
         EXPECT_EQ(topo.bottleneck_link(from, to), best)
             << shape.spec << " " << from << "->" << to;
-        for (const double bytes : {0.0, 1.0, 4e6, 3.3e9}) {
-          const TimeMs expected =
-              r.empty() ? 0.0 : latency + bytes / (bottleneck * 1e6);
-          EXPECT_EQ(topo.transfer_time_ms(bytes, from, to), expected)
-              << shape.spec << " " << from << "->" << to << " " << bytes;
-        }
+        EXPECT_EQ(topo.route_bandwidth_gbps(from, to), bottleneck)
+            << shape.spec << " " << from << "->" << to;
       }
     }
     // Local pairs are free and have no bottleneck.
     EXPECT_EQ(topo.route_latency_ms(1, 1), 0.0) << shape.spec;
     EXPECT_EQ(topo.bottleneck_link(1, 1), kNoLink) << shape.spec;
-    EXPECT_EQ(topo.transfer_time_ms(4e6, 1, 1), 0.0) << shape.spec;
-    // The lookups keep the range check and the byte-count check.
+    // The lookups keep the range check.
     EXPECT_THROW(topo.route_latency_ms(procs, 0), std::out_of_range);
     EXPECT_THROW(topo.bottleneck_link(0, procs), std::out_of_range);
-    EXPECT_THROW(topo.transfer_time_ms(1.0, procs, 0), std::out_of_range);
-    EXPECT_THROW(topo.transfer_time_ms(-1.0, 0, 1), std::invalid_argument);
+    EXPECT_THROW(topo.route_bandwidth_gbps(procs, 0), std::out_of_range);
   }
 }
 
@@ -387,9 +387,9 @@ TEST(Topology, RoutedTransferEstimateUsesPathLatencyAndBottleneck) {
   spec.latency_ms = 0.5;
   const Topology topo(spec, 4, 4.0);
   EXPECT_DOUBLE_EQ(topo.route_latency_ms(0, 2), 1.0);
-  EXPECT_DOUBLE_EQ(topo.transfer_time_ms(8e6, 0, 2), 3.0);
-  EXPECT_DOUBLE_EQ(topo.transfer_time_ms(8e6, 0, 1), 2.5);  // one hop
-  EXPECT_DOUBLE_EQ(topo.transfer_time_ms(8e6, 2, 2), 0.0);  // local
+  EXPECT_DOUBLE_EQ(route_price_ms(topo, 8e6, 0, 2), 3.0);
+  EXPECT_DOUBLE_EQ(route_price_ms(topo, 8e6, 0, 1), 2.5);  // one hop
+  EXPECT_DOUBLE_EQ(route_price_ms(topo, 8e6, 2, 2), 0.0);  // local
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // evaluation (Chapter 4) must hold on our regenerated workloads. Absolute
 // milliseconds cannot match (the authors' exact random graphs are lost), but
 // who wins, roughly by how much, and where the α-valley bottoms out are all
-// pinned here. EXPERIMENTS.md records the exact measured numbers.
+// pinned here; the paper-table benches print the exact measured numbers.
 #include <gtest/gtest.h>
 
 #include "core/experiments.hpp"
@@ -131,10 +131,10 @@ TEST_P(PaperShape, TransferRateHasSmallEffect) {
 // §4.3, Tables 11/12: λ-delay shape — APT(4) has less total λ than MET
 // (quicker assignments shrink waiting), and the λ valley mirrors the
 // makespan valley: α=4 also beats α=1.5 on λ (Figures 11/12).
-// Deviation note (EXPERIMENTS.md): the thesis also reports huge λ for SPN;
-// under our λ definition (ready-queue wait excluding data movement) SPN's
-// λ is *small* because SPN never lets a kernel sit unassigned — its damage
-// shows in the makespan instead.
+// Deviation note: the thesis also reports huge λ for SPN; under our λ
+// definition (ready-queue wait excluding data movement) SPN's λ is *small*
+// because SPN never lets a kernel sit unassigned — its damage shows in the
+// makespan instead.
 TEST_P(PaperShape, LambdaShape) {
   const Grid& tight = grid_alpha(GetParam(), 1.5);
   const Grid& grid = grid_alpha(GetParam(), 4.0);

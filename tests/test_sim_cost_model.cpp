@@ -5,11 +5,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
+#include "reference_pricing.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/precomputed_cost_model.hpp"
 #include "sim/validate.hpp"
@@ -88,32 +90,43 @@ std::uint64_t bits(double x) {
   return b;
 }
 
-/// Pair tables times edge weights must reproduce transfer_time_ms bit for
-/// bit on every edge and every ordered processor pair, the local ones
-/// included: the event core prices transfers only this way.
+/// Pair tables times edge weights must reproduce the reference price bit
+/// for bit on every edge and every ordered processor pair, the local ones
+/// included: the event core prices transfers only this way. A dense model's
+/// per-edge matrices must hold the same prices.
 void expect_pair_tables_match(const CostModel& cost, const System& system,
                               const dag::Dag& dag, const std::string& name) {
   const std::vector<Processor>& procs = system.processors();
   const PairTables tables = cost.pair_tables(procs);
   ASSERT_EQ(tables.proc_count, procs.size()) << name;
   ASSERT_EQ(tables.prices.size(), procs.size() * procs.size()) << name;
+  const auto* dense = dynamic_cast<const PrecomputedCostModel*>(&cost);
   std::size_t edges = 0;
   std::size_t mismatches = 0;
   std::string first;
   for (dag::NodeId src = 0; src < dag.node_count(); ++src) {
-    for (const dag::NodeId dst : dag.successors(src)) {
+    const dag::NodeRange succs = dag.successors(src);
+    for (std::size_t k = 0; k < succs.size(); ++k) {
+      const dag::NodeId dst = succs[k];
       ++edges;
       const double weight = cost.edge_weight(dag, src, dst);
+      const TimeMs* matrix =
+          dense == nullptr ? nullptr : dense->out_edge_transfers(src, k);
       for (const Processor& from : procs) {
         for (const Processor& to : procs) {
+          const TimeMs want = test::reference_transfer_ms(cost, system, dag,
+                                                          src, dst, from, to);
           const TimeMs table = tables.transfer_ms(weight, from.id, to.id);
-          const TimeMs edge = cost.transfer_time_ms(dag, src, dst, from, to);
-          if (bits(table) == bits(edge)) continue;
+          const TimeMs stored =
+              matrix == nullptr ? want : matrix[from.id * procs.size() + to.id];
+          if (bits(table) == bits(want) && bits(stored) == bits(want))
+            continue;
           if (mismatches++ > 0) continue;
           first = "edge " + std::to_string(src) + "->" + std::to_string(dst);
           first += ", procs " + std::to_string(from.id);
-          first += "->" + std::to_string(to.id);
-          first += ": " + std::to_string(table) + " != " + std::to_string(edge);
+          first += "->" + std::to_string(to.id) + ": reference ";
+          first += std::to_string(want) + ", table " + std::to_string(table);
+          if (matrix != nullptr) first += ", dense " + std::to_string(stored);
         }
       }
     }
@@ -131,6 +144,7 @@ System on_topology(const System& system, const std::string& topology) {
   return System(cfg);
 }
 
+// The per-edge queries are reference_transfer_ms's formulas.
 TEST(CostModelRows, PairTablesEqualPerEdgeQueries) {
   for (const RowCase& c : row_cases()) {
     const LutCostModel lut(c.table, c.system);
@@ -309,6 +323,14 @@ TEST(LutCostModel, AliasedNamesResolveToTheCanonicalRow) {
   expect_resolves("Gem", 2070376);
 }
 
+/// What the event core charges `cost` to move edge src -> dst from
+/// processor `from` to processor `to` of `sys`.
+TimeMs priced_ms(const CostModel& cost, const System& sys, const dag::Dag& d,
+                 dag::NodeId src, dag::NodeId dst, ProcId from, ProcId to) {
+  const PairTables tables = cost.pair_tables(sys.processors());
+  return tables.transfer_ms(cost.edge_weight(d, src, dst), from, to);
+}
+
 TEST(LutCostModel, TransferUsesProducerSizeAndLinkRate) {
   const System sys = test::paper_system(4.0);
   const LutCostModel cost(lut::paper_lookup_table(), sys);
@@ -317,12 +339,22 @@ TEST(LutCostModel, TransferUsesProducerSizeAndLinkRate) {
   d.add_node("cd", 250000);
   d.add_edge(0, 1);
   // 2034736 elements * 4 B = 8138944 B; at 4e6 B/ms -> 2.034736 ms.
-  EXPECT_NEAR(cost.transfer_time_ms(d, 0, 1, sys.processor(2),
-                                    sys.processor(0)),
-              2.034736, 1e-9);
-  EXPECT_DOUBLE_EQ(cost.transfer_time_ms(d, 0, 1, sys.processor(1),
-                                         sys.processor(1)),
-                   0.0);
+  EXPECT_NEAR(priced_ms(cost, sys, d, 0, 1, 2, 0), 2.034736, 1e-9);
+  EXPECT_DOUBLE_EQ(priced_ms(cost, sys, d, 0, 1, 1, 1), 0.0);
+}
+
+TEST(LutCostModel, PairTablesReadTheConfiguredRate) {
+  const System sys = test::paper_system(8.0);
+  const LutCostModel cost(lut::paper_lookup_table(), sys);
+  const PairTables tables = cost.pair_tables(sys.processors());
+  // 8 GB/s == 8e6 bytes/ms between every pair of distinct processors.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (ProcId from = 0; from < 3; ++from) {
+    for (ProcId to = 0; to < 3; ++to) {
+      EXPECT_EQ(tables.prices[from * 3 + to].latency_ms, 0.0);
+      EXPECT_EQ(tables.prices[from * 3 + to].rate, from == to ? inf : 8e6);
+    }
+  }
 }
 
 TEST(LutCostModel, TransferScalesWithRate) {
@@ -334,10 +366,8 @@ TEST(LutCostModel, TransferScalesWithRate) {
   d.add_node("nw", 16777216);
   d.add_node("cd", 250000);
   d.add_edge(0, 1);
-  const double t4 =
-      c4.transfer_time_ms(d, 0, 1, s4.processor(0), s4.processor(1));
-  const double t8 =
-      c8.transfer_time_ms(d, 0, 1, s8.processor(0), s8.processor(1));
+  const double t4 = priced_ms(c4, s4, d, 0, 1, 0, 1);
+  const double t8 = priced_ms(c8, s8, d, 0, 1, 0, 1);
   EXPECT_NEAR(t4, 2.0 * t8, 1e-12);
 }
 
@@ -356,10 +386,8 @@ TEST(MatrixCostModel, ExecAndCommByIndex) {
   cost.set_comm_cost(0, 1, 7.5);
   EXPECT_DOUBLE_EQ(cost.exec_time_ms(d, 0, sys.processor(1)), 2.0);
   EXPECT_DOUBLE_EQ(cost.exec_time_ms(d, 1, sys.processor(0)), 3.0);
-  EXPECT_DOUBLE_EQ(
-      cost.transfer_time_ms(d, 0, 1, sys.processor(0), sys.processor(1)), 7.5);
-  EXPECT_DOUBLE_EQ(
-      cost.transfer_time_ms(d, 0, 1, sys.processor(1), sys.processor(1)), 0.0);
+  EXPECT_DOUBLE_EQ(priced_ms(cost, sys, d, 0, 1, 0, 1), 7.5);
+  EXPECT_DOUBLE_EQ(priced_ms(cost, sys, d, 0, 1, 1, 1), 0.0);
 }
 
 TEST(MatrixCostModel, UnsetEdgesAreFree) {
@@ -369,8 +397,7 @@ TEST(MatrixCostModel, UnsetEdgesAreFree) {
   d.add_node("a", 1);
   d.add_node("b", 1);
   d.add_edge(0, 1);
-  EXPECT_DOUBLE_EQ(
-      cost.transfer_time_ms(d, 0, 1, sys.processor(0), sys.processor(1)), 0.0);
+  EXPECT_DOUBLE_EQ(priced_ms(cost, sys, d, 0, 1, 0, 1), 0.0);
 }
 
 TEST(MatrixCostModel, Validation) {

@@ -1,6 +1,7 @@
 // The densified cost model must agree bit-for-bit with the model it wraps
-// on every query the engine or a policy can make, and fall back to the
-// base model for anything outside its precomputed dag.
+// on every query the engine or a policy can make, hold the reference
+// transfer price of every edge, and answer execution-time queries outside
+// its precomputed dag from the base model.
 #include "sim/precomputed_cost_model.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "core/policy_factory.hpp"
 #include "dag/generator.hpp"
 #include "lut/paper_data.hpp"
+#include "reference_pricing.hpp"
 #include "test_helpers.hpp"
 
 namespace apt::sim {
@@ -26,11 +28,14 @@ TEST(PrecomputedCostModel, MatchesLutModelOnEveryNodeProcAndEdge) {
     for (const Processor& p : system.processors()) {
       EXPECT_EQ(fast.exec_time_ms(graph, n, p), base.exec_time_ms(graph, n, p));
     }
-    for (dag::NodeId s : graph.successors(n)) {
+    const auto& succs = graph.successors(n);
+    for (std::size_t k = 0; k < succs.size(); ++k) {
+      const TimeMs* matrix = fast.out_edge_transfers(n, k);
       for (const Processor& from : system.processors()) {
         for (const Processor& to : system.processors()) {
-          EXPECT_EQ(fast.transfer_time_ms(graph, n, s, from, to),
-                    base.transfer_time_ms(graph, n, s, from, to));
+          EXPECT_EQ(matrix[from.id * system.proc_count() + to.id],
+                    test::reference_transfer_ms(base, system, graph, n,
+                                                succs[k], from, to));
         }
       }
     }
@@ -55,7 +60,8 @@ TEST(PrecomputedCostModel, MeansMatchTheBaseSummedInProcessorOrder) {
       for (const Processor& from : procs) {
         for (const Processor& to : procs) {
           if (from.id != to.id)
-            comm_sum += base.transfer_time_ms(graph, n, succs[k], from, to);
+            comm_sum += test::reference_transfer_ms(base, system, graph, n,
+                                                    succs[k], from, to);
         }
       }
       EXPECT_EQ(fast.mean_transfer_ms(n, k),
@@ -107,20 +113,25 @@ TEST(PrecomputedCostModel, DenseHelperReusesOnlyATableThatCoversTheRun) {
   EXPECT_EQ(&storage->base(), &base);
 }
 
-TEST(PrecomputedCostModel, MatchesMatrixModelIncludingNonEdgePairs) {
+TEST(PrecomputedCostModel, MatchesMatrixModelOnEveryEdge) {
   const auto ex = test::topcuoglu_example();
   const System system = test::generic_system(3);
   const PrecomputedCostModel fast(ex.dag, system, *ex.cost);
   for (dag::NodeId a = 0; a < ex.dag.node_count(); ++a) {
-    for (dag::NodeId b = 0; b < ex.dag.node_count(); ++b) {
-      if (a == b) continue;
-      // Includes (a, b) pairs that are NOT edges: the adapter must agree
-      // with the base (which answers 0 for unknown pairs) via fallback.
-      EXPECT_EQ(fast.transfer_time_ms(ex.dag, a, b, system.processor(0),
-                                      system.processor(1)),
-                ex.cost->transfer_time_ms(ex.dag, a, b, system.processor(0),
-                                          system.processor(1)));
+    const auto& succs = ex.dag.successors(a);
+    for (std::size_t k = 0; k < succs.size(); ++k) {
+      EXPECT_EQ(fast.out_edge_index(a, succs[k]), k);
+      const TimeMs* matrix = fast.out_edge_transfers(a, k);
+      for (const Processor& from : system.processors()) {
+        for (const Processor& to : system.processors()) {
+          EXPECT_EQ(matrix[from.id * system.proc_count() + to.id],
+                    test::reference_transfer_ms(*ex.cost, system, ex.dag, a,
+                                                succs[k], from, to));
+        }
+      }
     }
+    // Not an edge: the index is one past the last out-edge.
+    EXPECT_EQ(fast.out_edge_index(a, a), succs.size());
   }
 }
 
@@ -135,10 +146,10 @@ TEST(PrecomputedCostModel, ForeignDagFallsBackToBase) {
   // Queries about a dag the adapter never saw answer from the base model.
   EXPECT_EQ(fast.exec_time_ms(other, 0, system.processor(0)),
             base.exec_time_ms(other, 0, system.processor(0)));
-  EXPECT_EQ(fast.transfer_time_ms(other, 0, 1, system.processor(0),
-                                  system.processor(1)),
-            base.transfer_time_ms(other, 0, 1, system.processor(0),
-                                  system.processor(1)));
+  std::vector<TimeMs> row(system.proc_count());
+  fast.exec_row_ms(other, 1, system.processors(), row.data());
+  for (const Processor& p : system.processors())
+    EXPECT_EQ(row[p.id], base.exec_time_ms(other, 1, p));
 }
 
 TEST(PrecomputedCostModel, EngineRunsAreBitIdenticalWithAndWithoutWrapping) {

@@ -7,43 +7,6 @@
 namespace apt::sim {
 namespace {
 
-TEST(Interconnect, UniformRateEverywhere) {
-  Interconnect net(3, 4.0);
-  for (ProcId a = 0; a < 3; ++a) {
-    for (ProcId b = 0; b < 3; ++b) EXPECT_DOUBLE_EQ(net.rate_gbps(a, b), 4.0);
-  }
-}
-
-TEST(Interconnect, SameProcessorTransferIsFree) {
-  Interconnect net(3, 4.0);
-  EXPECT_DOUBLE_EQ(net.transfer_time_ms(1e9, 1, 1), 0.0);
-}
-
-TEST(Interconnect, TransferTimeMatchesRate) {
-  Interconnect net(2, 4.0);
-  // 4 GB/s == 4e6 bytes per ms; 8 MB should take 2 ms.
-  EXPECT_DOUBLE_EQ(net.transfer_time_ms(8e6, 0, 1), 2.0);
-  Interconnect fast(2, 8.0);
-  EXPECT_DOUBLE_EQ(fast.transfer_time_ms(8e6, 0, 1), 1.0);
-}
-
-TEST(Interconnect, PerPairOverride) {
-  Interconnect net(3, 4.0);
-  net.set_rate_gbps(0, 2, 16.0);
-  EXPECT_DOUBLE_EQ(net.rate_gbps(0, 2), 16.0);
-  EXPECT_DOUBLE_EQ(net.rate_gbps(2, 0), 4.0);  // directed
-  EXPECT_DOUBLE_EQ(net.transfer_time_ms(16e6, 0, 2), 1.0);
-}
-
-TEST(Interconnect, Validation) {
-  EXPECT_THROW(Interconnect(0, 4.0), std::invalid_argument);
-  EXPECT_THROW(Interconnect(2, 0.0), std::invalid_argument);
-  Interconnect net(2, 4.0);
-  EXPECT_THROW(net.set_rate_gbps(0, 1, -1.0), std::invalid_argument);
-  EXPECT_THROW(net.rate_gbps(0, 7), std::out_of_range);
-  EXPECT_THROW(net.transfer_time_ms(-5.0, 0, 1), std::invalid_argument);
-}
-
 TEST(SystemConfig, PaperDefaultIsCpuGpuFpga) {
   const SystemConfig cfg = SystemConfig::paper_default();
   ASSERT_EQ(cfg.processors.size(), 3u);
@@ -96,9 +59,26 @@ TEST(System, RejectsBadConfig) {
   EXPECT_THROW(System{bad_overhead}, std::invalid_argument);
 }
 
-TEST(System, InterconnectUsesConfiguredRate) {
-  const System sys(SystemConfig::paper_default(8.0));
-  EXPECT_DOUBLE_EQ(sys.interconnect().rate_gbps(0, 2), 8.0);
+TEST(System, RejectsALinkRateThatIsNotFiniteAndPositive) {
+  // Every LUT transfer divides its payload by the rate: an infinite rate
+  // used to pass and make every transfer free.
+  for (const double rate : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(System{SystemConfig::paper_default(rate)},
+                 std::invalid_argument)
+        << rate;
+    // Also on a contended topology, whose default bandwidth is the rate.
+    SystemConfig mesh = SystemConfig::paper_default(rate);
+    mesh.topology = net::parse_topology_spec("mesh:2x2");
+    try {
+      const System sys(mesh);
+      ADD_FAILURE() << "accepted link rate " << rate;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "System: link_rate_gbps must be finite and positive");
+    }
+  }
+  EXPECT_NO_THROW(System{SystemConfig::paper_default(1e-3)});
 }
 
 }  // namespace

@@ -36,6 +36,7 @@
 #include "core/stream_plan.hpp"
 #include "lut/synthetic.hpp"
 #include "net/topology.hpp"
+#include "reference_pricing.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/engine.hpp"
 #include "stream/stream_engine.hpp"
@@ -88,16 +89,16 @@ class ProbePolicy : public sim::Policy {
         EXPECT_EQ(ctx.input_transfer_ms(node, p), est.stall_ms);
 
         // Replicate the engine's predecessor scan from our own placement
-        // records: worst (max) edge via the policy-visible cost model,
-        // first maximum winning ties.
+        // records: worst (max) edge at the policy-visible cost model's
+        // reference price, first maximum winning ties.
         sim::TimeMs expected_stall = 0.0;
         sim::ProcId worst_from = p;
         for (const dag::NodeId pred : ctx.dag().predecessors(node)) {
           const auto it = placement_.find(pred);
           ASSERT_NE(it, placement_.end()) << "ready node with unplaced pred";
-          const sim::TimeMs edge = ctx.cost_model().transfer_time_ms(
-              ctx.dag(), pred, node, ctx.system().processor(it->second),
-              ctx.system().processor(p));
+          const sim::TimeMs edge = test::reference_transfer_ms(
+              ctx.cost_model(), ctx.system(), ctx.dag(), pred, node,
+              ctx.system().processor(it->second), ctx.system().processor(p));
           if (edge > expected_stall) {
             expected_stall = edge;
             worst_from = it->second;
