@@ -1,5 +1,5 @@
-// Ablation bench (ours, not in the thesis): isolates the design choices
-// DESIGN.md calls out.
+// Ablation bench (ours, not in the thesis): isolates four design choices
+// of APT and its queue-based baselines.
 //
 //  1. transfer-aware threshold  — APT's Eq. 8 comparison includes the input
 //     transfer time; the ablation drops it.

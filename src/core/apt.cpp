@@ -60,11 +60,11 @@ bool Apt::admits(const sim::SchedulerContext& ctx, dag::NodeId node,
                  sim::ProcId proc) {
   // decide() picks an optimal processor or an alternative whose priced
   // cost is within the threshold. Every transfer reading it prices with is
-  // at least stall_ms (total_ms adds queueing, quantile_ms a non-negative
-  // tail), and exec, x and stall_ms are fixed once the kernel is ready. So
-  // this stall-priced test, in decide()'s expression order, admits every
-  // processor decide() could pick: exactly those for APT, a superset for
-  // APT-C/Q and for the remaining-time check.
+  // at least stall_ms (total_ms adds queueing, APT-Q queueing times
+  // m_q > 0), and exec, x and stall_ms are fixed once the kernel is ready.
+  // So this stall-priced test, in decide()'s expression order, admits
+  // every processor decide() could pick: exactly those for APT, a superset
+  // for APT-C/Q and for the remaining-time check.
   const sim::TimeMs x = policies::min_exec_time_ms(ctx, node);
   const sim::TimeMs exec = ctx.exec_time_ms(node, proc);
   if (exec == x) return true;
@@ -98,8 +98,8 @@ bool Apt::decide(sim::SchedulerContext& ctx, dag::NodeId node) {
   for (const sim::ProcId proc : ctx.idle_processors()) {
     sim::TimeMs cost = ctx.exec_time_ms(node, proc) * mq;
     if (options_.rank_quantile > 0.0) {
-      cost += ctx.transfer_estimate(node, proc)
-                  .quantile_ms(options_.rank_quantile);
+      const sim::TransferEstimate est = ctx.transfer_estimate(node, proc);
+      cost += est.stall_ms + est.link_queueing_ms * mq;
     } else if (options_.comm_aware) {
       cost += ctx.transfer_estimate(node, proc).total_ms();
     } else if (options_.transfer_aware) {

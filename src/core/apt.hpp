@@ -22,10 +22,11 @@
 //    congested link stops looking free. Identical to APT on an ideal
 //    topology (the queueing term is always 0 there).
 //  * APT-Q (rank_quantile = q): tail-aware ranking under service-time
-//    noise. Costs become exec · m_q + quantile_ms(q) with m_q the
-//    q-quantile of the run's noise-multiplier mixture, and the threshold
-//    scales by the same m_q. With noise off m_q == 1 and quantile_ms ==
-//    total_ms, so APT-Q degenerates to APT-C bit-for-bit.
+//    noise. Costs become exec · m_q + stall_ms + link_queueing_ms · m_q
+//    with m_q the q-quantile of the run's noise-multiplier mixture, and
+//    the threshold scales by the same m_q: exec and queueing widen with
+//    the tail, the deterministic unloaded stall does not. With noise off
+//    m_q == 1, so APT-Q degenerates to APT-C bit-for-bit.
 #pragma once
 
 #include <optional>
@@ -54,8 +55,8 @@ struct AptOptions {
   bool comm_aware = false;
 
   /// Rank by the q-quantile of cost under the run's noise spec (0 =
-  /// disabled). Names the policy "APT-Q"; implies transfer pricing via
-  /// quantile_ms(q). Must be in [0, 1).
+  /// disabled). Names the policy "APT-Q"; implies backlog-aware transfer
+  /// pricing with the queueing term widened by m_q. Must be in [0, 1).
   double rank_quantile = 0.0;
 };
 

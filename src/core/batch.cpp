@@ -58,10 +58,6 @@ ExperimentPlan make_scenario_plan(const ScenarioSweepSpec& spec,
   ExperimentPlan plan;
   plan.policy_specs = std::move(policy_specs);
   plan.rates_gbps = std::move(rates_gbps);
-  spec.topology.validate();
-  plan.base_system.topology = spec.topology;
-  for (const net::TopologySpec& t : spec.topologies) t.validate();
-  plan.topologies = spec.topologies;
   plan.table = spec.synthetic ? lut::synthetic_lookup_table(*spec.synthetic)
                               : lut::paper_lookup_table();
   const dag::KernelPool pool = dag::KernelPool::from_lookup_table(plan.table);

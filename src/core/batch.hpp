@@ -129,7 +129,8 @@ struct BatchResult {
 };
 
 /// Axes of a scenario-cube sweep: workload families × seeded graphs ×
-/// platform. Expanded by make_scenario_plan into a concrete ExperimentPlan —
+/// platform. Expanded by make_scenario_plan into a concrete ExperimentPlan
+/// on the ideal fabric (set the plan's topology axis afterwards) —
 /// graphs are generated up-front on the calling thread, so BatchRunner's
 /// bit-identical-for-any-job-count guarantee extends to scenario sweeps.
 struct ScenarioSweepSpec {
@@ -150,17 +151,6 @@ struct ScenarioSweepSpec {
   /// pool come from synthetic_lookup_table(*synthetic); otherwise the
   /// paper's measured table.
   std::optional<lut::SyntheticLutSpec> synthetic;
-
-  /// Interconnect topology of the platform (src/net). Default ideal keeps
-  /// the uncontended behaviour; any other kind turns the scenario cube
-  /// into family × CCR × heterogeneity × topology, with the plan's rate
-  /// axis sweeping the fabric bandwidth when the spec's own bandwidth is 0.
-  net::TopologySpec topology;
-
-  /// Multi-topology axis: when non-empty, the plan sweeps these specs as
-  /// its outermost axis (ExperimentPlan::topologies) and `topology` above
-  /// is ignored. Single-element lists behave exactly like `topology`.
-  std::vector<net::TopologySpec> topologies;
 };
 
 /// Expands a scenario spec into a plan with graphs and table filled in.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -11,29 +12,33 @@ namespace apt::lut {
 
 namespace {
 
+/// Throws unless `value` is finite and `in_range`; `rule` names the knob.
+void check_knob(double value, bool in_range, const char* rule) {
+  if (!in_range || !std::isfinite(value))
+    throw std::invalid_argument(std::string("synthetic_lookup_table: ") + rule);
+}
+
 void check_spec(const SyntheticLutSpec& spec) {
   if (spec.kernel_count == 0)
     throw std::invalid_argument("synthetic_lookup_table: kernel_count >= 1");
   if (spec.sizes_per_kernel == 0)
     throw std::invalid_argument(
         "synthetic_lookup_table: sizes_per_kernel >= 1");
-  if (!(spec.heterogeneity >= 1.0))
-    throw std::invalid_argument(
-        "synthetic_lookup_table: heterogeneity must be >= 1");
-  if (!(spec.ccr >= 0.0))
-    throw std::invalid_argument("synthetic_lookup_table: ccr must be >= 0");
-  if (!(spec.mean_exec_ms > 0.0))
-    throw std::invalid_argument(
-        "synthetic_lookup_table: mean_exec_ms must be > 0");
-  if (!(spec.spread >= 1.0))
-    throw std::invalid_argument("synthetic_lookup_table: spread must be >= 1");
-  if (!(spec.link_rate_gbps > 0.0))
-    throw std::invalid_argument(
-        "synthetic_lookup_table: link_rate_gbps must be > 0");
-  if (!(spec.bytes_per_element > 0.0))
-    throw std::invalid_argument(
-        "synthetic_lookup_table: bytes_per_element must be > 0");
+  check_knob(spec.heterogeneity, spec.heterogeneity >= 1.0,
+             "heterogeneity must be finite and >= 1");
+  check_knob(spec.ccr, spec.ccr >= 0.0, "ccr must be finite and >= 0");
+  check_knob(spec.mean_exec_ms, spec.mean_exec_ms > 0.0,
+             "mean_exec_ms must be finite and > 0");
+  check_knob(spec.spread, spec.spread >= 1.0, "spread must be finite and >= 1");
+  check_knob(spec.link_rate_gbps, spec.link_rate_gbps > 0.0,
+             "link_rate_gbps must be finite and > 0");
+  check_knob(spec.bytes_per_element, spec.bytes_per_element > 0.0,
+             "bytes_per_element must be finite and > 0");
 }
+
+/// Rows below this many elements (2^53) keep an exact integer size in the
+/// double that every transfer price divides by the link rate.
+constexpr double kMaxRowElements = 0x1p53;
 
 // The fastest/middle/slowest row construction below assumes the three
 // processor categories of the thesis.
@@ -75,9 +80,14 @@ LookupTable synthetic_lookup_table(const SyntheticLutSpec& spec) {
       // processors).
       const double mean_time =
           (entry.time_ms[0] + entry.time_ms[1] + entry.time_ms[2]) / 3.0;
-      std::uint64_t size = static_cast<std::uint64_t>(std::llround(
-          spec.ccr * mean_time * spec.link_rate_gbps * 1e6 /
-          spec.bytes_per_element));
+      const double bytes = spec.ccr * mean_time * spec.link_rate_gbps * 1e6;
+      const double elements = bytes / spec.bytes_per_element;
+      if (!(elements < kMaxRowElements))
+        throw std::invalid_argument(
+            "synthetic_lookup_table: ccr x mean_exec_ms x link_rate_gbps x "
+            "1e6 / bytes_per_element calibrates a row of 2^53 elements or "
+            "more; lower ccr or link_rate_gbps");
+      std::uint64_t size = static_cast<std::uint64_t>(std::llround(elements));
       while (used_sizes.count(size) != 0) ++size;  // keys must be unique
       used_sizes.insert(size);
       entry.data_size = size;

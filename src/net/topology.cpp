@@ -179,7 +179,6 @@ Topology::Topology(const TopologySpec& spec, std::size_t proc_count,
   route_hops_.assign(p * p, 0);
   route_latency_ms_.assign(p * p, 0.0);
   route_bandwidth_gbps_.assign(p * p, 0.0);
-  route_bottleneck_.assign(p * p, kNoLink);
 
   if (spec_.kind == TopologyKind::Bus) {
     std::vector<LinkId> link_of(p * p, kNoLink);
@@ -441,7 +440,7 @@ void Topology::build_fattree() {
 }
 
 /// Also fills the per-pair head latency (summed per hop in route order)
-/// and bottleneck tables from the per-link values.
+/// and bottleneck-bandwidth tables from the per-link values.
 void Topology::flatten_routes(std::vector<std::vector<LinkId>> routes) {
   std::size_t total = 0;
   for (const auto& r : routes) total += r.size();
@@ -454,14 +453,13 @@ void Topology::flatten_routes(std::vector<std::vector<LinkId>> routes) {
     route_data_.insert(route_data_.end(), r.begin(), r.end());
     if (r.empty()) continue;
     TimeMs latency = 0.0;
-    LinkId bottleneck = r[0];
+    double bandwidth = bandwidth_gbps(r[0]);
     for (const LinkId l : r) {
       latency += latency_ms(l);
-      if (bandwidth_gbps(l) < bandwidth_gbps(bottleneck)) bottleneck = l;
+      bandwidth = std::min(bandwidth, bandwidth_gbps(l));
     }
     route_latency_ms_[pair] = latency;
-    route_bandwidth_gbps_[pair] = bandwidth_gbps(bottleneck);
-    route_bottleneck_[pair] = bottleneck;
+    route_bandwidth_gbps_[pair] = bandwidth;
   }
 }
 
@@ -510,10 +508,6 @@ TimeMs Topology::route_latency_ms(ProcId from, ProcId to) const {
 
 double Topology::route_bandwidth_gbps(ProcId from, ProcId to) const {
   return route_bandwidth_gbps_[pair_index(from, to)];
-}
-
-LinkId Topology::bottleneck_link(ProcId from, ProcId to) const {
-  return route_bottleneck_[pair_index(from, to)];
 }
 
 }  // namespace apt::net

@@ -168,12 +168,6 @@ class Topology {
   /// sharing under contention). Precomputed per pair.
   double route_bandwidth_gbps(ProcId from, ProcId to) const;
 
-  /// The from -> to route's bottleneck link: the minimum-bandwidth hop,
-  /// earliest in traversal order on ties — the link whose rate
-  /// route_bandwidth_gbps reports. kNoLink when the pair is local.
-  /// Precomputed per pair.
-  LinkId bottleneck_link(ProcId from, ProcId to) const;
-
  private:
   void build_single_hop_routes(const std::vector<LinkId>& link_of);
   void build_ring();
@@ -194,7 +188,6 @@ class Topology {
   std::vector<LinkId> route_data_;          ///< flattened route links
   std::vector<TimeMs> route_latency_ms_;    ///< [pair] head latency
   std::vector<double> route_bandwidth_gbps_;  ///< [pair] bottleneck rate
-  std::vector<LinkId> route_bottleneck_;    ///< [pair] bottleneck link
 };
 
 }  // namespace apt::net

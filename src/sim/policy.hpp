@@ -143,10 +143,10 @@ class SchedulerContext {
   /// unloaded stall — max over predecessors of the edge transfer time from
   /// the predecessor's actual processor, exactly the value the legacy
   /// scalar contract returned. Under a contended topology the engines
-  /// additionally fill link_queueing_ms / bottleneck_link from the live
-  /// TransferManager backlog (predicted drain of each route link's
-  /// in-flight bytes at current max-min rates), and the run's NoiseSpec
-  /// feeds quantile_ms. On an ideal topology only stall_ms is non-trivial.
+  /// additionally fill link_queueing_ms from the live TransferManager
+  /// backlog (predicted drain of each route link's in-flight bytes at
+  /// current max-min rates). On an ideal topology only stall_ms is
+  /// non-trivial.
   virtual TransferEstimate transfer_estimate(dag::NodeId node,
                                              ProcId proc) const = 0;
 
@@ -172,16 +172,14 @@ class SchedulerContext {
   /// wrapper for source compatibility: exactly
   /// transfer_estimate(node, proc).stall_ms. New code (and all in-tree
   /// policies) should call transfer_estimate() and pick the reading it
-  /// wants — stall_ms (comm-blind), total_ms() (backlog-aware), or
-  /// quantile_ms(q) (tail-aware).
+  /// wants — stall_ms (comm-blind) or total_ms() (backlog-aware).
   virtual TimeMs input_transfer_ms(dag::NodeId node, ProcId proc) const {
     return transfer_estimate(node, proc).stall_ms;
   }
 
   /// The run's service-time noise spec (a disabled spec when the run is
   /// noise-free). Quantile-planning policies combine it with
-  /// noise_quantile_multiplier to price tail risk; it is the same spec
-  /// transfer_estimate() embeds.
+  /// noise_quantile_multiplier to price tail risk.
   virtual const NoiseSpec& noise() const {
     static const NoiseSpec kDisabled;
     return kDisabled;

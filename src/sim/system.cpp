@@ -37,11 +37,20 @@ System::System(SystemConfig config)
       std::isinf(config_.bytes_per_element))
     throw std::invalid_argument(
         "System: bytes_per_element must be finite and positive");
-  if (config_.decision_overhead_ms < 0.0 || config_.dispatch_overhead_ms < 0.0)
-    throw std::invalid_argument("System: overheads must be non-negative");
+  // A NaN overhead would hang the engines and an infinite one schedule
+  // kernels at +inf; a non-finite power would make the energy non-finite.
+  const auto finite_non_negative = [](double x) {
+    return x >= 0.0 && std::isfinite(x);
+  };
+  if (!finite_non_negative(config_.decision_overhead_ms) ||
+      !finite_non_negative(config_.dispatch_overhead_ms))
+    throw std::invalid_argument(
+        "System: overheads must be finite and non-negative");
   for (std::size_t i = 0; i < lut::kNumProcTypes; ++i) {
-    if (config_.active_power_w[i] < 0.0 || config_.idle_power_w[i] < 0.0)
-      throw std::invalid_argument("System: powers must be non-negative");
+    if (!finite_non_negative(config_.active_power_w[i]) ||
+        !finite_non_negative(config_.idle_power_w[i]))
+      throw std::invalid_argument(
+          "System: powers must be finite and non-negative");
   }
   std::array<int, lut::kNumProcTypes> type_counter{};
   procs_.reserve(config_.processors.size());

@@ -62,8 +62,9 @@ struct SystemConfig {
 class System {
  public:
   /// Throws std::invalid_argument on an empty processor list, a link rate
-  /// or bytes_per_element that is not finite and > 0, negative overheads
-  /// or powers, or a topology the processor count cannot instantiate.
+  /// or bytes_per_element that is not finite and > 0, an overhead or power
+  /// that is not finite and >= 0, or a topology the processor count cannot
+  /// instantiate.
   explicit System(SystemConfig config);
 
   const SystemConfig& config() const noexcept { return config_; }

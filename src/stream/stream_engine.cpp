@@ -214,7 +214,6 @@ class EventCore final : public sim::SchedulerContext {
     observation_.queue_depth.set_window_start(options.warmup_ms);
     observation_.live_apps.set_window_start(options.warmup_ms);
     idle_cache_.reserve(system.proc_count());
-    worst_from_.resize(system.proc_count());
   }
 
   /// Open run to quiescence, then the stream metrics.
@@ -374,12 +373,9 @@ class EventCore final : public sim::SchedulerContext {
     APT_ASSERT(node_state_[slot].app != kNoApp && proc < proc_count_,
                "retired slot %u or unknown processor %u", slot, proc);
     sim::TransferEstimate est;
-    est.noise = options_.noise;
     const Adjacency& adj = adjacency_[slot];
-    sim::ProcId worst_from = proc;  // local: contributes no link
     for (std::uint32_t e = adj.pred_begin; e != adj.pred_end; ++e)
-      price_edge(pred_weight_[e], producer_proc(e), proc, est, worst_from);
-    pin_idle_bottleneck(worst_from, proc, est);
+      price_edge(pred_weight_[e], producer_proc(e), proc, est);
     return est;
   }
 
@@ -404,20 +400,14 @@ class EventCore final : public sim::SchedulerContext {
   void transfer_estimates(dag::NodeId slot,
                           sim::TransferEstimate* out) const override {
     APT_ASSERT(node_state_[slot].app != kNoApp, "retired slot %u", slot);
-    for (sim::ProcId p = 0; p < proc_count_; ++p) {
-      out[p] = sim::TransferEstimate{};
-      out[p].noise = options_.noise;
-      worst_from_[p] = p;
-    }
+    std::fill_n(out, proc_count_, sim::TransferEstimate{});
     const Adjacency& adj = adjacency_[slot];
     for (std::uint32_t e = adj.pred_begin; e != adj.pred_end; ++e) {
       const sim::ProcId from = producer_proc(e);
       const double weight = pred_weight_[e];
       for (sim::ProcId p = 0; p < proc_count_; ++p)
-        price_edge(weight, from, p, out[p], worst_from_[p]);
+        price_edge(weight, from, p, out[p]);
     }
-    for (sim::ProcId p = 0; p < proc_count_; ++p)
-      pin_idle_bottleneck(worst_from_[p], p, out[p]);
   }
 
   const sim::NoiseSpec& noise() const override { return options_.noise; }
@@ -470,35 +460,18 @@ class EventCore final : public sim::SchedulerContext {
   }
 
   /// Folds one in-edge, produced on `from`, into the estimate for `proc`:
-  /// the edge's unloaded price (the stall is the first maximum, so
-  /// `worst_from` names its producer), and on a contended fabric the
-  /// predicted drain of each link of its route at the current max-min rates
-  /// (tm_ is advanced to now_ before every policy pass). The most
-  /// backlogged link, first in hop order on ties, pins the estimate.
+  /// the edge's unloaded price, and on a contended fabric the predicted
+  /// drain of each link of its route at the current max-min rates (tm_ is
+  /// advanced to now_ before every policy pass).
   void price_edge(double weight, sim::ProcId from, sim::ProcId proc,
-                  sim::TransferEstimate& est, sim::ProcId& worst_from) const {
+                  sim::TransferEstimate& est) const {
     const sim::TimeMs edge = prices_.transfer_ms(weight, from, proc);
-    if (edge > est.stall_ms) {
-      est.stall_ms = edge;
-      worst_from = from;
-    }
+    if (edge > est.stall_ms) est.stall_ms = edge;
     if (!tm_) return;
     for (const net::LinkId l : topology_.route(from, proc)) {
       const sim::TimeMs drain = tm_->link_drain_ms(l);
-      if (drain > est.link_queueing_ms) {
-        est.link_queueing_ms = drain;
-        est.bottleneck_link = l;
-      }
+      if (drain > est.link_queueing_ms) est.link_queueing_ms = drain;
     }
-  }
-
-  /// Idle fabric (or ideal topology): pins the estimate to the unloaded
-  /// bottleneck of the worst input's route; kNoLink when that is local.
-  void pin_idle_bottleneck(sim::ProcId worst_from, sim::ProcId proc,
-                           sim::TransferEstimate& est) const {
-    if (est.bottleneck_link == net::kNoLink && contended_ &&
-        worst_from != proc)
-      est.bottleneck_link = topology_.bottleneck_link(worst_from, proc);
   }
 
   /// The per-slot state every run reads. Admission writes one per kernel,
@@ -1587,8 +1560,6 @@ class EventCore final : public sim::SchedulerContext {
   /// Cached available set, rebuilt on demand after processor-state changes.
   mutable std::vector<sim::ProcId> idle_cache_;
   mutable bool idle_dirty_ = true;
-  /// transfer_estimates' per-processor worst-input producer, reused.
-  mutable std::vector<sim::ProcId> worst_from_;
   /// A processor may be free with a non-empty queue: drain_queues() scans.
   bool drain_due_ = false;
 

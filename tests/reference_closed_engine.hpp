@@ -292,9 +292,7 @@ class ReferenceClosedEngine::Context final : public SchedulerContext {
   TransferEstimate transfer_estimate(dag::NodeId node,
                                      ProcId proc) const override {
     TransferEstimate est;
-    est.noise = noise_;
     const Processor& to = system_.processor(proc);
-    ProcId worst_from = proc;  // local: contributes no link
     for (const dag::NodeId pred : dag_.predecessors(node)) {
       const ScheduledKernel& rec = node_state_[pred].record;
       APT_ASSERT(rec.proc != kInvalidProc,
@@ -303,28 +301,16 @@ class ReferenceClosedEngine::Context final : public SchedulerContext {
       // stall_ms is bit-identical to the legacy scalar.
       const TimeMs edge = test::reference_transfer_ms(
           cost_, system_, dag_, pred, node, system_.processor(rec.proc), to);
-      if (edge > est.stall_ms) {
-        est.stall_ms = edge;
-        worst_from = rec.proc;
-      }
+      if (edge > est.stall_ms) est.stall_ms = edge;
       if (!tm_) continue;
       // Backlog scan: predicted drain of each route link's in-flight
       // traffic at the current max-min rates (tm_ is advanced to now_
-      // before every policy pass). The most backlogged link across the
-      // predecessor routes pins the estimate.
+      // before every policy pass).
       for (const net::LinkId l : topology_.route(rec.proc, proc)) {
         const TimeMs drain = tm_->link_drain_ms(l);
-        if (drain > est.link_queueing_ms) {
-          est.link_queueing_ms = drain;
-          est.bottleneck_link = l;
-        }
+        if (drain > est.link_queueing_ms) est.link_queueing_ms = drain;
       }
     }
-    // Idle fabric (or ideal topology): pin the estimate to the unloaded
-    // bottleneck of the worst predecessor's route, kNoLink when local.
-    if (est.bottleneck_link == net::kNoLink && contended_ &&
-        worst_from != proc)
-      est.bottleneck_link = topology_.bottleneck_link(worst_from, proc);
     return est;
   }
 

@@ -3,10 +3,13 @@
 // APT-Ranked as the sorted scan it ran before it moved onto the index, and
 // AG / AG-net pricing each (kernel, processor) pair with its own scalar
 // transfer_estimate query, the way AG ran before the row queries. The
-// scans below are the old on_event bodies word for word; the equivalence
-// suite asserts the shipped policies reproduce them bit for bit. Ranks come
-// from the frozen planners (reference_static_planners.hpp), so the
-// references stay frozen while the shipped planners change.
+// scans below are the old on_event bodies word for word, except that
+// APT-Q's tail price (once TransferEstimate::quantile_ms) is spelled out
+// inline and recomputes the quantile multiplier per candidate; the
+// equivalence suite asserts the shipped policies reproduce them bit for
+// bit. Ranks come from the frozen planners
+// (reference_static_planners.hpp), so the references stay frozen while
+// the shipped planners change.
 #pragma once
 
 #include <algorithm>
@@ -98,8 +101,10 @@ class ReferenceApt final : public sim::Policy {
       for (const sim::ProcId proc : ctx.idle_processors()) {
         sim::TimeMs cost = ctx.exec_time_ms(node, proc) * mq;
         if (options_.rank_quantile > 0.0) {
-          cost += ctx.transfer_estimate(node, proc)
-                      .quantile_ms(options_.rank_quantile);
+          const sim::TransferEstimate est = ctx.transfer_estimate(node, proc);
+          const double tail = sim::noise_quantile_multiplier(
+              ctx.noise(), options_.rank_quantile);
+          cost += est.stall_ms + est.link_queueing_ms * tail;
         } else if (options_.comm_aware) {
           cost += ctx.transfer_estimate(node, proc).total_ms();
         } else if (options_.transfer_aware) {

@@ -5,9 +5,12 @@
 #include <sys/wait.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "dag/generator.hpp"
 #include "dag/serialize.hpp"
@@ -380,6 +383,20 @@ TEST(Cli, RunFamilyHonoursTheSyntheticPlatformFlags) {
   std::filesystem::remove(synth);
 }
 
+TEST(Cli, SyntheticPlatformsWithOverflowingRowsFail) {
+  // Each exited 0: the first two wrote `node 0 syn3 9223372036854775809`
+  // (the row size rounding overflowed), the third printed a makespan of
+  // 9223372037311.246 ms.
+  for (const std::string args :
+       {"gen --family layered --kernels 3 --ccr 1 --rate inf",
+        "gen --family layered --kernels 3 --ccr 1e300",
+        "run --policy met --family layered --kernels 3 --ccr inf"}) {
+    const int status = run_cli(args);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << args;
+  }
+}
+
 TEST(Cli, FamiliesListsTheRegistry) {
   const std::string out = ::testing::TempDir() + "/aptsim_families.txt";
   ASSERT_EQ(run_cli("families", out), 0);
@@ -558,41 +575,84 @@ TEST(Cli, PoliciesTypoGetsDidYouMean) {
   }
 }
 
+/// The arguments of every aptsim command in the fenced code blocks of
+/// `doc` (a path under the source tree), continuation lines joined.
+std::vector<std::string> documented_commands(const std::string& doc) {
+  std::istringstream in(slurp(std::string(APTSIM_SOURCE_DIR) + "/" + doc));
+  std::vector<std::string> commands;
+  std::string line;
+  std::string command;
+  bool fenced = false;
+  bool continued = false;
+  while (std::getline(in, line)) {
+    if (line.rfind("```", 0) == 0) fenced = !fenced;
+    if (!fenced) continue;
+    std::string program;
+    std::istringstream(line) >> program;
+    if (continued) {
+      command += " " + line;
+    } else if (program == "aptsim" ||
+               apt::util::ends_with(program, "/aptsim")) {
+      command = line.substr(line.find(program) + program.size());
+    } else {
+      continue;
+    }
+    continued = !command.empty() && command.back() == '\\';
+    if (continued) {
+      command.pop_back();
+      continue;
+    }
+    commands.push_back(command);
+  }
+  return commands;
+}
+
 TEST(Cli, DocumentedCommandsParse) {
   // Every aptsim command in the READMEs' fenced code blocks declares each
   // option it passes, once and with its value. `--help` parses the whole
   // command line before printing, so nothing runs.
   for (const std::string doc : {"README.md", "results/README.md"}) {
-    std::istringstream in(slurp(std::string(APTSIM_SOURCE_DIR) + "/" + doc));
-    std::string line;
-    std::string command;
-    bool fenced = false;
-    bool continued = false;
-    std::size_t commands = 0;
-    while (std::getline(in, line)) {
-      if (line.rfind("```", 0) == 0) fenced = !fenced;
-      if (!fenced) continue;
-      std::string program;
-      std::istringstream(line) >> program;
-      if (continued) {
-        command += " " + line;
-      } else if (program == "aptsim" ||
-                 apt::util::ends_with(program, "/aptsim")) {
-        command = line.substr(line.find(program) + program.size());
-      } else {
-        continue;
-      }
-      continued = !command.empty() && command.back() == '\\';
-      if (continued) {
-        command.pop_back();
-        continue;
-      }
+    const std::vector<std::string> commands = documented_commands(doc);
+    for (const std::string& command : commands)
       EXPECT_EQ(run_cli(command + " --help"), 0)
           << doc << ": aptsim" << command;
-      ++commands;
-    }
-    EXPECT_GT(commands, 0u) << doc;
+    EXPECT_FALSE(commands.empty()) << doc;
   }
+}
+
+TEST(Cli, ResultsMatchTheirRegenerationCommands) {
+  // Each command of results/README.md runs with its results/ outputs
+  // redirected to the test's temporary directory and must reproduce the
+  // checked-in bytes: the only byte-level check of the ring and fattree
+  // fabrics, of AG-net and APT-C under contention, and of a stream run's
+  // Perfetto trace. If a change is meant to move them, regenerate with the
+  // README.
+  const std::string source = std::string(APTSIM_SOURCE_DIR) + "/";
+  const std::string prefix = ::testing::TempDir() + "/aptsim_results_";
+  std::size_t artifacts = 0;
+  for (const std::string& documented :
+       documented_commands("results/README.md")) {
+    std::string command = documented;
+    std::vector<std::string> files;
+    for (std::size_t at = command.find(" results/"); at != std::string::npos;
+         at = command.find(" results/", at)) {
+      const std::size_t begin = at + std::strlen(" results/");
+      files.push_back(command.substr(begin, command.find(' ', begin) - begin));
+      command.replace(at + 1, std::strlen("results/"), prefix);
+    }
+    ASSERT_FALSE(files.empty()) << command;
+    ASSERT_EQ(run_cli(command, "/dev/null"), 0) << command;
+    for (const std::string& file : files) {
+      const std::string expected = slurp(source + "results/" + file);
+      ASSERT_FALSE(expected.empty()) << "missing results/" << file;
+      // Not EXPECT_EQ: a failure would print both files in full.
+      EXPECT_TRUE(slurp(prefix + file) == expected)
+          << "results/" << file << " differs from: aptsim" << documented;
+      std::filesystem::remove(prefix + file);
+      ++artifacts;
+    }
+  }
+  EXPECT_EQ(artifacts, 3u);
 }
 
 TEST(Cli, VersionPrintsBuildInfo) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "dag/generator.hpp"
 
 namespace apt::lut {
@@ -104,6 +107,63 @@ TEST(SyntheticLut, RejectsOutOfRangeParameters) {
   bad([](SyntheticLutSpec& s) { s.link_rate_gbps = 0.0; });
   bad([](SyntheticLutSpec& s) { s.bytes_per_element = 0.0; });
   EXPECT_THROW(mean_ccr(LookupTable(), 0.0), std::invalid_argument);
+}
+
+/// Expects `spec` to be rejected with a message that names `knob`.
+void expect_rejected_naming(const SyntheticLutSpec& spec, const char* knob) {
+  try {
+    synthetic_lookup_table(spec);
+    ADD_FAILURE() << knob << " accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(knob), std::string::npos) << e.what();
+  }
+}
+
+TEST(SyntheticLut, RejectsNonFiniteKnobsNamingThem) {
+  // An infinite ccr or link rate used to overflow the row-size rounding
+  // into a garbage size and a makespan of 9e12 ms.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double x : {inf, nan}) {
+    SyntheticLutSpec spec;
+    spec.heterogeneity = x;
+    expect_rejected_naming(spec, "heterogeneity");
+    spec = SyntheticLutSpec{};
+    spec.ccr = x;
+    expect_rejected_naming(spec, "ccr");
+    spec = SyntheticLutSpec{};
+    spec.mean_exec_ms = x;
+    expect_rejected_naming(spec, "mean_exec_ms");
+    spec = SyntheticLutSpec{};
+    spec.spread = x;
+    expect_rejected_naming(spec, "spread");
+    spec = SyntheticLutSpec{};
+    spec.link_rate_gbps = x;
+    expect_rejected_naming(spec, "link_rate_gbps");
+    spec = SyntheticLutSpec{};
+    spec.bytes_per_element = x;
+    expect_rejected_naming(spec, "bytes_per_element");
+  }
+}
+
+TEST(SyntheticLut, RejectsRowSizesPastExactIntegers) {
+  // One row time of exactly 100 ms: the row is ccr x 1e8 elements at the
+  // default 4 GB/s and 4 bytes per element, and 2^53 ~ 9.007e15.
+  SyntheticLutSpec spec;
+  spec.kernel_count = 1;
+  spec.sizes_per_kernel = 1;
+  spec.heterogeneity = 1.0;
+  spec.spread = 1.0;
+  spec.ccr = 9e7;
+  EXPECT_EQ(synthetic_lookup_table(spec).entries().front().data_size,
+            9000000000000000u);
+  for (const double ccr : {1e8, 1e300}) {
+    spec.ccr = ccr;
+    EXPECT_THROW(synthetic_lookup_table(spec), std::invalid_argument) << ccr;
+  }
+  spec.ccr = 1.0;
+  spec.link_rate_gbps = 1e300;
+  EXPECT_THROW(synthetic_lookup_table(spec), std::invalid_argument);
 }
 
 }  // namespace

@@ -69,10 +69,7 @@ TEST(Topology, IdealHasNoLinksAndIsUncontended) {
   EXPECT_FALSE(topo.contended());
   EXPECT_EQ(topo.link_count(), 0u);
   for (ProcId a = 0; a < 3; ++a)
-    for (ProcId b = 0; b < 3; ++b) {
-      EXPECT_TRUE(topo.is_local(a, b));
-      EXPECT_EQ(topo.bottleneck_link(a, b), kNoLink);
-    }
+    for (ProcId b = 0; b < 3; ++b) EXPECT_TRUE(topo.is_local(a, b));
 }
 
 TEST(Topology, BusSharesOneLink) {
@@ -301,37 +298,10 @@ TEST(Topology, FatTreeClimbsToTheLowestCommonAncestor) {
   EXPECT_EQ(flat.diameter_hops(), 2u);
 }
 
-TEST(Topology, BottleneckLinkFollowsTheTransferTimeConvention) {
-  // Uniform bandwidths: the minimum-bandwidth hop is a tie, and the
-  // convention picks the earliest hop in traversal order — the first route
-  // link.
-  TopologySpec spec = parse_topology_spec("ring");
-  spec.bandwidth_gbps = 4.0;
-  spec.latency_ms = 0.5;
-  const Topology topo(spec, 6, 4.0);
-  for (ProcId from = 0; from < 6; ++from) {
-    for (ProcId to = 0; to < 6; ++to) {
-      const LinkId b = topo.bottleneck_link(from, to);
-      const Topology::Route r = topo.route(from, to);
-      if (r.empty()) {
-        EXPECT_EQ(b, kNoLink);
-        continue;
-      }
-      EXPECT_EQ(b, r[0]);
-      // Consistency with the pricing convention: the route's rate is the
-      // bottleneck link's bandwidth.
-      EXPECT_EQ(topo.route_bandwidth_gbps(from, to), topo.bandwidth_gbps(b));
-    }
-  }
-  // Ideal topologies have no links at all.
-  const Topology ideal(TopologySpec{}, 4, 4.0);
-  EXPECT_EQ(ideal.bottleneck_link(0, 1), kNoLink);
-}
-
-// The per-pair latency and bottleneck tables must equal, bit for bit, the
-// per-hop loops they replaced, which this test keeps as its reference:
-// latency summed hop by hop in route order from 0, the earliest
-// minimum-bandwidth hop, and its rate.
+// The per-pair latency and bottleneck-bandwidth tables must equal, bit for
+// bit, the per-hop loops they replaced, which this test keeps as its
+// reference: latency summed hop by hop in route order from 0, and the
+// minimum hop bandwidth.
 TEST(Topology, PairTablesMatchThePerHopLoopsBitwise) {
   struct Shape {
     const char* spec;
@@ -350,31 +320,25 @@ TEST(Topology, PairTablesMatchThePerHopLoopsBitwise) {
       for (ProcId to = 0; to < procs; ++to) {
         const Topology::Route r = topo.route(from, to);
         TimeMs latency = 0.0;
-        LinkId best = kNoLink;
         double bottleneck = 0.0;
         if (!r.empty()) {
-          best = r[0];
           bottleneck = topo.bandwidth_gbps(r[0]);
           for (const LinkId l : r) {
             latency += topo.latency_ms(l);
             bottleneck = std::min(bottleneck, topo.bandwidth_gbps(l));
-            if (topo.bandwidth_gbps(l) < topo.bandwidth_gbps(best)) best = l;
           }
         }
         EXPECT_EQ(topo.route_latency_ms(from, to), latency)
-            << shape.spec << " " << from << "->" << to;
-        EXPECT_EQ(topo.bottleneck_link(from, to), best)
             << shape.spec << " " << from << "->" << to;
         EXPECT_EQ(topo.route_bandwidth_gbps(from, to), bottleneck)
             << shape.spec << " " << from << "->" << to;
       }
     }
-    // Local pairs are free and have no bottleneck.
+    // Local pairs are free.
     EXPECT_EQ(topo.route_latency_ms(1, 1), 0.0) << shape.spec;
-    EXPECT_EQ(topo.bottleneck_link(1, 1), kNoLink) << shape.spec;
     // The lookups keep the range check.
     EXPECT_THROW(topo.route_latency_ms(procs, 0), std::out_of_range);
-    EXPECT_THROW(topo.bottleneck_link(0, procs), std::out_of_range);
+    EXPECT_THROW(topo.route_latency_ms(0, procs), std::out_of_range);
     EXPECT_THROW(topo.route_bandwidth_gbps(procs, 0), std::out_of_range);
   }
 }

@@ -9,7 +9,10 @@
 //               apt-ranked:1e6 in the closed engine only (it plans from
 //               the whole DAG, so the stream engine rejects it)
 //   topologies  ideal, ring:6, mesh:2x3 (six processors, 1 GB/s links)
-//   noise       off everywhere, plus noise with hedging on the ideal one
+//   noise       off everywhere, plus noise with hedging on the ideal one,
+//               and noise without hedging on ring:6 (closed) and mesh:2x3
+//               (stream) for apt-c, apt-q and ag-net, where link queueing
+//               is priced and APT-Q widens it by its tail multiplier
 //   engines     sim::Engine on paper graphs with release offsets, and a
 //               saturated StreamEngine burst long enough to reuse retired
 //               slot ranges.
@@ -108,6 +111,16 @@ std::vector<Variant> variants(bool closed) {
                     }});
   }
   return grid;
+}
+
+/// The policies that price link queueing (APT-C, APT-Q and AG-net).
+const std::vector<std::string> kCommAware = {"apt-c", "apt-q", "ag-net"};
+
+/// Whether a grid cell restricted to the labels in `only` (every policy
+/// when empty) runs `v`.
+bool runs(const std::vector<std::string>& only, const Variant& v) {
+  return only.empty() ||
+         std::find(only.begin(), only.end(), v.label) != only.end();
 }
 
 /// Two of each paper processor type, so every kernel has two optimal
@@ -266,15 +279,18 @@ std::vector<dag::Dag> closed_workload() {
   return graphs;
 }
 
-/// Runs the grid and returns the number of hedges launched.
+/// Runs the grid (the policies in `only`, or all) and returns the number
+/// of hedges launched.
 std::size_t check_closed(const std::string& topology,
-                         const sim::EngineOptions& options) {
+                         const sim::EngineOptions& options,
+                         const std::vector<std::string>& only = {}) {
   const sim::System system = six_proc_system(topology);
   const sim::LutCostModel cost(lut::paper_lookup_table(), system);
   const std::vector<dag::Dag> graphs = closed_workload();
   std::size_t alternatives = 0;
   std::size_t hedges = 0;
   for (const Variant& v : variants(/*closed=*/true)) {
+    if (!runs(only, v)) continue;
     for (std::size_t g = 0; g < graphs.size(); ++g) {
       const std::string where =
           topology + "/" + v.label + "/graph " + std::to_string(g);
@@ -312,6 +328,12 @@ TEST(ReadyIndexEquivalence, ClosedEngineNoiseAndHedging) {
   options.noise = noisy();
   options.hedging = hedged();
   EXPECT_GT(check_closed("ideal", options), 0u);
+}
+
+TEST(ReadyIndexEquivalence, ClosedEngineNoiseOnContendedRing) {
+  sim::EngineOptions options;
+  options.noise = noisy();
+  check_closed("ring:6", options, kCommAware);
 }
 
 // --- rejected visits -----------------------------------------------------------
@@ -423,13 +445,16 @@ dag::Dag burst_app(std::size_t k) {
                           k % 5);
 }
 
-/// Runs the grid and returns the number of hedges launched.
+/// Runs the grid (the policies in `only`, or all) and returns the number
+/// of hedges launched.
 std::size_t check_stream(const std::string& topology,
-                         const stream::StreamOptions& options) {
+                         const stream::StreamOptions& options,
+                         const std::vector<std::string>& only = {}) {
   const sim::System system = six_proc_system(topology);
   const sim::LutCostModel cost(lut::paper_lookup_table(), system);
   std::size_t hedges = 0;
   for (const Variant& v : variants(/*closed=*/false)) {
+    if (!runs(only, v)) continue;
     const std::string where = topology + "/" + v.label;
     const auto indexed = v.indexed();
     const auto reference = v.reference();
@@ -468,6 +493,12 @@ TEST(ReadyIndexEquivalence, StreamBurstNoiseAndHedging) {
   options.noise = noisy();
   options.hedging = hedged();
   EXPECT_GT(check_stream("ideal", options), 0u);
+}
+
+TEST(ReadyIndexEquivalence, StreamBurstNoiseOnContendedMesh) {
+  stream::StreamOptions options = burst_options(8, 6);
+  options.noise = noisy();
+  check_stream("mesh:2x3", options, kCommAware);
 }
 
 }  // namespace

@@ -59,6 +59,48 @@ TEST(System, RejectsBadConfig) {
   EXPECT_THROW(System{bad_overhead}, std::invalid_argument);
 }
 
+// A NaN decision or dispatch overhead hung sim::Engine::run, and an
+// infinite one returned an infinite makespan whose schedule failed
+// validation; a NaN or infinite power made the energy NaN or infinite.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+TEST(System, RejectsADecisionOverheadThatIsNotFiniteAndNonNegative) {
+  for (const double x : {-1.0, kInf, kNan}) {
+    SystemConfig cfg = SystemConfig::paper_default();
+    cfg.decision_overhead_ms = x;
+    EXPECT_THROW(System{cfg}, std::invalid_argument) << x;
+  }
+}
+
+TEST(System, RejectsADispatchOverheadThatIsNotFiniteAndNonNegative) {
+  for (const double x : {-1.0, kInf, kNan}) {
+    SystemConfig cfg = SystemConfig::paper_default();
+    cfg.dispatch_overhead_ms = x;
+    EXPECT_THROW(System{cfg}, std::invalid_argument) << x;
+  }
+}
+
+TEST(System, RejectsAnActivePowerThatIsNotFiniteAndNonNegative) {
+  for (std::size_t type = 0; type < lut::kNumProcTypes; ++type) {
+    for (const double x : {-1.0, kInf, kNan}) {
+      SystemConfig cfg = SystemConfig::paper_default();
+      cfg.active_power_w[type] = x;
+      EXPECT_THROW(System{cfg}, std::invalid_argument) << type << " " << x;
+    }
+  }
+}
+
+TEST(System, RejectsAnIdlePowerThatIsNotFiniteAndNonNegative) {
+  for (std::size_t type = 0; type < lut::kNumProcTypes; ++type) {
+    for (const double x : {-1.0, kInf, kNan}) {
+      SystemConfig cfg = SystemConfig::paper_default();
+      cfg.idle_power_w[type] = x;
+      EXPECT_THROW(System{cfg}, std::invalid_argument) << type << " " << x;
+    }
+  }
+}
+
 TEST(System, RejectsALinkRateThatIsNotFiniteAndPositive) {
   // Every LUT transfer divides its payload by the rate: an infinite rate
   // used to pass and make every transfer free.
