@@ -51,6 +51,7 @@ Dag make_type1(const std::vector<Node>& series) {
   if (series.size() < 2)
     throw std::invalid_argument("make_type1: need at least 2 kernels");
   Dag dag;
+  dag.reserve(series.size());
   for (const Node& n : series) dag.add_node(n);
   const NodeId sink = static_cast<NodeId>(series.size() - 1);
   for (NodeId i = 0; i < sink; ++i) dag.add_edge(i, sink);
@@ -74,6 +75,7 @@ std::array<std::size_t, 3> type2_block_widths(std::size_t n) {
 Dag make_type2(const std::vector<Node>& series) {
   const auto widths = type2_block_widths(series.size());
   Dag dag;
+  dag.reserve(series.size());
   std::size_t next = 0;
   auto take = [&] {
     return dag.add_node(series.at(next++));
@@ -177,6 +179,7 @@ Dag random_layered_dag(std::size_t n, std::size_t layers, double edge_prob,
   util::Rng rng(seed ^ 0xD1B54A32D192ED03ULL);
 
   Dag dag;
+  dag.reserve(n);
   for (const Node& node : series) dag.add_node(node);
 
   // Assign nodes to layers in id order so edges always point forward.
@@ -194,8 +197,9 @@ Dag random_layered_dag(std::size_t n, std::size_t layers, double edge_prob,
       // Extra edges from any earlier layer.
       for (std::size_t pl = 0; pl < l; ++pl) {
         for (const NodeId cand : by_layer[pl]) {
-          if (cand != parent && !dag.has_edge(cand, node) &&
-              rng.bernoulli(edge_prob))
+          // No duplicate check: each earlier node comes up once per `node`,
+          // and the parent, whose edge is already in, is skipped.
+          if (cand != parent && rng.bernoulli(edge_prob))
             dag.add_edge(cand, node);
         }
       }
@@ -210,6 +214,7 @@ Dag make_fork_join(const std::vector<Node>& series, std::uint64_t seed) {
     throw std::invalid_argument("make_fork_join: need at least 2 kernels");
   util::Rng rng(seed ^ 0xF02C9A11B3D5E7A1ULL);
   Dag dag;
+  dag.reserve(n);
   std::size_t next = 0;
   auto take = [&] { return dag.add_node(series.at(next++)); };
 
@@ -287,6 +292,7 @@ Dag make_in_tree(const std::vector<Node>& series, std::uint64_t seed,
   check_tree_args("make_in_tree", n, branching);
   util::Rng rng(seed ^ 0x1E7EE5A9C3B1D2F5ULL);
   Dag dag;
+  dag.reserve(n);
   for (const Node& node : series) dag.add_node(node);
   // Walk the ids backwards from the root (the last node): every earlier
   // node attaches to one uniformly chosen later node that still has spare
@@ -305,6 +311,7 @@ Dag make_out_tree(const std::vector<Node>& series, std::uint64_t seed,
   check_tree_args("make_out_tree", n, branching);
   util::Rng rng(seed ^ 0x0D7B3E91A5C4F263ULL);
   Dag dag;
+  dag.reserve(n);
   for (const Node& node : series) dag.add_node(node);
   OpenSet open(n, 0, branching);
   for (std::size_t i = 1; i < n; ++i) {
@@ -330,6 +337,7 @@ Dag make_cholesky(const std::vector<Node>& series) {
   const std::size_t n = series.size();
   const std::size_t tiles = cholesky_tiles_for(n);
   Dag dag;
+  dag.reserve(n);
   std::size_t next = 0;
   auto take = [&] { return dag.add_node(series.at(next++)); };
   // Last task that wrote tile (i, j), i >= j, of the lower triangle.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 
 #include "lut/lookup_table.hpp"
@@ -28,6 +29,12 @@ NodeId Dag::add_node(std::string kernel, std::uint64_t data_size,
 
 NodeId Dag::add_node(const Node& node) {
   return add_node(node.kernel, node.data_size, node.release_ms);
+}
+
+void Dag::reserve(std::size_t nodes) {
+  nodes_.reserve(nodes);
+  succ_runs_.reserve(nodes);
+  pred_runs_.reserve(nodes);
 }
 
 void Dag::set_release_ms(NodeId id, double release_ms) {
@@ -115,6 +122,13 @@ std::vector<NodeId> Dag::exit_nodes() const {
 }
 
 std::vector<NodeId> Dag::topological_order() const {
+  // With forward edges only, node i's predecessors all lie below i: once
+  // 0 .. i-1 are out, i is the smallest ready id.
+  if (forward_) {
+    std::vector<NodeId> order(nodes_.size());
+    std::iota(order.begin(), order.end(), NodeId{0});
+    return order;
+  }
   std::vector<std::size_t> indeg(nodes_.size());
   for (NodeId i = 0; i < nodes_.size(); ++i) indeg[i] = pred_runs_[i].size;
   // Min-id-first frontier keeps the order deterministic.

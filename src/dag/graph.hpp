@@ -88,6 +88,10 @@ class Dag {
                   double release_ms = 0.0);
   NodeId add_node(const Node& node);
 
+  /// Makes room for `nodes` nodes in the node table and both run tables,
+  /// so a builder that knows its size allocates each of them once.
+  void reserve(std::size_t nodes);
+
   /// Sets a node's release time after construction (workload shapers).
   /// Throws std::invalid_argument on an unknown id or a release time that
   /// is negative or not finite.
@@ -121,7 +125,9 @@ class Dag {
   std::vector<NodeId> exit_nodes() const;
 
   /// A topological order (Kahn's algorithm, ties broken by ascending id —
-  /// deterministic). The graph is acyclic by construction.
+  /// deterministic). The graph is acyclic by construction. While every edge
+  /// points from a lower id to a higher one that order is 0 .. n-1, which
+  /// is returned without the search.
   std::vector<NodeId> topological_order() const;
 
   /// Longest path length counted in *nodes* (levels); 0 for an empty graph.

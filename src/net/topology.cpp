@@ -178,7 +178,6 @@ Topology::Topology(const TopologySpec& spec, std::size_t proc_count,
   route_begin_.assign(p * p, 0);
   route_hops_.assign(p * p, 0);
   route_latency_ms_.assign(p * p, 0.0);
-  route_bandwidth_gbps_.assign(p * p, 0.0);
 
   if (spec_.kind == TopologyKind::Bus) {
     std::vector<LinkId> link_of(p * p, kNoLink);
@@ -439,8 +438,8 @@ void Topology::build_fattree() {
   flatten_routes(std::move(routes));
 }
 
-/// Also fills the per-pair head latency (summed per hop in route order)
-/// and bottleneck-bandwidth tables from the per-link values.
+/// Also fills the per-pair head latency table (summed per hop in route
+/// order) from the per-link values.
 void Topology::flatten_routes(std::vector<std::vector<LinkId>> routes) {
   std::size_t total = 0;
   for (const auto& r : routes) total += r.size();
@@ -451,15 +450,9 @@ void Topology::flatten_routes(std::vector<std::vector<LinkId>> routes) {
     route_hops_[pair] = static_cast<std::uint32_t>(r.size());
     diameter_hops_ = std::max<std::size_t>(diameter_hops_, r.size());
     route_data_.insert(route_data_.end(), r.begin(), r.end());
-    if (r.empty()) continue;
     TimeMs latency = 0.0;
-    double bandwidth = bandwidth_gbps(r[0]);
-    for (const LinkId l : r) {
-      latency += latency_ms(l);
-      bandwidth = std::min(bandwidth, bandwidth_gbps(l));
-    }
+    for (const LinkId l : r) latency += latency_ms(l);
     route_latency_ms_[pair] = latency;
-    route_bandwidth_gbps_[pair] = bandwidth;
   }
 }
 
@@ -507,7 +500,7 @@ TimeMs Topology::route_latency_ms(ProcId from, ProcId to) const {
 }
 
 double Topology::route_bandwidth_gbps(ProcId from, ProcId to) const {
-  return route_bandwidth_gbps_[pair_index(from, to)];
+  return route_hops_[pair_index(from, to)] == 0 ? 0.0 : bandwidth_gbps_;
 }
 
 }  // namespace apt::net

@@ -161,11 +161,12 @@ class Topology {
   /// local). Precomputed per pair.
   TimeMs route_latency_ms(ProcId from, ProcId to) const;
 
-  /// Bandwidth of the from -> to route's bottleneck link (meaningless when
-  /// local). sim::TopologyCostModel prices a payload as the route's head
-  /// latency plus the payload at this rate: the uncontended figure policies
-  /// plan with, which actual transfers can only exceed (max-min fair
-  /// sharing under contention). Precomputed per pair.
+  /// Bandwidth of the from -> to route's bottleneck link; 0 when local.
+  /// sim::TopologyCostModel prices a payload as the route's head latency
+  /// plus the payload at this rate: the uncontended figure policies plan
+  /// with, which actual transfers can only exceed (max-min fair sharing
+  /// under contention). Every link has the fabric's one bandwidth, so a
+  /// remote route's bottleneck is that bandwidth.
   double route_bandwidth_gbps(ProcId from, ProcId to) const;
 
  private:
@@ -187,7 +188,6 @@ class Topology {
   std::vector<std::uint32_t> route_hops_;   ///< [from * P + to]
   std::vector<LinkId> route_data_;          ///< flattened route links
   std::vector<TimeMs> route_latency_ms_;    ///< [pair] head latency
-  std::vector<double> route_bandwidth_gbps_;  ///< [pair] bottleneck rate
 };
 
 }  // namespace apt::net

@@ -15,9 +15,10 @@ std::vector<double> upward_ranks(const dag::Dag& dag,
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const dag::NodeId n = *it;
     const auto& succs = dag.successors(n);
+    const double* weight = dense.out_weights(n);
     double tail = 0.0;
     for (std::size_t k = 0; k < succs.size(); ++k)
-      tail = std::max(tail, dense.mean_transfer_ms(n, k) + rank[succs[k]]);
+      tail = std::max(tail, dense.mean_transfer_ms(weight[k]) + rank[succs[k]]);
     rank[n] = dense.mean_exec_ms(n) + tail;
   }
   return rank;
@@ -40,10 +41,12 @@ std::vector<double> heft_downward_ranks(const dag::Dag& dag,
       sim::dense_cost_model(dag, system, cost, storage);
   std::vector<double> rank(dag.node_count(), 0.0);
   for (const dag::NodeId n : dag.topological_order()) {
-    for (const dag::NodeId p : dag.predecessors(n)) {
-      rank[n] = std::max(
-          rank[n], rank[p] + dense.mean_exec_ms(p) +
-                       dense.mean_transfer_ms(p, dense.out_edge_index(p, n)));
+    const auto& preds = dag.predecessors(n);
+    const double* weight = dense.in_weights(n);
+    for (std::size_t k = 0; k < preds.size(); ++k) {
+      const dag::NodeId p = preds[k];
+      rank[n] = std::max(rank[n], rank[p] + dense.mean_exec_ms(p) +
+                                      dense.mean_transfer_ms(weight[k]));
     }
   }
   return rank;

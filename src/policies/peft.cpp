@@ -27,9 +27,10 @@ std::vector<double> oct_table(const dag::Dag& dag,
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const dag::NodeId t = *it;
     const auto& succs = dag.successors(t);
+    const double* weight = dense.out_weights(t);
     avg_comm.resize(succs.size());
     for (std::size_t k = 0; k < succs.size(); ++k)
-      avg_comm[k] = dense.mean_transfer_ms(t, k);
+      avg_comm[k] = dense.mean_transfer_ms(weight[k]);
     for (sim::ProcId pk = 0; pk < procs; ++pk) {
       double worst_child = 0.0;
       for (std::size_t k = 0; k < succs.size(); ++k) {

@@ -106,12 +106,14 @@ StaticPlan list_schedule(const dag::Dag& dag,
     if (unscheduled_preds[i] == 0) candidates.push_back(i);
   }
   /// One input of the task being placed: its predecessor's planned finish
-  /// and the transfer times from the predecessor's processor to each one.
+  /// and processor, and the weight of the edge between them.
   struct Input {
     sim::TimeMs finish;
-    const sim::TimeMs* transfer_to;
+    sim::ProcId from;
+    double weight;
   };
   std::vector<Input> inputs;
+  const sim::PairTables& prices = dense.prices();
 
   for (std::size_t placed = 0; placed < n; ++placed) {
     if (candidates.empty())
@@ -126,12 +128,11 @@ StaticPlan list_schedule(const dag::Dag& dag,
     candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(pick));
 
     inputs.clear();
-    for (const dag::NodeId pred : dag.predecessors(node)) {
-      const PlannedTask& pt = plan.tasks[pred];
-      inputs.push_back(
-          {pt.finish,
-           dense.out_edge_transfers(pred, dense.out_edge_index(pred, node)) +
-               pt.proc * procs});
+    const dag::NodeRange preds = dag.predecessors(node);
+    const double* weight = dense.in_weights(node);
+    for (std::size_t k = 0; k < preds.size(); ++k) {
+      const PlannedTask& pt = plan.tasks[preds[k]];
+      inputs.push_back({pt.finish, pt.proc, weight[k]});
     }
     const sim::TimeMs* exec = dense.exec_row(node);
     sim::ProcId best_proc = sim::kInvalidProc;
@@ -142,7 +143,8 @@ StaticPlan list_schedule(const dag::Dag& dag,
       // Data-ready time with prefetched transfers (classic HEFT semantics).
       sim::TimeMs drt = 0.0;
       for (const Input& in : inputs)
-        drt = std::max(drt, in.finish + in.transfer_to[proc]);
+        drt = std::max(drt, in.finish +
+                                prices.transfer_ms(in.weight, in.from, proc));
       const sim::TimeMs w = exec[proc];
       const sim::TimeMs est = earliest_insertion_start(busy[proc], drt, w);
       const sim::TimeMs eft = est + w;

@@ -13,8 +13,8 @@
 // pair, pair_tables(procs).transfer_ms(edge_weight(dag, src, dst), from, to).
 // The event core resolves the weights once per instance at admission and
 // the tables once per run, so its per-kernel transfer reads are a table
-// lookup; the static planners read the same prices from a
-// PrecomputedCostModel's dense per-edge matrices.
+// lookup; the static planners price the same way from a
+// PrecomputedCostModel's stored edge weights and pair tables.
 #pragma once
 
 #include <cstddef>

@@ -1,38 +1,36 @@
 #include "sim/precomputed_cost_model.hpp"
 
-#include <algorithm>
-
 namespace apt::sim {
 
 PrecomputedCostModel::PrecomputedCostModel(const dag::Dag& dag,
                                            const System& system,
                                            const CostModel& base)
-    : dag_(&dag), base_(base), proc_count_(system.proc_count()) {
+    : dag_(&dag),
+      base_(base),
+      proc_count_(system.proc_count()),
+      prices_(base.pair_tables(system.processors())) {
   const std::size_t n = dag.node_count();
   const std::size_t p = proc_count_;
-  const auto& procs = system.processors();
 
   exec_.resize(n * p);
   for (dag::NodeId node = 0; node < n; ++node)
-    base.exec_row_ms(dag, node, procs, exec_.data() + node * p);
+    base.exec_row_ms(dag, node, system.processors(), exec_.data() + node * p);
 
-  edge_offset_.resize(n + 1, 0);
-  for (dag::NodeId node = 0; node < n; ++node)
-    edge_offset_[node + 1] = edge_offset_[node] + dag.out_degree(node);
-
-  const PairTables tables = base.pair_tables(procs);
-  transfer_.resize(edge_offset_[n] * p * p);
-  for (dag::NodeId src = 0; src < n; ++src) {
-    const auto& succs = dag.successors(src);
-    for (std::size_t k = 0; k < succs.size(); ++k) {
-      const double weight = base.edge_weight(dag, src, succs[k]);
-      TimeMs* slot = transfer_.data() + (edge_offset_[src] + k) * p * p;
-      for (ProcId from = 0; from < p; ++from) {
-        for (ProcId to = 0; to < p; ++to)
-          slot[from * p + to] = tables.transfer_ms(weight, from, to);
-      }
-    }
+  // Dag::add_edge keeps the edge count below 2^32, so 32-bit offsets hold.
+  out_offset_.reserve(n + 1);
+  in_offset_.reserve(n + 1);
+  out_weight_.reserve(dag.edge_count());
+  in_weight_.reserve(dag.edge_count());
+  for (dag::NodeId node = 0; node < n; ++node) {
+    out_offset_.push_back(static_cast<std::uint32_t>(out_weight_.size()));
+    for (const dag::NodeId dst : dag.successors(node))
+      out_weight_.push_back(base.edge_weight(dag, node, dst));
+    in_offset_.push_back(static_cast<std::uint32_t>(in_weight_.size()));
+    for (const dag::NodeId src : dag.predecessors(node))
+      in_weight_.push_back(base.edge_weight(dag, src, node));
   }
+  out_offset_.push_back(static_cast<std::uint32_t>(out_weight_.size()));
+  in_offset_.push_back(static_cast<std::uint32_t>(in_weight_.size()));
 }
 
 TimeMs PrecomputedCostModel::exec_time_ms(const dag::Dag& dag,
@@ -64,13 +62,6 @@ double PrecomputedCostModel::edge_weight(const dag::Dag& dag, dag::NodeId src,
 PairTables PrecomputedCostModel::pair_tables(
     const std::vector<Processor>& procs) const {
   return base_.pair_tables(procs);
-}
-
-std::size_t PrecomputedCostModel::out_edge_index(dag::NodeId src,
-                                                 dag::NodeId dst) const {
-  const auto& succs = dag_->successors(src);
-  return static_cast<std::size_t>(
-      std::find(succs.begin(), succs.end(), dst) - succs.begin());
 }
 
 const PrecomputedCostModel& dense_cost_model(

@@ -1,9 +1,10 @@
 // Test-only reference: the per-edge transfer price of every cost model,
 // written out per model from the system it runs on. The shipped models
 // price an edge only as `pair_tables(procs).transfer_ms(edge_weight(...))`;
-// the cost-model suites hold those tables, and the dense matrices the
-// static planners read, to these formulas bit for bit, and the frozen
-// reference engine and planners price their edges with them.
+// the cost-model suites hold those tables, and the prices the static
+// planners read from a dense model's stored edge weights, to these formulas
+// bit for bit, and the frozen reference engine and planners price their
+// edges with them.
 #pragma once
 
 #include <algorithm>

@@ -1,7 +1,7 @@
 // Exact allocation gates: this binary replaces the global operator new and
-// delete with counting ones, so a test can say how many blocks a piece of
-// code asks the allocator for. The counts are exact and independent of the
-// host and the build type, unlike a timer.
+// delete with counting ones, so a test can say how many blocks and bytes a
+// piece of code asks the allocator for. The counts are exact and
+// independent of the host and the build type, unlike a timer.
 //
 //   * A dag::Dag is five blocks (nodes, two adjacency run tables, two
 //     adjacency pools) whatever its size, so copying one allocates 5 blocks.
@@ -18,6 +18,12 @@
 //     admitted app when the graph was a vector of vectors and those tables
 //     were std::vectors, and about 14 while the lower bound allocated its
 //     own scratch and the free ranges were std::map nodes.
+//   * A dense cost table (sim::PrecomputedCostModel) stores each edge's
+//     weight once per direction and the run's pair tables, O(n·P + E)
+//     bytes. When it held a P x P price matrix per edge, a 300-kernel
+//     layered graph on twelve processors took 7.6 MB instead of 139 kB.
+//   * The graph builders reserve their series size, so the node table and
+//     both run tables are allocated once, not grown by doubling.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +31,7 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/policy_factory.hpp"
@@ -32,8 +39,10 @@
 #include "lut/paper_data.hpp"
 #include "scenario/scenario.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/precomputed_cost_model.hpp"
 #include "sim/system.hpp"
 #include "stream/stream_engine.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -41,21 +50,38 @@ namespace {
 // runs on the calling thread.
 bool g_counting = false;
 std::uint64_t g_blocks = 0;
+std::uint64_t g_bytes = 0;
 
 void* counted_new(std::size_t size) {
-  if (g_counting) ++g_blocks;
+  if (g_counting) {
+    ++g_blocks;
+    g_bytes += size;
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
+}
+
+/// What a piece of code asked operator new for.
+struct Allocated {
+  std::uint64_t blocks = 0;
+  std::uint64_t bytes = 0;
+};
+
+/// Blocks and bytes allocated through operator new while `body` runs.
+template <typename Body>
+Allocated allocated(Body&& body) {
+  g_blocks = 0;
+  g_bytes = 0;
+  g_counting = true;
+  body();
+  g_counting = false;
+  return {g_blocks, g_bytes};
 }
 
 /// Blocks allocated through operator new while `body` runs.
 template <typename Body>
 std::uint64_t blocks_allocated(Body&& body) {
-  g_blocks = 0;
-  g_counting = true;
-  body();
-  g_counting = false;
-  return g_blocks;
+  return allocated(std::forward<Body>(body)).blocks;
 }
 
 }  // namespace
@@ -134,6 +160,59 @@ double burst_blocks_per_app(std::size_t apps) {
 TEST(AllocGates, AnOpenBurstAllocatesAFewBlocksPerAdmittedApp) {
   for (const std::size_t apps : {120u, 480u}) {
     EXPECT_LE(burst_blocks_per_app(apps), 10.0) << apps << " apps";
+  }
+}
+
+TEST(AllocGates, ADenseModelRequestsBytesLinearInNodesAndEdges) {
+  // A 300-kernel layered graph on twelve routed processors. Its bound is 8
+  // bytes per exec entry (n x P), per stored edge weight (one per edge in
+  // each direction) and per node offset (two per node, plus two ends), and
+  // one pair table of P x P prices: O(n·P + E). An edge priced into a P x P
+  // matrix alone would take 8 P^2 = 1,152 bytes.
+  const lut::LookupTable table = test::fabric_table();
+  const sim::System system = test::fabric_system("mesh:3x4");
+  const sim::LutCostModel lut(table, system);
+  const sim::TopologyCostModel routed(lut, system);
+  const dag::Dag graph = scenario::generate(
+      "layered", 300, 7, dag::KernelPool::from_lookup_table(table));
+  const std::uint64_t n = graph.node_count();
+  const std::uint64_t edges = graph.edge_count();
+  const std::uint64_t procs = system.proc_count();
+  ASSERT_GT(edges, 10 * n);
+  const std::uint64_t bound = 8 * (n * procs + 2 * edges + 2 * (n + 1)) +
+                              sizeof(sim::PairPrice) * procs * procs;
+  std::optional<sim::PrecomputedCostModel> dense;
+  const Allocated built =
+      allocated([&] { dense.emplace(graph, system, routed); });
+  EXPECT_LE(built.bytes, bound) << n << " kernels, " << edges << " edges";
+}
+
+TEST(AllocGates, PaperShapesAllocateTheirNodeAndRunTablesOnce) {
+  // A build from a prepared series allocates the node table and both run
+  // tables once (3 blocks), plus each adjacency pool's growth and, for
+  // Type-2, its three block lists. Type-1's two pools grow by doubling to
+  // n - 1 entries, ceil(log2(n - 1)) + 1 blocks each: 3 + 14 blocks at 46
+  // kernels and 3 + 18 at 157. Type-2's pools take 18 and 22 blocks. Tables
+  // grown by doubling took 3 (ceil(log2 n) + 1) blocks, 18 and 24 more.
+  struct Case {
+    dag::DfgType type;
+    std::size_t kernels;
+    std::uint64_t blocks;
+  };
+  const dag::KernelPool pool = dag::KernelPool::paper_pool();
+  for (const Case& c : {Case{dag::DfgType::Type1, 46, 17},
+                        Case{dag::DfgType::Type1, 157, 21},
+                        Case{dag::DfgType::Type2, 46, 24},
+                        Case{dag::DfgType::Type2, 157, 28}}) {
+    const std::vector<dag::Node> series =
+        dag::random_kernel_series(c.kernels, 11, pool);
+    std::optional<dag::Dag> graph;
+    const std::uint64_t blocks = blocks_allocated([&] {
+      graph.emplace(c.type == dag::DfgType::Type1 ? dag::make_type1(series)
+                                                  : dag::make_type2(series));
+    });
+    EXPECT_EQ(blocks, c.blocks)
+        << dag::to_string(c.type) << ", " << c.kernels << " kernels";
   }
 }
 

@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "dag/generator.hpp"
+#include "dag/serialize.hpp"
+#include "scenario/scenario.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
 
@@ -157,6 +163,58 @@ TEST(Dag, TopologicalOrderIsDeterministicMinIdFirst) {
   d.add_edge(2, 3);
   // 0,1,2 all sources: min-id-first ordering is exactly 0,1,2,3.
   EXPECT_EQ(d.topological_order(), (std::vector<NodeId>{0, 1, 2, 3}));
+}
+
+/// Kahn's algorithm with a min-id heap frontier: how topological_order()
+/// ordered every graph before forward-only graphs returned 0 .. n-1 without
+/// it. Kept as the reference that shortcut must equal.
+std::vector<NodeId> heap_topological_order(const Dag& d) {
+  std::vector<std::size_t> indeg(d.node_count());
+  std::vector<NodeId> frontier;
+  for (NodeId i = 0; i < d.node_count(); ++i) {
+    indeg[i] = d.in_degree(i);
+    if (indeg[i] == 0) frontier.push_back(i);
+  }
+  std::make_heap(frontier.begin(), frontier.end(), std::greater<>{});
+  std::vector<NodeId> order;
+  while (!frontier.empty()) {
+    std::pop_heap(frontier.begin(), frontier.end(), std::greater<>{});
+    const NodeId n = frontier.back();
+    frontier.pop_back();
+    order.push_back(n);
+    for (const NodeId s : d.successors(n)) {
+      if (--indeg[s] == 0) {
+        frontier.push_back(s);
+        std::push_heap(frontier.begin(), frontier.end(), std::greater<>{});
+      }
+    }
+  }
+  return order;
+}
+
+TEST(Dag, TopologicalOrderEqualsTheMinIdHeapOrder) {
+  // Every family adds forward edges only, so the order is 0 .. n-1.
+  const KernelPool pool = KernelPool::paper_pool();
+  for (const scenario::ScenarioFamily* family : scenario::all_families()) {
+    for (const std::size_t kernels : {24u, 157u}) {
+      for (const std::uint64_t seed : {1u, 9u}) {
+        const Dag d = family->generate(kernels, seed, pool);
+        std::vector<NodeId> identity(d.node_count());
+        std::iota(identity.begin(), identity.end(), NodeId{0});
+        const std::vector<NodeId> order = d.topological_order();
+        EXPECT_EQ(order, heap_topological_order(d))
+            << family->name() << " n" << kernels << " seed " << seed;
+        EXPECT_EQ(order, identity) << family->name();
+      }
+    }
+  }
+  // A file may list edges that point backward: the heap orders them.
+  const Dag backward = from_text(
+      "node 0 mm 1\nnode 1 mm 1\nnode 2 mm 1\nnode 3 mm 1\nnode 4 mm 1\n"
+      "edge 0 4\nedge 3 1\nedge 4 2\nedge 1 2\n");
+  const std::vector<NodeId> order = backward.topological_order();
+  EXPECT_EQ(order, heap_topological_order(backward));
+  EXPECT_EQ(order, (std::vector<NodeId>{0, 3, 1, 4, 2}));
 }
 
 TEST(Dag, DepthCountsLevels) {

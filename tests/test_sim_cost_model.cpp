@@ -92,8 +92,9 @@ std::uint64_t bits(double x) {
 
 /// Pair tables times edge weights must reproduce the reference price bit
 /// for bit on every edge and every ordered processor pair, the local ones
-/// included: the event core prices transfers only this way. A dense model's
-/// per-edge matrices must hold the same prices.
+/// included: the event core prices transfers only this way. A dense model
+/// must price each edge the same from its stored weights in successor and
+/// in predecessor order and its own copy of the tables.
 void expect_pair_tables_match(const CostModel& cost, const System& system,
                               const dag::Dag& dag, const std::string& name) {
   const std::vector<Processor>& procs = system.processors();
@@ -110,23 +111,35 @@ void expect_pair_tables_match(const CostModel& cost, const System& system,
       const dag::NodeId dst = succs[k];
       ++edges;
       const double weight = cost.edge_weight(dag, src, dst);
-      const TimeMs* matrix =
-          dense == nullptr ? nullptr : dense->out_edge_transfers(src, k);
+      // The edge's place among dst's in-edges.
+      const dag::NodeRange preds = dag.predecessors(dst);
+      const std::size_t in_k = static_cast<std::size_t>(
+          std::find(preds.begin(), preds.end(), src) - preds.begin());
       for (const Processor& from : procs) {
         for (const Processor& to : procs) {
           const TimeMs want = test::reference_transfer_ms(cost, system, dag,
                                                           src, dst, from, to);
           const TimeMs table = tables.transfer_ms(weight, from.id, to.id);
-          const TimeMs stored =
-              matrix == nullptr ? want : matrix[from.id * procs.size() + to.id];
-          if (bits(table) == bits(want) && bits(stored) == bits(want))
+          TimeMs out = want;
+          TimeMs in = want;
+          if (dense != nullptr) {
+            out = dense->prices().transfer_ms(dense->out_weights(src)[k],
+                                              from.id, to.id);
+            in = dense->prices().transfer_ms(dense->in_weights(dst)[in_k],
+                                             from.id, to.id);
+          }
+          if (bits(table) == bits(want) && bits(out) == bits(want) &&
+              bits(in) == bits(want))
             continue;
           if (mismatches++ > 0) continue;
           first = "edge " + std::to_string(src) + "->" + std::to_string(dst);
           first += ", procs " + std::to_string(from.id);
           first += "->" + std::to_string(to.id) + ": reference ";
           first += std::to_string(want) + ", table " + std::to_string(table);
-          if (matrix != nullptr) first += ", dense " + std::to_string(stored);
+          if (dense != nullptr) {
+            first += ", dense out-edge " + std::to_string(out);
+            first += ", dense in-edge " + std::to_string(in);
+          }
         }
       }
     }
@@ -440,7 +453,7 @@ TEST(CostModelAverages, MeanCommOverDistinctPairs) {
   cost.set_comm_cost(0, 1, 18.0);
   const PrecomputedCostModel dense(d, sys, cost);
   // All six ordered distinct pairs cost 18 -> mean 18 (same-proc excluded).
-  EXPECT_DOUBLE_EQ(dense.mean_transfer_ms(0, 0), 18.0);
+  EXPECT_DOUBLE_EQ(dense.mean_transfer_ms(dense.out_weights(0)[0]), 18.0);
 }
 
 TEST(CostModelAverages, SingleProcessorCommIsZero) {
@@ -452,7 +465,7 @@ TEST(CostModelAverages, SingleProcessorCommIsZero) {
   d.add_edge(0, 1);
   cost.set_comm_cost(0, 1, 18.0);
   const PrecomputedCostModel dense(d, sys, cost);
-  EXPECT_DOUBLE_EQ(dense.mean_transfer_ms(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(dense.mean_transfer_ms(dense.out_weights(0)[0]), 0.0);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // The densified cost model must agree bit-for-bit with the model it wraps
-// on every query the engine or a policy can make, hold the reference
-// transfer price of every edge, and answer execution-time queries outside
-// its precomputed dag from the base model.
+// on every query the engine or a policy can make, price every edge from its
+// stored weights at the reference transfer price, and answer execution-time
+// queries outside its precomputed dag from the base model.
 #include "sim/precomputed_cost_model.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -18,6 +19,37 @@
 namespace apt::sim {
 namespace {
 
+/// Every edge of `graph`, priced from `fast`'s stored weight in successor
+/// order and in predecessor order over its pair tables, must equal the
+/// reference price of `base` on every ordered processor pair.
+void expect_edges_priced_like(const PrecomputedCostModel& fast,
+                              const CostModel& base, const System& system,
+                              const dag::Dag& graph) {
+  const PairTables& prices = fast.prices();
+  ASSERT_EQ(prices.proc_count, system.proc_count());
+  for (dag::NodeId n = 0; n < graph.node_count(); ++n) {
+    const auto& succs = graph.successors(n);
+    for (std::size_t k = 0; k < succs.size(); ++k) {
+      const dag::NodeRange preds = graph.predecessors(succs[k]);
+      const std::size_t in_k = static_cast<std::size_t>(
+          std::find(preds.begin(), preds.end(), n) - preds.begin());
+      ASSERT_LT(in_k, preds.size());
+      const double out_weight = fast.out_weights(n)[k];
+      const double in_weight = fast.in_weights(succs[k])[in_k];
+      for (const Processor& from : system.processors()) {
+        for (const Processor& to : system.processors()) {
+          const TimeMs want = test::reference_transfer_ms(
+              base, system, graph, n, succs[k], from, to);
+          EXPECT_EQ(prices.transfer_ms(out_weight, from.id, to.id), want)
+              << n << "->" << succs[k] << " on " << from.id << "->" << to.id;
+          EXPECT_EQ(prices.transfer_ms(in_weight, from.id, to.id), want)
+              << n << "->" << succs[k] << " on " << from.id << "->" << to.id;
+        }
+      }
+    }
+  }
+}
+
 TEST(PrecomputedCostModel, MatchesLutModelOnEveryNodeProcAndEdge) {
   const dag::Dag graph = dag::paper_graph(dag::DfgType::Type2, 3);
   const System system = test::paper_system();
@@ -28,18 +60,8 @@ TEST(PrecomputedCostModel, MatchesLutModelOnEveryNodeProcAndEdge) {
     for (const Processor& p : system.processors()) {
       EXPECT_EQ(fast.exec_time_ms(graph, n, p), base.exec_time_ms(graph, n, p));
     }
-    const auto& succs = graph.successors(n);
-    for (std::size_t k = 0; k < succs.size(); ++k) {
-      const TimeMs* matrix = fast.out_edge_transfers(n, k);
-      for (const Processor& from : system.processors()) {
-        for (const Processor& to : system.processors()) {
-          EXPECT_EQ(matrix[from.id * system.proc_count() + to.id],
-                    test::reference_transfer_ms(base, system, graph, n,
-                                                succs[k], from, to));
-        }
-      }
-    }
   }
+  expect_edges_priced_like(fast, base, system, graph);
 }
 
 TEST(PrecomputedCostModel, MeansMatchTheBaseSummedInProcessorOrder) {
@@ -64,7 +86,7 @@ TEST(PrecomputedCostModel, MeansMatchTheBaseSummedInProcessorOrder) {
                                                     succs[k], from, to);
         }
       }
-      EXPECT_EQ(fast.mean_transfer_ms(n, k),
+      EXPECT_EQ(fast.mean_transfer_ms(fast.out_weights(n)[k]),
                 comm_sum / static_cast<double>(procs.size() *
                                                (procs.size() - 1)));
     }
@@ -117,22 +139,18 @@ TEST(PrecomputedCostModel, MatchesMatrixModelOnEveryEdge) {
   const auto ex = test::topcuoglu_example();
   const System system = test::generic_system(3);
   const PrecomputedCostModel fast(ex.dag, system, *ex.cost);
-  for (dag::NodeId a = 0; a < ex.dag.node_count(); ++a) {
-    const auto& succs = ex.dag.successors(a);
-    for (std::size_t k = 0; k < succs.size(); ++k) {
-      EXPECT_EQ(fast.out_edge_index(a, succs[k]), k);
-      const TimeMs* matrix = fast.out_edge_transfers(a, k);
-      for (const Processor& from : system.processors()) {
-        for (const Processor& to : system.processors()) {
-          EXPECT_EQ(matrix[from.id * system.proc_count() + to.id],
-                    test::reference_transfer_ms(*ex.cost, system, ex.dag, a,
-                                                succs[k], from, to));
-        }
-      }
-    }
-    // Not an edge: the index is one past the last out-edge.
-    EXPECT_EQ(fast.out_edge_index(a, a), succs.size());
-  }
+  expect_edges_priced_like(fast, *ex.cost, system, ex.dag);
+}
+
+TEST(PrecomputedCostModel, MatchesTheRoutedModelOnTwelveProcessors) {
+  const lut::LookupTable table = test::fabric_table();
+  const System system = test::fabric_system("mesh:3x4");
+  const LutCostModel lut(table, system);
+  const TopologyCostModel routed(lut, system);
+  const dag::Dag graph = dag::random_layered_dag(
+      60, 6, 0.3, 5, dag::KernelPool::from_lookup_table(table));
+  const PrecomputedCostModel fast(graph, system, routed);
+  expect_edges_priced_like(fast, routed, system, graph);
 }
 
 TEST(PrecomputedCostModel, ForeignDagFallsBackToBase) {
